@@ -1,25 +1,37 @@
 """The affine Weyl group acting on real affine roots, with exact arithmetic.
 
 A real affine root ``gamma + n*delta`` is a finite root plus an integer
-level.  An affine Weyl group element is stored in the canonical form
-``x = t_lambda * w`` with ``w`` a finite Weyl element (kept as the images of
-the simple roots, an integer matrix on root coordinates) and ``lambda`` an
-integer vector over the simple coroots.  The action is
+level.  An affine Weyl group element is written ``x = t_lambda * w`` with
+``w`` a finite Weyl element and ``lambda`` an integer vector over the simple
+coroots, and acts by
 
-    x(gamma + n*delta) = w(gamma) + (n - <w(gamma), lambda>) * delta,
+    x(gamma + n*delta) = w(gamma) + (n - <w(gamma), lambda>) * delta.
 
-so equality of elements is equality of the pair, and words are derived
-views.  Lengths come from greedy descent stripping, Bruhat comparisons from
-the standard lifting recursion, and both have independent brute-force
-counterparts (bounded inversion counting, subword search) used as oracles
-by the test suite.  The alcove containment test runs on exact rational
-vertex coordinates; there are no tolerances anywhere.
+The group indexes the finite roots once.  Every element it makes carries
+two tables over those indices: ``perm[i]``, the index of ``w(gamma_i)``, and
+``shift[i] = <w(gamma_i), lambda>``, the level drop.  Acting is two lookups,
+multiplying composes the tables, inverting inverts the permutation, descents
+are lookups, and the length is the Iwahori-Matsumoto closed count
+
+    l(x) = sum over gamma in Phi of [d >= lo] * (d - lo + [w(gamma) < 0]),
+
+with ``d = shift[gamma]`` and ``lo`` = 0 for gamma > 0 and 1 otherwise: the
+affine roots ``gamma + n*delta``, ``n >= lo``, that x sends below zero.
+The value of an element is still the pair (images of the simple roots,
+``lambda``): equality, hashing and JSON see only that pair, and words are
+derived views.  Bruhat comparisons come from the standard lifting recursion.
+Lengths and comparisons have independent brute-force counterparts (bounded
+inversion counting, subword search) used as oracles by the test suite.  The
+alcove containment test runs on exact rational vertex coordinates; there are
+no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, itemgetter, mul, neg
 import re
 
 from .roots import Root, RootSystem
@@ -95,14 +107,44 @@ def parse_affine_root(rs: RootSystem, text: str) -> AffineRoot:
     return AffineRoot(finite, level)
 
 
-@dataclass(frozen=True)
 class AffineWeylElement:
     """``t_lambda * w``: images of the simple roots under ``w`` (rows of an
     integer matrix on root coordinates) plus the translation ``lambda`` in
-    simple-coroot coordinates."""
+    simple-coroot coordinates.
 
-    images: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...]
+    Elements are immutable values.  One made by a group also carries that
+    group's root tables ``perm`` and ``shift`` (see the module docstring);
+    one built directly, e.g. from JSON, gets them from the first group that
+    uses it."""
+
+    __slots__ = ("images", "translation", "_perm", "_shift", "_hash")
+
+    def __init__(
+        self,
+        images: tuple[tuple[int, ...], ...],
+        translation: tuple[int, ...],
+        perm: tuple[int, ...] | None = None,
+        shift: tuple[int, ...] | None = None,
+    ):
+        self.images = images
+        self.translation = translation
+        self._perm = perm
+        self._shift = shift
+        self._hash = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AffineWeylElement):
+            return NotImplemented
+        return self.images == other.images and self.translation == other.translation
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.images, self.translation))
+        return h
+
+    def __repr__(self) -> str:
+        return f"AffineWeylElement(images={self.images!r}, translation={self.translation!r})"
 
     @property
     def is_identity(self) -> bool:
@@ -139,42 +181,130 @@ def _apply_images(images: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...]) 
 class AffineWeylGroup:
     """Operations of the affine Weyl group of a finite root system.
 
-    The group object owns the per-system caches (lengths, inverses, Bruhat
-    comparisons, reflections); elements themselves are immutable values.
+    The group object owns the root index, the tables of the simple
+    reflections and the per-system caches (reflections, Bruhat comparisons);
+    elements themselves are immutable values.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
-        zero = (0,) * self.rank
+        # Root index i is the position in rs.roots, which is sorted by height:
+        # the negative roots come first, the positive ones from _pos_start on.
+        self._roots: tuple[Root, ...] = rs.roots
+        self._coeffs = tuple(g.coeffs for g in rs.roots)
+        self._index = {c: i for i, c in enumerate(self._coeffs)}
+        self._negative = tuple(0 if g.is_positive else 1 for g in rs.roots)
+        self._coroots = tuple(rs.coroot_coords(g) for g in rs.roots)
+        self._pos_start = len(rs.roots) - len(rs.positive_roots)
+        if rs.roots[self._pos_start:] != rs.positive_roots:
+            raise AssertionError("positive roots are not the tail of the root order")
+        self._affine_simple = (AffineRoot(-rs.highest_root, 1),) + tuple(
+            AffineRoot(g, 0) for g in rs.simple_roots
+        )
+        # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
+        self._simple_at = tuple((self._index[a.finite.coeffs], a.level) for a in self._affine_simple)
+        # root indices of alpha_1..alpha_r, whose images are an element's images
+        self._image_at = tuple(g for g, _ in self._simple_at[1:])
+        n = len(self._coeffs)
         self.identity = AffineWeylElement(
             tuple(tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)),
-            zero,
+            (0,) * self.rank,
+            tuple(range(n)),
+            (0,) * n,
         )
+        self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
-        self._simple: list[AffineWeylElement] = []
-        theta = rs.highest_root
-        for i in range(self.rank + 1):
-            if i == 0:
-                self._simple.append(self.reflection(AffineRoot(-theta, 1)))
-            else:
-                alpha = rs.simple_root(i)
-                images = tuple(
-                    rs.reflect(alpha, rs.simple_root(j)).coeffs
-                    for j in range(1, self.rank + 1)
-                )
-                self._simple.append(AffineWeylElement(images, zero))
-        self._length: dict[AffineWeylElement, int] = {self.identity: 0}
-        self._inverse: dict[AffineWeylElement, AffineWeylElement] = {}
-        self._bruhat: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
-        self._alcove_vertices = self._fundamental_alcove_vertices()
+        # Bruhat answers keyed on pairs of small element ids from _ids, so the
+        # cache holds each distinct element once instead of a copy per key.
+        self._ids: dict[AffineWeylElement, int] = {}
+        self._bruhat: dict[tuple[int, int], bool] = {}
+
+    # -- root tables ---------------------------------------------------------
+
+    def _root_index(self, coeffs: tuple[int, ...]) -> int:
+        i = self._index.get(coeffs)
+        if i is None:
+            raise ValueError(f"{coeffs} is not a root")
+        return i
+
+    def _reflection_at(self, g: int, level: int) -> AffineWeylElement:
+        """s_a for a = gamma + level*delta, gamma the root of index g, which is
+        t_{-level * gamma^vee} s_gamma.  Root by root, s_gamma(beta) = beta -
+        <beta, gamma^vee> gamma, and the level drops by
+        <s_gamma(beta), -level * gamma^vee> = level * <beta, gamma^vee>."""
+        rank = self.rank
+        cart = self.rs.cartan
+        gamma = self._coeffs[g]
+        cov = self._coroots[g]
+        # <alpha_j, gamma^vee> for every simple root alpha_j
+        pair = tuple(sum(cov[k] * cart[k][j] for k in range(rank)) for j in range(rank))
+        index = self._index
+        perm = []
+        shift = []
+        for beta in self._coeffs:
+            p = sum(map(mul, beta, pair))
+            perm.append(index[tuple([b - p * c for b, c in zip(beta, gamma)])])
+            shift.append(level * p)
+        return self._element(tuple(perm), tuple(shift), tuple(-level * c for c in cov))
+
+    def _element(self, perm: tuple[int, ...], shift: tuple[int, ...], translation) -> AffineWeylElement:
+        coeffs = self._coeffs
+        return AffineWeylElement(
+            tuple([coeffs[perm[g]] for g in self._image_at]), translation, perm, shift
+        )
+
+    def _tables(self, x: AffineWeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        perm = x._perm
+        if perm is None:
+            perm, shift = self._tables_from_matrix(x.images, x.translation)
+            x._perm, x._shift = perm, shift
+            return perm, shift
+        return perm, x._shift
+
+    def _tables_from_matrix(self, images, translation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The root tables of an element given only as images and translation."""
+        rank = self.rank
+        cart = self.rs.cartan
+        # <alpha_j, lambda> for every simple root alpha_j
+        pair = [sum(translation[k] * cart[k][j] for k in range(rank)) for j in range(rank)]
+        perm = []
+        shift = []
+        for c in self._coeffs:
+            img = _apply_images(images, c)
+            perm.append(self._root_index(img))
+            shift.append(sum(a * b for a, b in zip(img, pair)))
+        return tuple(perm), tuple(shift)
+
+    def _push_coweight(self, perm: tuple[int, ...], mu: tuple[int, ...], out: list[int]) -> list[int]:
+        """Add w(mu) to out, for mu over the simple coroots and w given by
+        perm: w(alpha_k^vee) is the coroot of w(alpha_k)."""
+        coroots = self._coroots
+        for k, m in enumerate(mu):
+            if m:
+                for j, c in enumerate(coroots[perm[self._image_at[k]]]):
+                    if c:
+                        out[j] += m * c
+        return out
+
+    def _is_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> bool:
+        """Whether x^{-1}(a_i) < 0.  x maps gamma_j + n*delta to
+        gamma_{perm[j]} + (n - shift[j])*delta, so x^{-1}(a_i) is
+        gamma_j + (level_i + shift[j])*delta with perm[j] the root of a_i."""
+        g, level = self._simple_at[i]
+        j = perm.index(g)
+        m = level + shift[j]
+        return m < 0 or (m == 0 and self._negative[j] == 1)
+
+    def _first_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...]) -> int | None:
+        return next(
+            (i for i in self.simple_indices if self._is_left_descent(perm, shift, i)), None
+        )
 
     # -- basic elements ----------------------------------------------------
 
     def simple_affine_root(self, i: int) -> AffineRoot:
-        if i == 0:
-            return AffineRoot(-self.rs.highest_root, 1)
-        return AffineRoot(self.rs.simple_root(i), 0)
+        return self._affine_simple[i]
 
     @property
     def simple_indices(self) -> range:
@@ -188,17 +318,11 @@ class AffineWeylGroup:
     def reflection(self, a: AffineRoot) -> AffineWeylElement:
         """The reflection s_a, as t_{-n * gamma^vee} s_gamma for a = gamma + n*delta."""
         cached = self._reflections.get(a)
-        if cached is not None:
-            return cached
-        rs = self.rs
-        gamma = rs.root(a.finite.coeffs)
-        images = tuple(
-            rs.reflect(gamma, rs.simple_root(j)).coeffs for j in range(1, self.rank + 1)
-        )
-        lam = tuple(-a.level * c for c in rs.coroot_coords(gamma))
-        out = AffineWeylElement(images, lam)
-        self._reflections[a] = out
-        return out
+        if cached is None:
+            cached = self._reflections[a] = self._reflection_at(
+                self._root_index(a.finite.coeffs), a.level
+            )
+        return cached
 
     def is_simple_affine(self, a: AffineRoot) -> bool:
         if a.level == 0:
@@ -208,39 +332,33 @@ class AffineWeylGroup:
     # -- group operations ----------------------------------------------------
 
     def act(self, x: AffineWeylElement, a: AffineRoot) -> AffineRoot:
-        g = _apply_images(x.images, a.finite.coeffs)
-        drop = sum(
-            lam * self.rs.pairing_with_simple_coroot(g, k + 1)
-            for k, lam in enumerate(x.translation)
-            if lam
-        )
-        return AffineRoot(self.rs.root(g), a.level - drop)
-
-    def _finite_on_coroot(self, images: tuple[tuple[int, ...], ...], mu) -> tuple:
-        out = [0] * self.rank
-        for k, m in enumerate(mu):
-            if m:
-                img = self.rs.coroot_coords(Root(images[k]))
-                for j in range(self.rank):
-                    out[j] += m * img[j]
-        return tuple(out)
+        perm, shift = self._tables(x)
+        i = self._root_index(a.finite.coeffs)
+        return AffineRoot(self._roots[perm[i]], a.level - shift[i])
 
     def multiply(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-        images = tuple(_apply_images(x.images, row) for row in y.images)
-        shifted = self._finite_on_coroot(x.images, y.translation)
-        lam = tuple(a + b for a, b in zip(x.translation, shifted))
-        return AffineWeylElement(images, lam)
+        """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta), and
+        t_lambda w t_mu v = t_{lambda + w(mu)} wv."""
+        px, sx = self._tables(x)
+        py, sy = self._tables(y)
+        take = itemgetter(*py)
+        return self._element(
+            take(px),
+            tuple(map(add, sy, take(sx))),
+            tuple(self._push_coweight(px, y.translation, list(x.translation))),
+        )
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
-        cached = self._inverse.get(x)
-        if cached is not None:
-            return cached
-        inv_images = _invert_unimodular(x.images)
-        lam = tuple(-c for c in self._finite_on_coroot(inv_images, x.translation))
-        out = AffineWeylElement(inv_images, lam)
-        self._inverse[x] = out
-        self._inverse[out] = x
-        return out
+        """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta,
+        and (t_lambda w)^{-1} = t_{-w^{-1}(lambda)} w^{-1}."""
+        perm, shift = self._tables(x)
+        inv = [0] * len(perm)
+        inv_shift = [0] * len(perm)
+        for i, p in enumerate(perm):
+            inv[p] = i
+            inv_shift[p] = -shift[i]
+        lam = self._push_coweight(inv, x.translation, [0] * self.rank)
+        return self._element(tuple(inv), tuple(inv_shift), tuple(map(neg, lam)))
 
     def evaluate_word(self, word: ReducedWord) -> AffineWeylElement:
         out = self.identity
@@ -251,51 +369,45 @@ class AffineWeylGroup:
     # -- lengths, descents, words -------------------------------------------
 
     def descents(self, x: AffineWeylElement, side: str = "right") -> frozenset[int]:
-        """Simple indices i with x(alpha_i) negative (right) or
-        x^{-1}(alpha_i) negative (left)."""
+        """Simple indices i with x(a_i) negative (right) or x^{-1}(a_i)
+        negative (left)."""
+        perm, shift = self._tables(x)
         if side == "left":
-            x = self.inverse(x)
-        elif side != "right":
+            return frozenset(i for i in self.simple_indices if self._is_left_descent(perm, shift, i))
+        if side != "right":
             raise ValueError("side must be 'left' or 'right'")
+        negative = self._negative
         return frozenset(
-            i for i in self.simple_indices
-            if not self.act(x, self.simple_affine_root(i)).is_positive
+            i
+            for i, (g, level) in enumerate(self._simple_at)
+            if level < shift[g] or (level == shift[g] and negative[perm[g]])
         )
 
     def length(self, x: AffineWeylElement) -> int:
-        cached = self._length.get(x)
-        if cached is not None:
-            return cached
-        n = len(self.reduced_word(x))
-        return n
+        """The closed count of the module docstring.  Folding gamma with
+        -gamma (shift and sign both flip) leaves the sum over gamma > 0 of
+        |shift[gamma] + [w(gamma) < 0]|."""
+        perm, shift = self._tables(x)
+        p = self._pos_start
+        negative = self._negative
+        return sum([abs(d + negative[q]) for d, q in zip(shift[p:], perm[p:])])
 
     def reduced_word(self, x: AffineWeylElement) -> ReducedWord:
         """Greedy left-descent stripping, always taking the smallest index;
         the letters evaluate left to right back to x."""
         letters: list[int] = []
-        cur = x
-        inv = self.inverse(x)
-        suffixes = [cur]
+        perm, shift = self._tables(x)
         while True:
-            i = next(
-                (
-                    i
-                    for i in self.simple_indices
-                    if not self.act(inv, self.simple_affine_root(i)).is_positive
-                ),
-                None,
-            )
+            i = self._first_left_descent(perm, shift)
             if i is None:
                 break
-            s = self.simple_reflection(i)
             letters.append(i)
-            cur = self.multiply(s, cur)
-            inv = self.multiply(inv, s)
-            suffixes.append(cur)
-        if not cur.is_identity:
+            # s_i * cur, composed on the tables alone
+            sp, ss = self._tables(self._simple[i])
+            take = itemgetter(*perm)
+            perm, shift = take(sp), tuple(map(add, shift, take(ss)))
+        if perm != self.identity._perm or any(shift):
             raise AssertionError("descent stripping did not reach the identity")
-        for k, elt in enumerate(suffixes):
-            self._length.setdefault(elt, len(letters) - k)
         return tuple(letters)
 
     def count_inversions(self, x: AffineWeylElement) -> int:
@@ -319,63 +431,56 @@ class AffineWeylGroup:
         return out
 
     def _level_bound(self, x: AffineWeylElement) -> int:
-        m = 0
-        for gamma in self.rs.positive_roots:
-            d = abs(
-                sum(
-                    lam * self.rs.pairing_with_simple_coroot(gamma.coeffs, k + 1)
-                    for k, lam in enumerate(x.translation)
-                )
-            )
-            m = max(m, d)
-        return m + 1
+        # shift runs over <w(gamma), lambda>, i.e. over <beta, lambda> for all beta
+        return max(map(abs, self._tables(x)[1])) + 1
 
     # -- Bruhat order ---------------------------------------------------------
+
+    def _id(self, x: AffineWeylElement) -> int:
+        ids = self._ids
+        n = ids.get(x)
+        if n is None:
+            n = ids[x] = len(ids)
+        return n
 
     def bruhat_leq(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
         """Lifting recursion: for a left descent i of w,
         u <= w iff min(u, s_i u) <= s_i w."""
-        if u.is_identity:
+        if u == self.identity:
             return True
-        key = (u, w)
-        cached = self._bruhat.get(key)
+        bruhat = self._bruhat
+        key = (self._id(u), self._id(w))
+        cached = bruhat.get(key)
         if cached is not None:
             return cached
-        stack = [key]
+        # entries (key, u, w, length of u, length of w)
+        stack = [(key, u, w, self.length(u), self.length(w))]
         while stack:
-            u0, w0 = top = stack[-1]
-            if top in self._bruhat:
+            top, u0, w0, lu, lw = stack[-1]
+            if top in bruhat:
                 stack.pop()
                 continue
-            if u0.is_identity:
-                self._bruhat[top] = True
+            if lu == 0 or lu >= lw:
+                bruhat[top] = lu == 0 or (lu == lw and u0 == w0)
                 stack.pop()
                 continue
-            lu, lw = self.length(u0), self.length(w0)
-            if lu > lw:
-                self._bruhat[top] = False
-                stack.pop()
-                continue
-            if lu == lw:
-                self._bruhat[top] = u0 == w0
-                stack.pop()
-                continue
-            winv = self.inverse(w0)
-            i = next(
-                i
-                for i in self.simple_indices
-                if not self.act(winv, self.simple_affine_root(i)).is_positive
-            )
-            s = self.simple_reflection(i)
-            su = self.multiply(s, u0)
-            u1 = su if self.length(su) < lu else u0
-            sub = (u1, self.multiply(s, w0))
-            if sub in self._bruhat:
-                self._bruhat[top] = self._bruhat[sub]
+            pw, sw = self._tables(w0)
+            i = self._first_left_descent(pw, sw)
+            s = self._simple[i]
+            w1 = self.multiply(s, w0)
+            pu, su = self._tables(u0)
+            if self._is_left_descent(pu, su, i):
+                u1, lu1 = self.multiply(s, u0), lu - 1
+            else:
+                u1, lu1 = u0, lu
+            sub = (self._id(u1), self._id(w1))
+            answer = bruhat.get(sub)
+            if answer is not None:
+                bruhat[top] = answer
                 stack.pop()
             else:
-                stack.append(sub)
-        return self._bruhat[key]
+                stack.append((sub, u1, w1, lu1, lw - 1))
+        return bruhat[key]
 
     def bruhat_lower_interval_oracle(self, w: AffineWeylElement) -> frozenset[AffineWeylElement]:
         """Everything below w for the Bruhat order, by brute force over the
@@ -396,7 +501,9 @@ class AffineWeylGroup:
 
     # -- alcove geometry --------------------------------------------------------
 
-    def _fundamental_alcove_vertices(self) -> list[tuple[Fraction, ...]]:
+    @cached_property
+    def _alcove_vertices(self) -> list[tuple[Fraction, ...]]:
+        # only the alcove test needs them, so the group builds them on first use
         rank = self.rank
         cart = [[Fraction(self.rs.cartan[i][j]) for j in range(rank)] for i in range(rank)]
         inv = _invert_rational(cart)
@@ -436,22 +543,6 @@ class AffineWeylGroup:
             if self._pair_root_with_point(theta, q) > 2:
                 return False
         return True
-
-
-def _invert_unimodular(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    inv = _gauss_jordan(aug, n)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = inv[i][j]
-            if x.denominator != 1:
-                raise AssertionError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _invert_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:

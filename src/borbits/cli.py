@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .affine import AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import (
@@ -168,17 +166,9 @@ def _cmd_poset(args) -> int:
 def _cmd_verify(args) -> int:
     rs, group = _resolve_context(args)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    threads = os.cpu_count() or 1
-    env = os.environ.get("RS_THREADS")
-    if env:
-        threads = max(1, int(env))
-    if len(names) > 1 and threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
-            results = list(pool.map(lambda n: run_suite(group, n), names))
-    else:
-        results = [run_suite(group, n) for n in names]
     failed = False
-    for name, reports in zip(names, results):
+    for name in names:
+        reports = run_suite(group, name)
         checks = sum(r.checks for r in reports)
         ok = all(r.ok for r in reports)
         failed = failed or not ok

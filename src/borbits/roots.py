@@ -278,17 +278,12 @@ class RootSystem:
         )
 
     def _find_highest(self) -> Root:
-        maximal = [
-            p
-            for p in self.positive_roots
-            if not any(
-                q != p and all(x >= 0 for x in (q - p).coeffs)
-                for q in self.positive_roots
-            )
-        ]
-        if len(maximal) != 1:
+        """The maximum of the positive roots in dominance order.  A maximum
+        has the largest height, so it can only be the last root."""
+        top = self.positive_roots[-1]
+        if not all(self.dominance_leq(p, top) for p in self.positive_roots):
             raise AssertionError("highest root is not unique")
-        return maximal[0]
+        return top
 
     def _coroot_coords(self, gamma: Root) -> tuple[int, ...]:
         """Coordinates of gamma^vee over the simple coroots (integers)."""

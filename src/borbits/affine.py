@@ -33,8 +33,13 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, mul, neg
 import re
+from typing import TYPE_CHECKING
 
 from .roots import Root, RootSystem
+
+if TYPE_CHECKING:
+    from .involutions import OrthogonalSet
+    from .minuscule import MinusculeElement
 
 __all__ = [
     "AffineRoot",
@@ -181,9 +186,18 @@ def _apply_images(images: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...]) 
 class AffineWeylGroup:
     """Operations of the affine Weyl group of a finite root system.
 
-    The group object owns the root index, the tables of the simple
-    reflections and the per-system caches (reflections, Bruhat comparisons);
-    elements themselves are immutable values.
+    The group object owns everything derived from its root system, and all
+    of it is freed with the group:
+
+    * the root index and the tables of the simple reflections;
+    * the reflection and Bruhat-comparison caches;
+    * ``minuscule``, the minuscule elements in canonical order (position k
+      is ideal id k), enumerated on first use;
+    * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
+      bucketed by their involution, built on first use;
+    * the alcove vertices, built on first use.
+
+    Elements themselves are immutable values.
     """
 
     def __init__(self, rs: RootSystem):
@@ -498,6 +512,25 @@ class AffineWeylGroup:
         """Subword-property brute force: u <= w iff some subword of one fixed
         reduced word of w evaluates to u."""
         return u in self.bruhat_lower_interval_oracle(w)
+
+    # -- per-system derived data -------------------------------------------------
+    # The builders live in modules that import this one, hence the local imports.
+
+    @cached_property
+    def minuscule(self) -> tuple[MinusculeElement, ...]:
+        from .minuscule import enumerate_minuscule
+
+        return tuple(enumerate_minuscule(self))
+
+    @cached_property
+    def shifted_orthogonal_index(self) -> dict[AffineWeylElement, list[OrthogonalSet]]:
+        from .involutions import orthogonal_subsets, reflection_product
+
+        psi = [AffineRoot(g, -1) for g in self.rs.positive_roots]
+        buckets: dict[AffineWeylElement, list[OrthogonalSet]] = {}
+        for sub in orthogonal_subsets(self.rs, psi):
+            buckets.setdefault(reflection_product(self, sub).element, []).append(sub)
+        return buckets
 
     # -- alcove geometry --------------------------------------------------------
 

@@ -10,7 +10,6 @@ import sys
 from .affine import AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import (
     enumerate_abelian_ideals,
-    enumerate_minuscule,
     is_minuscule,
     minuscule_from_element,
     normalizer_simple_roots,
@@ -75,7 +74,7 @@ def _resolve_context(args):
 
 
 def _resolve_minuscule(group, ideal_id: int):
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     if not 0 <= ideal_id < len(mins):
         raise ValueError(f"ideal id {ideal_id} out of range (0..{len(mins) - 1})")
     return mins[ideal_id]
@@ -97,7 +96,7 @@ def _resolve_v(group, text: str, w):
 
 def _cmd_ideals(args) -> int:
     rs, group = _resolve_context(args)
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     rows = []
     for k, ideal in enumerate(enumerate_abelian_ideals(rs)):
         m = mins[k]

@@ -19,11 +19,10 @@ exercised as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
-from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
-from .minuscule import MinusculeElement, weak_order_leq
+from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, parse_affine_root
+from .minuscule import MinusculeElement, minuscule_from_element, weak_order_leq
 from .roots import RootSystem
 
 __all__ = [
@@ -91,8 +90,6 @@ def make_orthogonal_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> Orthogon
 
 
 def orthogonal_set_from_json_dict(rs: RootSystem, data: dict) -> OrthogonalSet:
-    from .affine import parse_affine_root
-
     return make_orthogonal_set(rs, [parse_affine_root(rs, t) for t in data["roots"]])
 
 
@@ -141,17 +138,13 @@ def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> Involution:
 def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     """Rank of id - x on the affine root lattice (simple roots plus delta).
     The delta direction is fixed by every element, so only the simple-root
-    rows can contribute."""
-    rs = group.rs
+    rows can contribute: x(alpha_j) = w(alpha_j) - drop * delta."""
     rows = []
     for j in range(group.rank):
-        g = x.images[j]
-        drop = sum(
-            lam * rs.pairing_with_simple_coroot(g, k + 1)
-            for k, lam in enumerate(x.translation)
-        )
+        image = group.act(x, group.simple_affine_root(j + 1))
+        g = image.finite.coeffs
         row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
-        row.append(drop)
+        row.append(-image.level)
         rows.append(row)
     return _int_matrix_rank(rows)
 
@@ -302,8 +295,6 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
     the real/complex and finite/affine classification of the descent.  The
     result is admissible for the same witness and its involution is the
     twisted conjugate of the input's; both facts are asserted."""
-    from .minuscule import minuscule_from_element
-
     cls = pair_descents(group, pair)[i]
     if cls.kind == "none":
         raise ValueError(f"index {i} is not a descent for the pair")
@@ -436,22 +427,11 @@ def _plus_minus(s: OrthogonalSet) -> set:
     return out
 
 
-@lru_cache(maxsize=None)
-def _shifted_positive_orthogonal_index(group: AffineWeylGroup):
-    """All orthogonal subsets of Phi^+ - delta, bucketed by their involution."""
-    psi = [AffineRoot(g, -1) for g in group.rs.positive_roots]
-    buckets: dict[AffineWeylElement, list[OrthogonalSet]] = {}
-    for sub in orthogonal_subsets(group.rs, psi):
-        el = reflection_product(group, sub).element
-        buckets.setdefault(el, []).append(sub)
-    return buckets
-
-
 def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bool:
     """Within the inversion set of a minuscule element, the involution
     determines the orthogonal subset: no other orthogonal subset of
     Phi^+ - delta shares its involution."""
-    buckets = _shifted_positive_orthogonal_index(group)
+    buckets = group.shifted_orthogonal_index
     for sub in orthogonal_subsets(group.rs, m.inversions):
         el = reflection_product(group, sub).element
         mates = buckets.get(el, [])

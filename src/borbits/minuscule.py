@@ -27,7 +27,6 @@ __all__ = [
     "enumerate_abelian_ideals",
     "enumerate_minuscule",
     "ideal_to_element",
-    "element_to_ideal",
     "ideal_from_json_dict",
     "is_minuscule",
     "make_abelian_ideal",
@@ -200,10 +199,6 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
         )
     )
     return out
-
-
-def element_to_ideal(m: MinusculeElement) -> AbelianIdeal:
-    return m.ideal
 
 
 def ideal_to_element(group: AffineWeylGroup, ideal: AbelianIdeal) -> MinusculeElement:

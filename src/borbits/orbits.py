@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .affine import (
     AffineRoot,
@@ -46,13 +45,7 @@ from .involutions import (
     transform_set,
     twisted_conjugate,
 )
-from .minuscule import (
-    MinusculeElement,
-    enumerate_abelian_ideals,
-    enumerate_minuscule,
-    weak_order_leq,
-)
-from .roots import Root
+from .minuscule import MinusculeElement, weak_order_leq
 
 __all__ = [
     "OrbitNode",
@@ -98,18 +91,6 @@ class OrbitPoset:
     hasse: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
-def _minuscule_list(group: AffineWeylGroup) -> tuple[MinusculeElement, ...]:
-    return tuple(enumerate_minuscule(group))
-
-
-@lru_cache(maxsize=None)
-def _ideal_ids(group: AffineWeylGroup) -> dict[frozenset[Root], int]:
-    return {
-        I.root_set(): k for k, I in enumerate(enumerate_abelian_ideals(group.rs))
-    }
-
-
 def build_orbit_poset(
     group: AffineWeylGroup, w: MinusculeElement, v: MinusculeElement
 ) -> OrbitPoset:
@@ -117,8 +98,7 @@ def build_orbit_poset(
     Bruhat comparison of the associated involutions."""
     if not weak_order_leq(v, w):
         raise ValueError("v is not below w")
-    gap = sorted(w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key)
-    subsets = orthogonal_subsets(group.rs, gap)
+    subsets = orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set())
     ell_v = v.length
     nodes = []
     for s in subsets:
@@ -151,7 +131,7 @@ def build_orbit_poset(
     ctx = PosetContext(
         group.rs.datum.type_letter,
         group.rank,
-        _ideal_ids(group)[w.ideal.root_set()],
+        group.minuscule.index(w),
         group.reduced_word(v.element),
         w,
         v,
@@ -223,11 +203,9 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     """For every minuscule w and orthogonal S inside its inversion set: any
     orthogonal subset of Phi^+ - delta whose involution is Bruhat-below the
     involution of S lies inside the inversion set of w as well."""
-    from .involutions import _shifted_positive_orthogonal_index
-
-    buckets = _shifted_positive_orthogonal_index(group)
+    buckets = group.shifted_orthogonal_index
     all_subsets = [(s, el) for el, subs in buckets.items() for s in subs]
-    mins = _minuscule_list(group)
+    mins = group.minuscule
     contexts: dict[frozenset[AffineRoot], list[int]] = {}
     for k, m in enumerate(mins):
         for s in orthogonal_subsets(group.rs, m.inversions):
@@ -287,13 +265,10 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
     when the new inversion is not orthogonal to S the involution of the pair
     drops by a twisted conjugation, otherwise it is unchanged and the
     enlarged set accounts for the lost dimension."""
-    mins = _minuscule_list(group)
     checks = 0
     violations = []
-    for v, i, v2, beta_new in _weak_covers(group, mins, w):
-        gap2 = sorted(
-            w.inversion_set() - v2.inversion_set(), key=lambda a: a.sort_key
-        )
+    for v, i, v2, beta_new in _weak_covers(group, group.minuscule, w):
+        gap2 = w.inversion_set() - v2.inversion_set()
         for s in orthogonal_subsets(group.rs, gap2):
             checks += 1
             pair_v = make_admissible_pair(group, v, s, w)
@@ -361,13 +336,12 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     propagate, and the whole thing is saturated under transitivity.
     """
     rs = group.rs
-    mins = [m for m in _minuscule_list(group) if weak_order_leq(m, w)]
+    mins = [m for m in group.minuscule if weak_order_leq(m, w)]
     node_id: dict[tuple[AffineWeylElement, frozenset[AffineRoot]], int] = {}
     node_pairs: list[tuple[MinusculeElement, OrthogonalSet]] = []
-    gap_of: dict[AffineWeylElement, list[AffineRoot]] = {}
+    gap_of: dict[AffineWeylElement, frozenset[AffineRoot]] = {}
     for m in mins:
-        gap = sorted(w.inversion_set() - m.inversion_set(), key=lambda a: a.sort_key)
-        gap_of[m.element] = gap
+        gap = gap_of[m.element] = w.inversion_set() - m.inversion_set()
         for s in orthogonal_subsets(rs, gap):
             node_id[(m.element, s.root_set())] = len(node_pairs)
             node_pairs.append((m, s))

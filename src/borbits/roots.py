@@ -356,9 +356,6 @@ class RootSystem:
 
     # -- text and epsilon coordinates ------------------------------------
 
-    def format_root(self, root: Root) -> str:
-        return str(root)
-
     def parse_root(self, text: str) -> Root:
         text = text.strip()
         if "e" in text:

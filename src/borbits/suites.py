@@ -30,7 +30,6 @@ from .involutions import (
 )
 from .minuscule import (
     enumerate_abelian_ideals,
-    enumerate_minuscule,
     ideal_to_element,
     is_minuscule,
     normalizer_by_ideal_stability,
@@ -67,21 +66,18 @@ def run_suite(group: AffineWeylGroup, name: str) -> list[Report]:
 def _admissible_sweep(group: AffineWeylGroup):
     """All (witness, v, S) with v below the witness and S orthogonal inside
     the inversion gap."""
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     for w in mins:
         below = [v for v in mins if weak_order_leq(v, w)]
         for v in below:
-            gap = sorted(
-                w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key
-            )
-            for s in orthogonal_subsets(group.rs, gap):
+            for s in orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set()):
                 yield w, v, s
 
 
 def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
     rs = group.rs
     reports = []
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     ideals = enumerate_abelian_ideals(rs)
 
     checks, bad = 0, []
@@ -189,7 +185,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     rs = group.rs
     reports = []
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     rng = random.Random(2024)
 
     checks, bad = 0, []
@@ -356,7 +352,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
 def suite_poset(group: AffineWeylGroup) -> list[Report]:
     rs = group.rs
     reports = []
-    mins = enumerate_minuscule(group)
+    mins = group.minuscule
     ident = next(m for m in mins if m.element.is_identity)
 
     checks, bad = 0, []
@@ -430,9 +426,7 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
         for v in mins:
             if weak_order_leq(v, w):
                 gap = w.inversion_set() - v.inversion_set()
-                counts[v.element] = len(
-                    orthogonal_subsets(rs, sorted(gap, key=lambda a: a.sort_key))
-                )
+                counts[v.element] = len(orthogonal_subsets(rs, gap))
         for v1 in mins:
             for v2 in mins:
                 if (

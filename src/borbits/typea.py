@@ -27,6 +27,7 @@ from itertools import product
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, reflection_product
 from .minuscule import enumerate_abelian_ideals
+from .orbits import _UnionFind
 from .roots import Root, RootSystem, build_root_system
 
 __all__ = [
@@ -166,22 +167,6 @@ def _borel_generators(n: int, q: int):
                 g[i][j], gi[i][j] = t, (q - t) % q
                 gens.append((tuple(map(tuple, g)), tuple(map(tuple, gi))))
     return gens
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        x, y = self.find(x), self.find(y)
-        if x != y:
-            self.parent[y] = x
 
 
 def enumerate_orbits(ctx: MatrixIdealContext) -> OrbitPartition:

@@ -89,13 +89,6 @@ def test_verify_all_order(capsys):
     assert names == ["minuscule", "involutions", "poset", "strong-form", "phi"]
 
 
-def test_verify_respects_rs_threads(capsys, monkeypatch):
-    monkeypatch.setenv("RS_THREADS", "1")
-    code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "1", "--suite", "all")
-    assert code == 0
-    assert out.count("SUITE") == 5
-
-
 def test_oracle_typea(capsys):
     code, out, _ = run(
         capsys, "oracle-typea", "--n", "3", "--ideal-id", "3", "--q", "2,3"

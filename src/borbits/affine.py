@@ -19,11 +19,13 @@ with ``d = shift[gamma]`` and ``lo`` = 0 for gamma > 0 and 1 otherwise: the
 affine roots ``gamma + n*delta``, ``n >= lo``, that x sends below zero.
 The value of an element is still the pair (images of the simple roots,
 ``lambda``): equality, hashing and JSON see only that pair, and words are
-derived views.  Bruhat comparisons come from the standard lifting recursion.
-Lengths and comparisons have independent brute-force counterparts (bounded
-inversion counting, subword search) used as oracles by the test suite.  The
-alcove containment test runs on exact rational vertex coordinates; there are
-no tolerances anywhere.
+derived views.  Bruhat comparisons come from the standard lifting recursion,
+run on small per-group element ids: each id stores its element, length and
+left-descent bitmask, and each left product s_i x is multiplied out once
+and kept as an id.  Lengths and comparisons have independent brute-force
+counterparts (bounded inversion counting, subword search) used as oracles by
+the test suite.  The alcove containment test runs on exact rational vertex
+coordinates; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -190,7 +192,9 @@ class AffineWeylGroup:
     of it is freed with the group:
 
     * the root index and the tables of the simple reflections;
-    * the reflection and Bruhat-comparison caches;
+    * the reflection cache;
+    * the Bruhat tables, all indexed by element id: the lengths, the
+      left-descent masks, the left products s_i x and the comparison answers;
     * ``minuscule``, the minuscule elements in canonical order (position k
       is ideal id k), enumerated on first use;
     * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
@@ -229,9 +233,14 @@ class AffineWeylGroup:
         )
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
-        # Bruhat answers keyed on pairs of small element ids from _ids, so the
-        # cache holds each distinct element once instead of a copy per key.
+        # The Bruhat order runs on small element ids from _ids, so its tables
+        # hold each distinct element once.  Per id: the element, its length and
+        # its left-descent bitmask; _left maps (id of x, i) to the id of s_i x.
         self._ids: dict[AffineWeylElement, int] = {}
+        self._elements: list[AffineWeylElement] = []
+        self._lengths: list[int] = []
+        self._left_descents: list[int] = []
+        self._left: dict[tuple[int, int], int] = {}
         self._bruhat: dict[tuple[int, int], bool] = {}
 
     # -- root tables ---------------------------------------------------------
@@ -455,11 +464,23 @@ class AffineWeylGroup:
         n = ids.get(x)
         if n is None:
             n = ids[x] = len(ids)
+            self._elements.append(x)
+            self._lengths.append(self.length(x))
+            self._left_descents.append(sum(1 << i for i in self.descents(x, "left")))
         return n
+
+    def _left_id(self, n: int, i: int) -> int:
+        """The id of s_i x, x the element of id n, multiplied out once."""
+        key = (n, i)
+        m = self._left.get(key)
+        if m is None:
+            m = self._left[key] = self._id(self.multiply(self._simple[i], self._elements[n]))
+        return m
 
     def bruhat_leq(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
         """Lifting recursion: for a left descent i of w,
-        u <= w iff min(u, s_i u) <= s_i w."""
+        u <= w iff min(u, s_i u) <= s_i w.  It runs on element ids, taking
+        the lowest left descent of w."""
         if u == self.identity:
             return True
         bruhat = self._bruhat
@@ -467,33 +488,30 @@ class AffineWeylGroup:
         cached = bruhat.get(key)
         if cached is not None:
             return cached
-        # entries (key, u, w, length of u, length of w)
-        stack = [(key, u, w, self.length(u), self.length(w))]
+        lengths = self._lengths
+        descents = self._left_descents
+        left = self._left_id
+        stack = [key]
         while stack:
-            top, u0, w0, lu, lw = stack[-1]
+            top = stack[-1]
             if top in bruhat:
                 stack.pop()
                 continue
-            if lu == 0 or lu >= lw:
-                bruhat[top] = lu == 0 or (lu == lw and u0 == w0)
+            a, b = top
+            la, lb = lengths[a], lengths[b]
+            if la == 0 or la >= lb:
+                bruhat[top] = la == 0 or a == b
                 stack.pop()
                 continue
-            pw, sw = self._tables(w0)
-            i = self._first_left_descent(pw, sw)
-            s = self._simple[i]
-            w1 = self.multiply(s, w0)
-            pu, su = self._tables(u0)
-            if self._is_left_descent(pu, su, i):
-                u1, lu1 = self.multiply(s, u0), lu - 1
-            else:
-                u1, lu1 = u0, lu
-            sub = (self._id(u1), self._id(w1))
+            mask = descents[b]
+            i = (mask & -mask).bit_length() - 1
+            sub = (left(a, i) if descents[a] >> i & 1 else a, left(b, i))
             answer = bruhat.get(sub)
             if answer is not None:
                 bruhat[top] = answer
                 stack.pop()
             else:
-                stack.append((sub, u1, w1, lu1, lw - 1))
+                stack.append(sub)
         return bruhat[key]
 
     def bruhat_lower_interval_oracle(self, w: AffineWeylElement) -> frozenset[AffineWeylElement]:

@@ -204,7 +204,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     orthogonal subset of Phi^+ - delta whose involution is Bruhat-below the
     involution of S lies inside the inversion set of w as well."""
     buckets = group.shifted_orthogonal_index
-    all_subsets = [(s, el) for el, subs in buckets.items() for s in subs]
+    all_subsets = [(s, el, group.length(el)) for el, subs in buckets.items() for s in subs]
     mins = group.minuscule
     contexts: dict[frozenset[AffineRoot], list[int]] = {}
     for k, m in enumerate(mins):
@@ -218,8 +218,8 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
         ).element
         len_s = group.length(sigma_s)
         below = []
-        for r, el in all_subsets:
-            if group.length(el) > len_s:
+        for r, el, len_r in all_subsets:
+            if len_r > len_s:
                 continue
             checks += 1
             if group.bruhat_leq(el, sigma_s):

@@ -17,6 +17,7 @@ enumerations agree, which is the point of keeping them separate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from .roots import Root, RootSystem
@@ -138,6 +139,11 @@ class MinusculeElement:
         return len(self.inversions)
 
     def inversion_set(self) -> frozenset[AffineRoot]:
+        return self._inversion_set
+
+    @cached_property
+    def _inversion_set(self) -> frozenset[AffineRoot]:
+        # built on first use; equality and hashing stay on `inversions`
         return frozenset(self.inversions)
 
 

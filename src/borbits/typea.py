@@ -6,6 +6,9 @@ no two slots chaining as (i, j), (j, k).  Over a small prime field the
 Borel conjugation orbits on the ideal can be enumerated outright with a
 union-find; conjugation factors through the adjoint group, so the torus
 generators are single-slot diagonals rather than determinant-one ones.
+Conjugation is linear, so each generator acts on the points of the ideal as
+a permutation of their indices, built from its images of the slot basis;
+each prime is partitioned once per report.
 
 The combinatorial side predicts one orbit per orthogonal subset S of the
 ideal roots, with 0/1 representative matrices, and an orbit dimension given
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, reflection_product
@@ -169,50 +173,64 @@ def _borel_generators(n: int, q: int):
     return gens
 
 
+def _generator_perms(ctx: MatrixIdealContext) -> list[list[int]]:
+    """One list per Borel generator: perm[k] is the index of the conjugate of
+    point k, points indexed in `product` order.  Conjugation is linear, so a
+    generator is fixed by its images of the slot basis E_p; every point stays
+    in the ideal exactly when every basis image does."""
+    n, q = ctx.n, ctx.q
+    slots = [(i - 1, j - 1) for i, j in ctx.positions]
+    outside = [(a, b) for a in range(n) for b in range(n) if (a, b) not in slots]
+    weights = [q ** e for e in reversed(range(len(slots)))]
+    perms = []
+    for g, gi in _borel_generators(n, q):
+        columns = []
+        for a, b in slots:
+            e = [[0] * n for _ in range(n)]
+            e[a][b] = 1
+            y = _mat_mul(_mat_mul(g, e, n, q), gi, n, q)
+            if any(y[r][c] for r, c in outside):
+                raise AssertionError("conjugation left the ideal")
+            columns.append([y[r][c] for r, c in slots])
+        # images of the points in `product` order, one coordinate at a time
+        images = [(0,) * len(slots)]
+        for col in columns:
+            images = [
+                tuple((x + t * c) % q for x, c in zip(image, col))
+                for image in images
+                for t in range(q)
+            ]
+        perms.append([sum(map(mul, image, weights)) for image in images])
+    return perms
+
+
 def enumerate_orbits(ctx: MatrixIdealContext) -> OrbitPartition:
     """Partition all F_q points of the ideal under conjugation by the Borel
     generators, then re-check that every generator keeps each class inside
     itself."""
     if ctx.element_count > ELEMENT_CAP:
         raise ValueError("element count exceeds the enumeration cap")
-    n, q = ctx.n, ctx.q
-    vectors = list(product(range(q), repeat=len(ctx.positions)))
-    index = {v: k for k, v in enumerate(vectors)}
-    gens = _borel_generators(n, q)
-
-    def conjugate(pair, vec):
-        g, gi = pair
-        x = [[0] * n for _ in range(n)]
-        for (i, j), val in zip(ctx.positions, vec):
-            x[i - 1][j - 1] = val
-        y = _mat_mul(_mat_mul(g, tuple(map(tuple, x)), n, q), gi, n, q)
-        out = tuple(y[i - 1][j - 1] for i, j in ctx.positions)
-        support = {(i - 1, j - 1) for i, j in ctx.positions}
-        for a in range(n):
-            for b in range(n):
-                if (a, b) not in support and y[a][b] % q:
-                    raise AssertionError("conjugation left the ideal")
-        return out
-
+    vectors = list(product(range(ctx.q), repeat=len(ctx.positions)))
+    perms = _generator_perms(ctx)
     uf = _UnionFind(len(vectors))
-    for vec in vectors:
-        k = index[vec]
-        for pair in gens:
-            uf.union(k, index[conjugate(pair, vec)])
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for vec in vectors:
-        grouped.setdefault(uf.find(index[vec]), []).append(vec)
-    classes = tuple(
-        tuple(sorted(cls)) for cls in sorted(grouped.values(), key=lambda c: min(c))
-    )
-    member = {}
-    for k, cls in enumerate(classes):
-        for vec in cls:
-            member[vec] = k
-    for vec in vectors:
-        for pair in gens:
-            if member[conjugate(pair, vec)] != member[vec]:
+    for perm in perms:
+        for k, image in enumerate(perm):
+            uf.union(k, image)
+    grouped: dict[int, list[int]] = {}
+    for k in range(len(vectors)):
+        grouped.setdefault(uf.find(k), []).append(k)
+    # points are in lexicographic order, so each class lists its points
+    # sorted and the classes come out ordered by their least point
+    members = sorted(grouped.values())
+    class_of = [0] * len(vectors)
+    for c, ks in enumerate(members):
+        for k in ks:
+            class_of[k] = c
+    for perm in perms:
+        for k, image in enumerate(perm):
+            if class_of[image] != class_of[k]:
                 raise AssertionError("orbit partition is not generator closed")
+    classes = tuple(tuple(vectors[k] for k in ks) for ks in members)
     return OrbitPartition(
         ctx,
         classes,
@@ -261,8 +279,12 @@ def estimate_dimensions(
     partitions = {
         q: enumerate_orbits(make_context(n, q, positions)) for q in q_list
     }
+    return _estimates(partitions, q_list, _ideal_subsets(n, positions))
+
+
+def _estimates(partitions: dict, q_list: tuple[int, ...], subsets) -> dict:
     out = {}
-    for subset, big_l in _ideal_subsets(n, positions):
+    for subset, big_l in subsets:
         sizes = {}
         for q, part in partitions.items():
             vec = _e_s_vector(part.context, subset)
@@ -286,19 +308,23 @@ def estimate_dimensions(
 def oracle_report(n: int, ideal_id: int, q_list) -> list[dict]:
     """One flat report object per prime: class counts against the
     combinatorial orbit count, with the two hard assertions built in, plus
-    the dimension estimates when at least two primes were given."""
+    the dimension estimates when at least two primes were given.  Each
+    prime is partitioned once."""
     q_list = tuple(q_list)
     positions = ideal_positions(n, ideal_id)
     subsets = _ideal_subsets(n, positions)
     combinatorial = len(subsets)
+    partitions = {
+        q: enumerate_orbits(make_context(n, q, positions)) for q in q_list
+    }
     dims = None
     if len(q_list) >= 2:
-        details = estimate_dimensions(n, positions, q_list)
+        details = _estimates(partitions, q_list, subsets)
         dims = {key: info["estimate"] for key, info in details.items()}
     expected = {_subset_key(pos): big_l for pos, big_l in subsets}
     reports = []
     for q in q_list:
-        part = enumerate_orbits(make_context(n, q, positions))
+        part = partitions[q]
         rep_classes = set()
         for subset, _ in subsets:
             rep_classes.add(part.class_of(_e_s_vector(part.context, subset)))

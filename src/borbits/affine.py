@@ -196,7 +196,8 @@ class AffineWeylGroup:
     * the Bruhat tables, all indexed by element id: the lengths, the
       left-descent masks, the left products s_i x and the comparison answers;
     * ``minuscule``, the minuscule elements in canonical order (position k
-      is ideal id k), enumerated on first use;
+      is ideal id k), enumerated on first use, and ``minuscule_ids``, the
+      map from each of their elements to its ideal id;
     * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
       bucketed by their involution, built on first use;
     * the alcove vertices, built on first use.
@@ -222,6 +223,7 @@ class AffineWeylGroup:
         )
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[a.finite.coeffs], a.level) for a in self._affine_simple)
+        self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
         # root indices of alpha_1..alpha_r, whose images are an element's images
         self._image_at = tuple(g for g, _ in self._simple_at[1:])
         n = len(self._coeffs)
@@ -346,6 +348,13 @@ class AffineWeylGroup:
                 self._root_index(a.finite.coeffs), a.level
             )
         return cached
+
+    def simple_index(self, a: AffineRoot) -> int:
+        """The index i with a = a_i, 0 for the affine node."""
+        i = self._simple_index.get((self._index.get(a.finite.coeffs), a.level))
+        if i is None:
+            raise ValueError(f"{a} is not a simple affine root")
+        return i
 
     def is_simple_affine(self, a: AffineRoot) -> bool:
         if a.level == 0:
@@ -539,6 +548,10 @@ class AffineWeylGroup:
         from .minuscule import enumerate_minuscule
 
         return tuple(enumerate_minuscule(self))
+
+    @cached_property
+    def minuscule_ids(self) -> dict[AffineWeylElement, int]:
+        return {m.element: k for k, m in enumerate(self.minuscule)}
 
     @cached_property
     def shifted_orthogonal_index(self) -> dict[AffineWeylElement, list[OrthogonalSet]]:

@@ -7,14 +7,8 @@ import argparse
 import json
 import sys
 
-from .affine import AffineWeylGroup, text_to_word, word_to_text
-from .minuscule import (
-    enumerate_abelian_ideals,
-    is_minuscule,
-    minuscule_from_element,
-    normalizer_simple_roots,
-    weak_order_leq,
-)
+from .affine import AffineRoot, AffineWeylGroup, text_to_word, word_to_text
+from .minuscule import normalizer_simple_roots, weak_order_leq
 from .orbits import build_orbit_poset, export_poset
 from .roots import build_root_system
 from .suites import SUITE_NAMES, run_suite
@@ -85,31 +79,28 @@ def _resolve_v(group, text: str, w):
     for i in word:
         if not 0 <= i <= group.rank:
             raise ValueError(f"letter {i} out of range in the v word")
-    el = group.evaluate_word(word)
-    if not is_minuscule(group, el):
+    k = group.minuscule_ids.get(group.evaluate_word(word))
+    if k is None:
         raise ValueError("v is not minuscule")
-    v = minuscule_from_element(group, el)
+    v = group.minuscule[k]
     if not weak_order_leq(v, w):
         raise ValueError("v is not below the chosen ideal")
     return v
 
 
 def _cmd_ideals(args) -> int:
-    rs, group = _resolve_context(args)
-    mins = group.minuscule
+    _, group = _resolve_context(args)
     rows = []
-    for k, ideal in enumerate(enumerate_abelian_ideals(rs)):
-        m = mins[k]
-        norm = normalizer_simple_roots(group, m)
+    for k, m in enumerate(group.minuscule):
         rows.append(
             {
                 "ideal_id": k,
-                "roots": [str(r) for r in ideal.roots],
+                "roots": [str(r) for r in m.ideal.roots],
                 "word": word_to_text(group.reduced_word(m.element)),
                 "length": m.length,
                 "normalizer": [
-                    next(i for i in range(1, rs.rank + 1) if rs.simple_root(i) == r)
-                    for r in norm
+                    group.simple_index(AffineRoot(r, 0))
+                    for r in normalizer_simple_roots(group, m)
                 ],
             }
         )

@@ -19,10 +19,11 @@ exercised as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, parse_affine_root
-from .minuscule import MinusculeElement, minuscule_from_element, weak_order_leq
+from .minuscule import MinusculeElement, weak_order_leq
 from .roots import RootSystem
 
 __all__ = [
@@ -71,6 +72,11 @@ class OrthogonalSet:
         return len(self.roots)
 
     def root_set(self) -> frozenset[AffineRoot]:
+        return self._root_set
+
+    @cached_property
+    def _root_set(self) -> frozenset[AffineRoot]:
+        # built on first use; equality and hashing stay on `roots`
         return frozenset(self.roots)
 
     def to_json_dict(self) -> dict:
@@ -248,67 +254,75 @@ def pair_descents(group: AffineWeylGroup, pair: AdmissiblePair) -> dict[int, Des
     cross-checked against the orthogonality criterion for affine descents and
     against the descent of the bare support involution for finite ones.
     """
+    found = _classify_descents(group, pair, sigma_of_pair(group, pair), group.simple_indices)
+    return {i: cls for i, (cls, _) in found.items()}
+
+
+def _classify_descents(
+    group: AffineWeylGroup, pair: AdmissiblePair, sigma: Involution, indices: Iterable[int]
+) -> dict[int, tuple[DescentClassification, AffineRoot]]:
+    """The body of `pair_descents` for the given indices, with sigma the
+    involution of the pair; each classification comes with its pulled-back
+    root beta = v^{-1}(alpha_i)."""
     rs = group.rs
-    sigma = sigma_of_pair(group, pair)
-    sigma_s = reflection_product(group, pair.s)
     vinv = group.inverse(pair.v.element)
-    witness_neg = {-a for a in pair.witness.inversions}
-    out: dict[int, DescentClassification] = {}
-    for i in group.simple_indices:
+    witness_inv = pair.witness.inversion_set()
+    sigma_s = None
+    out: dict[int, tuple[DescentClassification, AffineRoot]] = {}
+    for i in indices:
         kind = descent_classify(group, sigma, i)
         beta = group.act(vinv, group.simple_affine_root(i))
-        if beta in witness_neg:
+        affine = -beta in witness_inv
+        if affine:
             not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s.roots)
             if (kind != "none") != not_orth:
                 raise AssertionError("affine descent criterion mismatch")
             if (kind == "real") != (-beta in pair.s.root_set()):
                 raise AssertionError("real affine descent criterion mismatch")
         if kind == "none":
-            out[i] = DescentClassification("none")
+            out[i] = (DescentClassification("none"), beta)
             continue
         if not beta.is_positive:
             raise AssertionError("descent pulled back to a negative root")
         if beta.level == 0 and beta.finite.height == 1:
-            if descent_classify(group, sigma_s, _finite_index(group, beta)) == "none":
+            if sigma_s is None:
+                sigma_s = reflection_product(group, pair.s)
+            if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
                 raise AssertionError("finite descent does not descend the support involution")
             real_for_support = (
                 group.act(sigma_s.element, beta) == -beta
             )
             if real_for_support != (kind == "real"):
                 raise AssertionError("real finite descent criterion mismatch")
-            out[i] = DescentClassification(kind, "finite")
-        elif beta in witness_neg:
-            out[i] = DescentClassification(kind, "affine")
+            out[i] = (DescentClassification(kind, "finite"), beta)
+        elif affine:
+            out[i] = (DescentClassification(kind, "affine"), beta)
         else:
             raise AssertionError("descent is neither finite nor affine")
     return out
-
-
-def _finite_index(group: AffineWeylGroup, beta: AffineRoot) -> int:
-    return next(
-        i for i in range(1, group.rank + 1) if group.rs.simple_root(i) == beta.finite
-    )
 
 
 def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> AdmissiblePair:
     """Lower an admissible pair along a descent: the four cases are keyed by
     the real/complex and finite/affine classification of the descent.  The
     result is admissible for the same witness and its involution is the
-    twisted conjugate of the input's; both facts are asserted."""
-    cls = pair_descents(group, pair)[i]
+    twisted conjugate of the input's; both facts are asserted.  An affine
+    move takes its new v from the group's minuscule elements."""
+    s_i = group.simple_reflection(i)
+    sigma = sigma_of_pair(group, pair)
+    cls, beta = _classify_descents(group, pair, sigma, (i,))[i]
     if cls.kind == "none":
         raise ValueError(f"index {i} is not a descent for the pair")
     rs = group.rs
-    beta = group.act(group.inverse(pair.v.element), group.simple_affine_root(i))
     if cls.locus == "affine":
-        new_v = minuscule_from_element(
-            group, group.multiply(group.simple_reflection(i), pair.v.element)
-        )
+        k = group.minuscule_ids.get(group.multiply(s_i, pair.v.element))
+        if k is None:
+            raise ValueError("element is not minuscule")
         if cls.kind == "complex":
             new_s = pair.s
         else:
             new_s = make_orthogonal_set(rs, pair.s.root_set() - {-beta})
-        result = make_admissible_pair(group, new_v, new_s, pair.witness)
+        result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
     else:
         if cls.kind == "complex":
             reflected = [
@@ -319,7 +333,7 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
         else:
             new_s = _real_finite_replacement(rs, pair.s, beta)
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
-    expected = twisted_conjugate(group, i, sigma_of_pair(group, pair))
+    expected = twisted_conjugate(group, i, sigma)
     if sigma_of_pair(group, result).element != expected.element:
         raise AssertionError("descent move does not match twisted conjugation")
     return result
@@ -348,10 +362,8 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
         results.add(frozenset(kept))
     if len(results) != 1:
         raise AssertionError("ambiguous real finite descent replacement")
-    g1, g2 = candidates[0]
-    return make_orthogonal_set(
-        rs, s.root_set() - {g1, g2} | {AffineRoot(beta.finite + g2.finite, g2.level)}
-    )
+    (kept,) = results
+    return make_orthogonal_set(rs, kept)
 
 
 def negated_root_report(
@@ -373,7 +385,8 @@ def negated_root_report(
         raise ValueError("S is not inside the inversion set of the given element")
     sigma = reflection_product(group, s)
     window = 1 + sum(abs(a.level) for a in s.roots)
-    halves = {}
+    # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
+    halves: dict[tuple, set[tuple[int, int]]] = {}
     for b in s.roots:
         for bp in s.roots:
             for sb in (1, -1):
@@ -383,7 +396,7 @@ def negated_root_report(
                         for x, y in zip(b.finite.coeffs, bp.finite.coeffs)
                     )
                     lev = sb * b.level + sbp * bp.level
-                    halves.setdefault((fin, lev), (sb, sbp))
+                    halves.setdefault((fin, lev), set()).add((sb, sbp))
     checks = 0
     violations = []
     for gamma in rs.roots:
@@ -396,35 +409,11 @@ def negated_root_report(
             if key not in halves:
                 violations.append(f"{a} is negated but is not a half sum of support roots")
                 continue
-            if n == -1 and gamma.is_positive and key not in _plus_plus(s):
+            if n == -1 and gamma.is_positive and (1, 1) not in halves[key]:
                 violations.append(f"{a} is negated but not a plus-plus half sum")
-            if n == 0 and key not in _plus_minus(s):
+            if n == 0 and (1, -1) not in halves[key]:
                 violations.append(f"{a} is negated but not a plus-minus half sum")
     return Report("negated-roots-halfsum", checks, tuple(violations))
-
-
-def _plus_plus(s: OrthogonalSet) -> set:
-    return {
-        (
-            tuple(x + y for x, y in zip(b.finite.coeffs, bp.finite.coeffs)),
-            b.level + bp.level,
-        )
-        for b in s.roots
-        for bp in s.roots
-    }
-
-
-def _plus_minus(s: OrthogonalSet) -> set:
-    out = set()
-    for b in s.roots:
-        for bp in s.roots:
-            out.add(
-                (
-                    tuple(x - y for x, y in zip(b.finite.coeffs, bp.finite.coeffs)),
-                    b.level - bp.level,
-                )
-            )
-    return out
 
 
 def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bool:

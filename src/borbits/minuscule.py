@@ -228,14 +228,7 @@ def ideal_to_element(group: AffineWeylGroup, ideal: AbelianIdeal) -> MinusculeEl
         alpha = -group.act(cur, beta)
         if not group.is_simple_affine(alpha):
             raise AssertionError("non-simple lift while building a minuscule element")
-        idx = (
-            0
-            if alpha.level == 1
-            else next(
-                i for i in range(1, rs.rank + 1) if alpha.finite == rs.simple_root(i)
-            )
-        )
-        cur = group.multiply(group.simple_reflection(idx), cur)
+        cur = group.multiply(group.simple_reflection(group.simple_index(alpha)), cur)
         have.add(beta)
     out = minuscule_from_element(group, cur)
     if out.ideal.root_set() != ideal.root_set():

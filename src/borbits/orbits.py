@@ -131,7 +131,7 @@ def build_orbit_poset(
     ctx = PosetContext(
         group.rs.datum.type_letter,
         group.rank,
-        group.minuscule.index(w),
+        group.minuscule_ids[w.element],
         group.reduced_word(v.element),
         w,
         v,
@@ -241,7 +241,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
 def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
     """Covers v < s_i v <= w inside the minuscule poset; yields
     (v, i, v', beta_new) with beta_new the added inversion."""
-    index = {m.element: m for m in mins}
+    ids = group.minuscule_ids
     w_inv = w.inversion_set()
     for m in mins:
         if not weak_order_leq(m, w):
@@ -257,7 +257,7 @@ def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
             if beta_new not in w_inv or beta_new in m.inversion_set():
                 continue
             nxt = group.multiply(group.simple_reflection(i), m.element)
-            yield m, i, index[nxt], beta_new
+            yield m, i, group.minuscule[ids[nxt]], beta_new
 
 
 def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Report:
@@ -267,6 +267,14 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
     enlarged set accounts for the lost dimension."""
     checks = 0
     violations = []
+
+    def fail(v: MinusculeElement, i: int, s: OrthogonalSet, what: str) -> None:
+        # the words are computed only for a violation
+        violations.append(
+            f"w={word_to_text(group.reduced_word(w.element))} "
+            f"v={word_to_text(group.reduced_word(v.element))} i={i} S={s}: {what}"
+        )
+
     for v, i, v2, beta_new in _weak_covers(group, group.minuscule, w):
         gap2 = w.inversion_set() - v2.inversion_set()
         for s in orthogonal_subsets(group.rs, gap2):
@@ -280,27 +288,26 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
             orth = all(
                 group.rs.pairing(beta_new.finite, a.finite) == 0 for a in s.roots
             )
-            where = f"w={word_to_text(group.reduced_word(w.element))} v={word_to_text(group.reduced_word(v.element))} i={i} S={s}"
             if not orth:
                 if sig_v2.element != twisted_conjugate(group, i, sig_v).element:
-                    violations.append(f"{where}: twisted conjugate mismatch")
+                    fail(v, i, s, "twisted conjugate mismatch")
                 if l_v2 != l_v - 1:
-                    violations.append(f"{where}: L did not drop by one")
+                    fail(v, i, s, "L did not drop by one")
                 if not group.bruhat_leq(sig_v2.element, sig_v.element):
-                    violations.append(f"{where}: no Bruhat drop")
+                    fail(v, i, s, "no Bruhat drop")
             else:
                 big = make_orthogonal_set(group.rs, s.root_set() | {beta_new})
                 pair_big = make_admissible_pair(group, v, big, w)
                 sig_big = sigma_of_pair(group, pair_big)
                 l_big = involution_length(group, sig_big)
                 if sig_v2.element != sig_v.element:
-                    violations.append(f"{where}: involutions differ in the split case")
+                    fail(v, i, s, "involutions differ in the split case")
                 if not (l_v2 == l_v == l_big - 1):
-                    violations.append(f"{where}: L bookkeeping failed in the split case")
+                    fail(v, i, s, "L bookkeeping failed in the split case")
                 if sig_v.element != twisted_conjugate(group, i, sig_big).element:
-                    violations.append(f"{where}: enlarged set is not the twisted conjugate")
+                    fail(v, i, s, "enlarged set is not the twisted conjugate")
                 if not group.bruhat_leq(sig_v.element, sig_big.element):
-                    violations.append(f"{where}: no Bruhat drop from the enlarged set")
+                    fail(v, i, s, "no Bruhat drop from the enlarged set")
     return Report("branch-recursion", checks, tuple(violations))
 
 
@@ -480,10 +487,7 @@ def phi_involution(group: AffineWeylGroup, p_index: int) -> dict[int, int]:
     for i in range(1, rs.rank + 1):
         if i == p_index:
             continue
-        image = -group.act(w_p, group.simple_affine_root(i)).finite
-        phi[i] = next(
-            j for j in range(1, rs.rank + 1) if rs.simple_root(j) == image
-        )
+        phi[i] = group.simple_index(-group.act(w_p, group.simple_affine_root(i)))
     for i, j in phi.items():
         if phi[j] != i:
             raise AssertionError("diagram map is not an involution")

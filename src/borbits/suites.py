@@ -123,10 +123,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
             if not group.is_simple_affine(alpha):
                 bad.append(f"minimal inversion {beta} maps to non-simple {alpha}")
                 continue
-            idx = 0 if alpha.level == 1 else next(
-                i for i in range(1, rs.rank + 1) if rs.simple_root(i) == alpha.finite
-            )
-            shorter = group.multiply(group.simple_reflection(idx), m.element)
+            shorter = group.multiply(group.simple_reflection(group.simple_index(alpha)), m.element)
             if group.length(shorter) != m.length - 1:
                 bad.append(f"stripping {beta} did not drop the length")
     reports.append(Report("minimal-inversions-strip", checks, tuple(bad)))
@@ -288,14 +285,13 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
         except AssertionError as exc:
             bad.append(f"descent classification failed: {exc}")
             continue
+        big_l = involution_length(group, sigma_of_pair(group, pair))
         for i, cls in desc.items():
             checks += 1
             if cls.kind == "none":
                 continue
             moved = descent_move(group, pair, i)
-            sig_before = sigma_of_pair(group, pair)
-            sig_after = sigma_of_pair(group, moved)
-            if involution_length(group, sig_after) != involution_length(group, sig_before) - 1:
+            if involution_length(group, sigma_of_pair(group, moved)) != big_l - 1:
                 bad.append(f"descent move did not drop L at index {i}")
     reports.append(Report("pair-descent-moves", checks, tuple(bad)))
 

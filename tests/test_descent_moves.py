@@ -1,0 +1,325 @@
+"""Descent moves take the pair's classification and their new v from data
+already computed: one classification pass per move, and an affine move looks
+its new v up in the group's map from minuscule elements to ideal ids.
+
+The re-deriving move (classify every index, rebuild v with the brute-force
+window scan) is kept here as the oracle that the sweep compares against.
+"""
+
+import json
+import re
+import sys
+
+import pytest
+
+from borbits.affine import AffineRoot, AffineWeylGroup
+from borbits.cli import main
+from borbits.involutions import (
+    DescentClassification,
+    Report,
+    descent_classify,
+    descent_move,
+    make_admissible_pair,
+    make_orthogonal_set,
+    negated_root_report,
+    orthogonal_subsets,
+    pair_descents,
+    reflection_product,
+    sigma_of_pair,
+    twisted_conjugate,
+)
+from borbits.minuscule import (
+    enumerate_abelian_ideals,
+    minuscule_from_element,
+    weak_order_leq,
+)
+from borbits.orbits import verify_branch_recursion
+from borbits.roots import build_root_system
+from borbits.suites import run_suite
+
+from conftest import get_system
+
+
+def _fresh_group(letter, rank):
+    # private groups, so that sabotage cannot reach the shared ones
+    return AffineWeylGroup(build_root_system(letter, rank))
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace a function in every borbits module that holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "borbits" or name.startswith("borbits."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+# -- the re-deriving move, kept as the oracle ---------------------------------
+
+
+def _oracle_pair_descents(group, pair):
+    rs = group.rs
+    sigma = sigma_of_pair(group, pair)
+    sigma_s = reflection_product(group, pair.s)
+    vinv = group.inverse(pair.v.element)
+    witness_neg = {-a for a in pair.witness.inversions}
+    out = {}
+    for i in group.simple_indices:
+        kind = descent_classify(group, sigma, i)
+        beta = group.act(vinv, group.simple_affine_root(i))
+        if beta in witness_neg:
+            not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s.roots)
+            assert (kind != "none") == not_orth
+            assert (kind == "real") == (-beta in pair.s.root_set())
+        if kind == "none":
+            out[i] = DescentClassification("none")
+            continue
+        assert beta.is_positive
+        if beta.level == 0 and beta.finite.height == 1:
+            j = next(k for k in range(1, group.rank + 1) if rs.simple_root(k) == beta.finite)
+            assert descent_classify(group, sigma_s, j) != "none"
+            assert (group.act(sigma_s.element, beta) == -beta) == (kind == "real")
+            out[i] = DescentClassification(kind, "finite")
+        else:
+            assert beta in witness_neg
+            out[i] = DescentClassification(kind, "affine")
+    return out
+
+
+def _oracle_descent_move(group, pair, i):
+    cls = _oracle_pair_descents(group, pair)[i]
+    assert cls.kind != "none"
+    rs = group.rs
+    beta = group.act(group.inverse(pair.v.element), group.simple_affine_root(i))
+    if cls.locus == "affine":
+        new_v = minuscule_from_element(
+            group, group.multiply(group.simple_reflection(i), pair.v.element)
+        )
+        new_s = pair.s
+        if cls.kind == "real":
+            new_s = make_orthogonal_set(rs, pair.s.root_set() - {-beta})
+        result = make_admissible_pair(group, new_v, new_s, pair.witness)
+    else:
+        if cls.kind == "complex":
+            new_s = make_orthogonal_set(
+                rs,
+                [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s.roots],
+            )
+        else:
+            (g1, g2), *_ = [
+                (g1, g2)
+                for g1 in pair.s.roots
+                for g2 in pair.s.roots
+                if g1 != g2
+                and g1.level == g2.level
+                and (g1.finite - g2.finite).coeffs == tuple(2 * c for c in beta.finite.coeffs)
+            ]
+            new_s = make_orthogonal_set(
+                rs, pair.s.root_set() - {g1, g2} | {AffineRoot(beta.finite + g2.finite, g2.level)}
+            )
+        result = make_admissible_pair(group, pair.v, new_s, pair.witness)
+    expected = twisted_conjugate(group, i, sigma_of_pair(group, pair))
+    assert sigma_of_pair(group, result).element == expected.element
+    return result
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_moves_agree_with_the_rederiving_oracle(letter, rank):
+    rs, W = get_system(letter, rank)
+    mins = W.minuscule
+    moves = 0
+    kinds = set()
+    for w in mins:
+        for v in mins:
+            if not weak_order_leq(v, w):
+                continue
+            for s in orthogonal_subsets(rs, w.inversion_set() - v.inversion_set()):
+                pair = make_admissible_pair(W, v, s, w)
+                desc = pair_descents(W, pair)
+                assert desc == _oracle_pair_descents(W, pair)
+                for i, cls in desc.items():
+                    if cls.kind == "none":
+                        continue
+                    moved = descent_move(W, pair, i)
+                    assert moved == _oracle_descent_move(W, pair, i)
+                    moves += 1
+                    kinds.add((cls.kind, cls.locus))
+    assert moves > 0
+    assert {("complex", "affine"), ("real", "affine"), ("complex", "finite")} <= kinds
+
+
+def test_involutions_suite_rebuilds_no_minuscule_element(monkeypatch):
+    """On a fresh group, `minuscule_from_element` runs only inside the
+    enumeration of the minuscule elements, once per element."""
+    calls = 0
+
+    def counted(group, x):
+        nonlocal calls
+        calls += 1
+        return minuscule_from_element(group, x)
+
+    _rebind(monkeypatch, minuscule_from_element, counted)
+    group = _fresh_group("A", 3)
+    assert all(r.ok for r in run_suite(group, "involutions"))
+    assert calls == len(group.minuscule) == 8
+
+
+def _a3_real_affine_pair(group):
+    """v = e, S = {theta - delta}, witness s_0: index 0 is a real affine
+    descent, whose move has new v = s_0."""
+    rs = group.rs
+    mins = group.minuscule
+    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    pair = make_admissible_pair(group, mins[0], theta, mins[1])
+    assert pair_descents(group, pair)[0] == DescentClassification("real", "affine")
+    return pair
+
+
+def test_swapped_map_entries_are_caught():
+    group = _fresh_group("A", 3)
+    pair = _a3_real_affine_pair(group)
+    assert descent_move(group, pair, 0).v == group.minuscule[1]
+    ids = group.minuscule_ids
+    a, b = group.minuscule[1].element, group.minuscule[-1].element
+    ids[a], ids[b] = ids[b], ids[a]
+    with pytest.raises(ValueError, match="invalid pair: v is not below the witness"):
+        descent_move(group, pair, 0)
+
+
+def test_missing_map_entry_is_caught():
+    group = _fresh_group("A", 3)
+    pair = _a3_real_affine_pair(group)
+    del group.minuscule_ids[group.minuscule[1].element]
+    with pytest.raises(ValueError, match="element is not minuscule"):
+        descent_move(group, pair, 0)
+
+
+def test_minuscule_ids_index_the_canonical_order(system):
+    for letter, rank in [("A", 3), ("G", 2), ("D", 4)]:
+        _, W = system(letter, rank)
+        assert [W.minuscule_ids[m.element] for m in W.minuscule] == list(range(len(W.minuscule)))
+
+
+# -- simple_index -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2), ("F", 4)])
+def test_simple_index_round_trip(letter, rank):
+    rs, W = get_system(letter, rank)
+    for i in W.simple_indices:
+        assert W.simple_index(W.simple_affine_root(i)) == i
+    not_simple = [
+        AffineRoot(rs.highest_root, -1),         # -a_0
+        AffineRoot(rs.simple_root(1), 1),        # a_1 at the wrong level
+        AffineRoot(-rs.simple_root(1), 0),       # -a_1
+        AffineRoot(-rs.highest_root, 2),         # a_0 at the wrong level
+    ]
+    if rank > 1:
+        not_simple.append(AffineRoot(rs.highest_root, 0))
+    for a in not_simple:
+        with pytest.raises(ValueError, match="is not a simple affine root"):
+            W.simple_index(a)
+
+
+# -- checks that pay only on failure -----------------------------------------
+
+
+def test_orthogonal_root_set_is_built_once(system):
+    rs, W = system("B", 3)
+    for m in W.minuscule:
+        for s in orthogonal_subsets(rs, m.inversions):
+            first = s.root_set()
+            assert first == frozenset(s.roots)
+            assert s.root_set() is first
+            copy = type(s)(s.roots)
+            assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+
+
+def test_branch_recursion_builds_no_words_when_clean(monkeypatch):
+    group = _fresh_group("B", 2)
+
+    def no_words(x):
+        raise AssertionError("reduced word built on a passing check")
+
+    monkeypatch.setattr(group, "reduced_word", no_words)
+    for w in group.minuscule:
+        assert verify_branch_recursion(group, w).ok
+
+
+def test_branch_recursion_violation_text(monkeypatch):
+    group = _fresh_group("B", 2)
+    w = max(group.minuscule, key=lambda m: m.length)
+    import borbits.orbits as orbits_mod
+
+    monkeypatch.setattr(orbits_mod, "twisted_conjugate", lambda g, i, sigma: sigma)
+    rep = verify_branch_recursion(group, w)
+    assert rep.violations
+    w_word = " ".join(str(i) for i in group.reduced_word(w.element))
+    pattern = re.compile(
+        rf"w={w_word} v=[0-9 ]* i=\d S=\{{[^}}]*\}}: "
+        r"(twisted conjugate mismatch|enlarged set is not the twisted conjugate)"
+    )
+    assert all(pattern.fullmatch(v) for v in rep.violations)
+
+
+def test_ideals_command_does_not_rerun_the_ideal_walk(monkeypatch, capsys):
+    def refused(rs):
+        raise AssertionError("the ideals command re-ran enumerate_abelian_ideals")
+
+    expected = [[str(r) for r in I.roots] for I in enumerate_abelian_ideals(build_root_system("D", 4))]
+    _rebind(monkeypatch, enumerate_abelian_ideals, refused)
+    assert main(["ideals", "--type", "D", "--rank", "4", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["roots"] for r in rows] == expected
+
+
+# -- the negated-root report keeps its verdicts --------------------------------
+
+
+def _oracle_negated_root_report(group, s):
+    rs = group.rs
+    sigma = reflection_product(group, s)
+    window = 1 + sum(abs(a.level) for a in s.roots)
+
+    def sums(sb, sbp):
+        return {
+            (
+                tuple(sb * x + sbp * y for x, y in zip(b.finite.coeffs, bp.finite.coeffs)),
+                sb * b.level + sbp * bp.level,
+            )
+            for b in s.roots
+            for bp in s.roots
+        }
+
+    halves = sums(1, 1) | sums(1, -1) | sums(-1, 1) | sums(-1, -1)
+    checks, violations = 0, []
+    for gamma in rs.roots:
+        for n in range(-window, window + 1):
+            a = AffineRoot(gamma, n)
+            if group.act(sigma.element, a) != -a:
+                continue
+            checks += 1
+            key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
+            if key not in halves:
+                violations.append(f"{a} is negated but is not a half sum of support roots")
+                continue
+            if n == -1 and gamma.is_positive and key not in sums(1, 1):
+                violations.append(f"{a} is negated but not a plus-plus half sum")
+            if n == 0 and key not in sums(1, -1):
+                violations.append(f"{a} is negated but not a plus-minus half sum")
+    return Report("negated-roots-halfsum", checks, tuple(violations))
+
+
+@pytest.mark.parametrize("letter,rank", [("B", 2), ("G", 2), ("A", 3)])
+def test_negated_root_report_matches_the_oracle(letter, rank):
+    """Supports at mixed levels, most of them inside no inversion set, so the
+    violation paths run as well as the passing one."""
+    rs, W = get_system(letter, rank)
+    pool = [AffineRoot(g, n) for g in rs.positive_roots for n in (-1, 0)]
+    pool += [AffineRoot(-g, -1) for g in rs.positive_roots]
+    violations = 0
+    for s in orthogonal_subsets(rs, pool):
+        rep = negated_root_report(W, s)
+        assert rep == _oracle_negated_root_report(W, s)
+        violations += len(rep.violations)
+    assert violations > 0

@@ -214,6 +214,7 @@ class AffineWeylGroup:
         self._coeffs = tuple(g.coeffs for g in rs.roots)
         self._index = {c: i for i, c in enumerate(self._coeffs)}
         self._negative = tuple(0 if g.is_positive else 1 for g in rs.roots)
+        self._negation = tuple(self._index[tuple(-c for c in g)] for g in self._coeffs)
         self._coroots = tuple(rs.coroot_coords(g) for g in rs.roots)
         self._pos_start = len(rs.roots) - len(rs.positive_roots)
         if rs.roots[self._pos_start:] != rs.positive_roots:
@@ -367,6 +368,18 @@ class AffineWeylGroup:
         perm, shift = self._tables(x)
         i = self._root_index(a.finite.coeffs)
         return AffineRoot(self._roots[perm[i]], a.level - shift[i])
+
+    def negated_roots(self, x: AffineWeylElement) -> list[AffineRoot]:
+        """The real roots a with x(a) = -a, in root order.  x sends
+        gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so that
+        root is negated iff perm[g] is the index of -gamma_g and 2n = shift[g]."""
+        perm, shift = self._tables(x)
+        roots = self._roots
+        return [
+            AffineRoot(roots[g], d // 2)
+            for g, (p, q, d) in enumerate(zip(perm, self._negation, shift))
+            if p == q and d % 2 == 0
+        ]
 
     def multiply(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
         """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta), and

@@ -18,7 +18,7 @@ exercised as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -40,7 +40,6 @@ __all__ = [
     "twisted_conjugate",
     "descent_classify",
     "make_admissible_pair",
-    "sigma_of_pair",
     "pair_descents",
     "descent_move",
     "negated_root_report",
@@ -136,7 +135,7 @@ def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> Involution:
     el = group.identity
     for a in s.roots:
         el = group.multiply(el, group.reflection(a))
-    if not group.multiply(el, el).is_identity:
+    if group.multiply(el, el) != group.identity:
         raise AssertionError("reflection product is not an involution")
     return Involution(el, s)
 
@@ -210,11 +209,14 @@ def descent_classify(group: AffineWeylGroup, inv: Involution, i: int) -> str:
 @dataclass(frozen=True)
 class AdmissiblePair:
     """A minuscule v together with an orthogonal S inside the inversion gap
-    to a witness minuscule element above v."""
+    to a witness minuscule element above v.  The pair carries its involution
+    sigma, the product of the reflections in v(S), built once by
+    `make_admissible_pair`; equality and hashing stay on (v, S, witness)."""
 
     v: MinusculeElement
     s: OrthogonalSet
     witness: MinusculeElement
+    sigma: Involution = field(compare=False)
 
 
 def make_admissible_pair(
@@ -228,7 +230,8 @@ def make_admissible_pair(
     gap = witness.inversion_set() - v.inversion_set()
     if not s.root_set() <= gap:
         raise ValueError("invalid pair: S is not inside the inversion gap")
-    return AdmissiblePair(v, s, witness)
+    sigma = reflection_product(group, transform_set(group, v.element, s))
+    return AdmissiblePair(v, s, witness, sigma)
 
 
 def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet) -> OrthogonalSet:
@@ -236,7 +239,10 @@ def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet
 
 
 def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> Involution:
-    return reflection_product(group, transform_set(group, pair.v.element, pair.s))
+    """The stored involution of the pair.  Nothing in the package calls it;
+    the name stays because the benchmark tracer (perfbench/tracer.py) spans
+    it and fails to install without it."""
+    return pair.sigma
 
 
 @dataclass(frozen=True)
@@ -254,17 +260,17 @@ def pair_descents(group: AffineWeylGroup, pair: AdmissiblePair) -> dict[int, Des
     cross-checked against the orthogonality criterion for affine descents and
     against the descent of the bare support involution for finite ones.
     """
-    found = _classify_descents(group, pair, sigma_of_pair(group, pair), group.simple_indices)
+    found = _classify_descents(group, pair, group.simple_indices)
     return {i: cls for i, (cls, _) in found.items()}
 
 
 def _classify_descents(
-    group: AffineWeylGroup, pair: AdmissiblePair, sigma: Involution, indices: Iterable[int]
+    group: AffineWeylGroup, pair: AdmissiblePair, indices: Iterable[int]
 ) -> dict[int, tuple[DescentClassification, AffineRoot]]:
-    """The body of `pair_descents` for the given indices, with sigma the
-    involution of the pair; each classification comes with its pulled-back
-    root beta = v^{-1}(alpha_i)."""
+    """The body of `pair_descents` for the given indices; each classification
+    comes with its pulled-back root beta = v^{-1}(alpha_i)."""
     rs = group.rs
+    sigma = pair.sigma
     vinv = group.inverse(pair.v.element)
     witness_inv = pair.witness.inversion_set()
     sigma_s = None
@@ -309,8 +315,7 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
     twisted conjugate of the input's; both facts are asserted.  An affine
     move takes its new v from the group's minuscule elements."""
     s_i = group.simple_reflection(i)
-    sigma = sigma_of_pair(group, pair)
-    cls, beta = _classify_descents(group, pair, sigma, (i,))[i]
+    cls, beta = _classify_descents(group, pair, (i,))[i]
     if cls.kind == "none":
         raise ValueError(f"index {i} is not a descent for the pair")
     rs = group.rs
@@ -333,8 +338,7 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
         else:
             new_s = _real_finite_replacement(rs, pair.s, beta)
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
-    expected = twisted_conjugate(group, i, sigma)
-    if sigma_of_pair(group, result).element != expected.element:
+    if result.sigma.element != twisted_conjugate(group, i, pair.sigma).element:
         raise AssertionError("descent move does not match twisted conjugation")
     return result
 
@@ -374,17 +378,10 @@ def negated_root_report(
     """Enumerate the real roots sent to their negatives by the involution of
     S and verify each is half of (+-b) + (+-b') with b, b' in S; roots at
     level -1 with positive finite part must use the plus-plus form, finite
-    roots the mixed form.
-
-    The level window |level| <= 1 + sum of |support levels| is provably
-    sufficient: a negated root lies in the rational span of S and its
-    support coefficients are at most one in absolute value.
-    """
-    rs = group.rs
+    roots the mixed form."""
     if inside is not None and not s.root_set() <= inside.inversion_set():
         raise ValueError("S is not inside the inversion set of the given element")
     sigma = reflection_product(group, s)
-    window = 1 + sum(abs(a.level) for a in s.roots)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
     halves: dict[tuple, set[tuple[int, int]]] = {}
     for b in s.roots:
@@ -399,20 +396,17 @@ def negated_root_report(
                     halves.setdefault((fin, lev), set()).add((sb, sbp))
     checks = 0
     violations = []
-    for gamma in rs.roots:
-        for n in range(-window, window + 1):
-            a = AffineRoot(gamma, n)
-            if group.act(sigma.element, a) != -a:
-                continue
-            checks += 1
-            key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
-            if key not in halves:
-                violations.append(f"{a} is negated but is not a half sum of support roots")
-                continue
-            if n == -1 and gamma.is_positive and (1, 1) not in halves[key]:
-                violations.append(f"{a} is negated but not a plus-plus half sum")
-            if n == 0 and (1, -1) not in halves[key]:
-                violations.append(f"{a} is negated but not a plus-minus half sum")
+    for a in group.negated_roots(sigma.element):
+        checks += 1
+        gamma, n = a.finite, a.level
+        key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
+        if key not in halves:
+            violations.append(f"{a} is negated but is not a half sum of support roots")
+            continue
+        if n == -1 and gamma.is_positive and (1, 1) not in halves[key]:
+            violations.append(f"{a} is negated but not a plus-plus half sum")
+        if n == 0 and (1, -1) not in halves[key]:
+            violations.append(f"{a} is negated but not a plus-minus half sum")
     return Report("negated-roots-halfsum", checks, tuple(violations))
 
 

@@ -41,7 +41,6 @@ from .involutions import (
     orthogonal_subsets,
     pair_descents,
     reflection_product,
-    sigma_of_pair,
     transform_set,
     twisted_conjugate,
 )
@@ -102,8 +101,7 @@ def build_orbit_poset(
     ell_v = v.length
     nodes = []
     for s in subsets:
-        pair = make_admissible_pair(group, v, s, w)
-        sigma = sigma_of_pair(group, pair)
+        sigma = make_admissible_pair(group, v, s, w).sigma
         ell = group.length(sigma.element)
         big_l = involution_length(group, sigma)
         nodes.append(
@@ -157,9 +155,7 @@ def closure_leq(group: AffineWeylGroup, p: AdmissiblePair, q: AdmissiblePair) ->
     associated involutions."""
     if p.v.element != q.v.element:
         raise ValueError("closure comparison needs a common v")
-    return group.bruhat_leq(
-        sigma_of_pair(group, p).element, sigma_of_pair(group, q).element
-    )
+    return group.bruhat_leq(p.sigma.element, q.sigma.element)
 
 
 def export_poset(poset: OrbitPoset, fmt: str) -> str:
@@ -279,10 +275,8 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
         gap2 = w.inversion_set() - v2.inversion_set()
         for s in orthogonal_subsets(group.rs, gap2):
             checks += 1
-            pair_v = make_admissible_pair(group, v, s, w)
-            pair_v2 = make_admissible_pair(group, v2, s, w)
-            sig_v = sigma_of_pair(group, pair_v)
-            sig_v2 = sigma_of_pair(group, pair_v2)
+            sig_v = make_admissible_pair(group, v, s, w).sigma
+            sig_v2 = make_admissible_pair(group, v2, s, w).sigma
             l_v = involution_length(group, sig_v)
             l_v2 = involution_length(group, sig_v2)
             orth = all(
@@ -297,8 +291,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
                     fail(v, i, s, "no Bruhat drop")
             else:
                 big = make_orthogonal_set(group.rs, s.root_set() | {beta_new})
-                pair_big = make_admissible_pair(group, v, big, w)
-                sig_big = sigma_of_pair(group, pair_big)
+                sig_big = make_admissible_pair(group, v, big, w).sigma
                 l_big = involution_length(group, sig_big)
                 if sig_v2.element != sig_v.element:
                     fail(v, i, s, "involutions differ in the split case")

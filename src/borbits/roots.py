@@ -447,7 +447,7 @@ def build_root_system(type_letter: str | CartanDatum, rank: int | None = None) -
     >>> rs = build_root_system("G", 2)
     >>> len(rs.positive_roots), str(rs.highest_root)
     (6, '3,2')
-    >>> rs.pairing(rs.simple_root(1), rs.simple_root(2))
+    >>> rs.pairing(rs.simple_root(2), rs.simple_root(1))
     -3
     """
     if isinstance(type_letter, CartanDatum):

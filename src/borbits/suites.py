@@ -24,7 +24,6 @@ from .involutions import (
     pair_descents,
     rank_id_minus,
     reflection_product,
-    sigma_of_pair,
     support_injectivity_check,
     twisted_conjugate,
 )
@@ -64,14 +63,14 @@ def run_suite(group: AffineWeylGroup, name: str) -> list[Report]:
 
 
 def _admissible_sweep(group: AffineWeylGroup):
-    """All (witness, v, S) with v below the witness and S orthogonal inside
-    the inversion gap."""
+    """All admissible pairs: v below the witness and S orthogonal inside the
+    inversion gap.  A generator, so that no sweep holds every pair at once."""
     mins = group.minuscule
     for w in mins:
         below = [v for v in mins if weak_order_leq(v, w)]
         for v in below:
             for s in orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set()):
-                yield w, v, s
+                yield make_admissible_pair(group, v, s, w)
 
 
 def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
@@ -213,10 +212,8 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     reports.append(Report("rank-and-length", checks, tuple(bad)))
 
     sigma_pool: dict = {}
-    for w, v, s in _admissible_sweep(group):
-        pair = make_admissible_pair(group, v, s, w)
-        sigma = sigma_of_pair(group, pair)
-        sigma_pool.setdefault(sigma.element, sigma)
+    for pair in _admissible_sweep(group):
+        sigma_pool.setdefault(pair.sigma.element, pair.sigma)
     checks, bad = 0, []
     for el, sigma in sigma_pool.items():
         big_l = involution_length(group, sigma)
@@ -278,20 +275,19 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     reports.append(Report("support-reflection", checks, tuple(bad)))
 
     checks, bad = 0, []
-    for w, v, s in _admissible_sweep(group):
-        pair = make_admissible_pair(group, v, s, w)
+    for pair in _admissible_sweep(group):
         try:
             desc = pair_descents(group, pair)
         except AssertionError as exc:
             bad.append(f"descent classification failed: {exc}")
             continue
-        big_l = involution_length(group, sigma_of_pair(group, pair))
+        big_l = involution_length(group, pair.sigma)
         for i, cls in desc.items():
             checks += 1
             if cls.kind == "none":
                 continue
             moved = descent_move(group, pair, i)
-            if involution_length(group, sigma_of_pair(group, moved)) != big_l - 1:
+            if involution_length(group, moved.sigma) != big_l - 1:
                 bad.append(f"descent move did not drop L at index {i}")
     reports.append(Report("pair-descent-moves", checks, tuple(bad)))
 

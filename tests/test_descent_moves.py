@@ -6,6 +6,7 @@ The re-deriving move (classify every index, rebuild v with the brute-force
 window scan) is kept here as the oracle that the sweep compares against.
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -25,7 +26,7 @@ from borbits.involutions import (
     orthogonal_subsets,
     pair_descents,
     reflection_product,
-    sigma_of_pair,
+    transform_set,
     twisted_conjugate,
 )
 from borbits.minuscule import (
@@ -35,7 +36,7 @@ from borbits.minuscule import (
 )
 from borbits.orbits import verify_branch_recursion
 from borbits.roots import build_root_system
-from borbits.suites import run_suite
+from borbits.suites import _admissible_sweep, run_suite
 
 from conftest import get_system
 
@@ -57,9 +58,15 @@ def _rebind(monkeypatch, original, replacement):
 # -- the re-deriving move, kept as the oracle ---------------------------------
 
 
+def _sigma_from_scratch(group, pair):
+    """The involution of the pair, rebuilt without the stored field."""
+    moved = make_orthogonal_set(group.rs, [group.act(pair.v.element, a) for a in pair.s.roots])
+    return reflection_product(group, moved)
+
+
 def _oracle_pair_descents(group, pair):
     rs = group.rs
-    sigma = sigma_of_pair(group, pair)
+    sigma = _sigma_from_scratch(group, pair)
     sigma_s = reflection_product(group, pair.s)
     vinv = group.inverse(pair.v.element)
     witness_neg = {-a for a in pair.witness.inversions}
@@ -118,8 +125,8 @@ def _oracle_descent_move(group, pair, i):
                 rs, pair.s.root_set() - {g1, g2} | {AffineRoot(beta.finite + g2.finite, g2.level)}
             )
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
-    expected = twisted_conjugate(group, i, sigma_of_pair(group, pair))
-    assert sigma_of_pair(group, result).element == expected.element
+    expected = twisted_conjugate(group, i, _sigma_from_scratch(group, pair))
+    assert _sigma_from_scratch(group, result).element == expected.element
     return result
 
 
@@ -192,6 +199,87 @@ def test_missing_map_entry_is_caught():
     del group.minuscule_ids[group.minuscule[1].element]
     with pytest.raises(ValueError, match="element is not minuscule"):
         descent_move(group, pair, 0)
+
+
+# -- the pair carries its involution ------------------------------------------
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_stored_sigma_agrees_with_the_product(letter, rank):
+    """The stored involution is the from-scratch product, element and
+    support, and every descent move stores the twisted conjugate."""
+    _, W = get_system(letter, rank)
+    pairs = moves = 0
+    for pair in _admissible_sweep(W):
+        pairs += 1
+        scratch = _sigma_from_scratch(W, pair)
+        assert pair.sigma.element == scratch.element
+        assert pair.sigma.support == scratch.support
+        for i, cls in pair_descents(W, pair).items():
+            if cls.kind != "none":
+                moves += 1
+                moved = descent_move(W, pair, i)
+                assert moved.sigma.element == twisted_conjugate(W, i, pair.sigma).element
+    assert pairs > 0 and moves > 0
+
+
+def test_suites_build_sigma_once_per_pair(monkeypatch):
+    """On a fresh group, the involutions and poset suites move a support by v
+    exactly once per admissible pair they build."""
+    made = moved = 0
+
+    def counted_pair(group, v, s, witness):
+        nonlocal made
+        made += 1
+        return make_admissible_pair(group, v, s, witness)
+
+    def counted_transform(group, x, s):
+        nonlocal moved
+        moved += 1
+        return transform_set(group, x, s)
+
+    _rebind(monkeypatch, make_admissible_pair, counted_pair)
+    _rebind(monkeypatch, transform_set, counted_transform)
+    group = _fresh_group("B", 3)
+    for name in ("involutions", "poset"):
+        assert all(r.ok for r in run_suite(group, name))
+    assert made > 0
+    assert moved == made
+
+
+def test_a_foreign_sigma_is_caught():
+    group = _fresh_group("A", 3)
+    pair = _a3_real_affine_pair(group)
+    rs = group.rs
+    other_s = make_orthogonal_set(
+        rs, [AffineRoot(rs.simple_root(2), -1), AffineRoot(rs.highest_root, -1)]
+    )
+    witness = next(m for m in group.minuscule if other_s.root_set() <= m.inversion_set())
+    other = make_admissible_pair(group, pair.v, other_s, witness)
+    assert descent_move(group, pair, 0).sigma.element == twisted_conjugate(group, 0, pair.sigma).element
+    sabotaged = dataclasses.replace(pair, sigma=other.sigma)
+    assert sabotaged == pair
+    with pytest.raises(AssertionError, match="descent move does not match twisted conjugation"):
+        descent_move(group, sabotaged, 0)
+
+
+def test_every_foreign_sigma_is_refused():
+    """On A3, no descent move goes through once a pair holds another pair's
+    involution: a check raises, or the index stops being a descent."""
+    group = _fresh_group("A", 3)
+    pairs = list(_admissible_sweep(group))
+    refused = 0
+    for pair in pairs:
+        for i, cls in pair_descents(group, pair).items():
+            if cls.kind == "none":
+                continue
+            for other in pairs:
+                if other.sigma.element == pair.sigma.element:
+                    continue
+                with pytest.raises((AssertionError, ValueError)):
+                    descent_move(group, dataclasses.replace(pair, sigma=other.sigma), i)
+                refused += 1
+    assert refused > 0
 
 
 def test_minuscule_ids_index_the_canonical_order(system):
@@ -276,10 +364,21 @@ def test_ideals_command_does_not_rerun_the_ideal_walk(monkeypatch, capsys):
 # -- the negated-root report keeps its verdicts --------------------------------
 
 
-def _oracle_negated_root_report(group, s):
-    rs = group.rs
-    sigma = reflection_product(group, s)
+def _window_scan(group, x, s):
+    """The roots negated by x, found by acting on every root in the level
+    window |level| <= 1 + sum of |levels of S| (enough for the involution of S)."""
     window = 1 + sum(abs(a.level) for a in s.roots)
+    return [
+        a
+        for gamma in group.rs.roots
+        for n in range(-window, window + 1)
+        for a in [AffineRoot(gamma, n)]
+        if group.act(x, a) == -a
+    ]
+
+
+def _oracle_negated_root_report(group, s):
+    sigma = reflection_product(group, s)
 
     def sums(sb, sbp):
         return {
@@ -293,20 +392,17 @@ def _oracle_negated_root_report(group, s):
 
     halves = sums(1, 1) | sums(1, -1) | sums(-1, 1) | sums(-1, -1)
     checks, violations = 0, []
-    for gamma in rs.roots:
-        for n in range(-window, window + 1):
-            a = AffineRoot(gamma, n)
-            if group.act(sigma.element, a) != -a:
-                continue
-            checks += 1
-            key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
-            if key not in halves:
-                violations.append(f"{a} is negated but is not a half sum of support roots")
-                continue
-            if n == -1 and gamma.is_positive and key not in sums(1, 1):
-                violations.append(f"{a} is negated but not a plus-plus half sum")
-            if n == 0 and key not in sums(1, -1):
-                violations.append(f"{a} is negated but not a plus-minus half sum")
+    for a in _window_scan(group, sigma.element, s):
+        gamma, n = a.finite, a.level
+        checks += 1
+        key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
+        if key not in halves:
+            violations.append(f"{a} is negated but is not a half sum of support roots")
+            continue
+        if n == -1 and gamma.is_positive and key not in sums(1, 1):
+            violations.append(f"{a} is negated but not a plus-plus half sum")
+        if n == 0 and key not in sums(1, -1):
+            violations.append(f"{a} is negated but not a plus-minus half sum")
     return Report("negated-roots-halfsum", checks, tuple(violations))
 
 
@@ -319,7 +415,32 @@ def test_negated_root_report_matches_the_oracle(letter, rank):
     pool += [AffineRoot(-g, -1) for g in rs.positive_roots]
     violations = 0
     for s in orthogonal_subsets(rs, pool):
+        x = reflection_product(W, s).element
+        assert W.negated_roots(x) == _window_scan(W, x, s)
         rep = negated_root_report(W, s)
         assert rep == _oracle_negated_root_report(W, s)
         violations += len(rep.violations)
     assert violations > 0
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_negated_roots_match_the_window_scan(letter, rank):
+    rs, W = get_system(letter, rank)
+    supports = {s for m in W.minuscule for s in orthogonal_subsets(rs, m.inversions)}
+    found = 0
+    for s in supports:
+        x = reflection_product(W, s).element
+        negated = W.negated_roots(x)
+        assert negated == _window_scan(W, x, s)
+        found += len(negated)
+    assert found > 0
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_negated_roots_of_the_identity_and_simple_reflections(letter, rank):
+    _, W = get_system(letter, rank)
+    assert W.negated_roots(W.identity) == []
+    for i in W.simple_indices:
+        a = W.simple_affine_root(i)
+        found = W.negated_roots(W.simple_reflection(i))
+        assert len(found) == 2 and set(found) == {a, -a}

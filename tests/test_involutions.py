@@ -17,7 +17,6 @@ from borbits.involutions import (
     pair_descents,
     rank_id_minus,
     reflection_product,
-    sigma_of_pair,
     support_injectivity_check,
     twisted_conjugate,
 )
@@ -174,9 +173,9 @@ def test_descent_move_real_finite_c3(system):
                 assert moved.v.element == ident.element
                 assert moved.s.size == s.size - 1
                 expected = W.multiply(
-                    W.simple_reflection(i), sigma_of_pair(W, pair).element
+                    W.simple_reflection(i), pair.sigma.element
                 )
-                assert sigma_of_pair(W, moved).element == expected
+                assert moved.sigma.element == expected
     assert hits > 0
 
 
@@ -193,14 +192,14 @@ def test_descent_move_drops_l_everywhere(system):
                 )
                 for s in orthogonal_subsets(rs, gap):
                     pair = make_admissible_pair(W, v, s, w)
-                    sigma = sigma_of_pair(W, pair)
+                    sigma = pair.sigma
                     big = involution_length(W, sigma)
                     for i, cls in pair_descents(W, pair).items():
                         if cls.kind == "none":
                             continue
                         moved = descent_move(W, pair, i)
                         assert (
-                            involution_length(W, sigma_of_pair(W, moved)) == big - 1
+                            involution_length(W, moved.sigma) == big - 1
                         )
 
 
@@ -279,7 +278,7 @@ def test_descent_equivalences(system):
             gap = sorted(w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key)
             for s in orthogonal_subsets(rs, gap):
                 pair = make_admissible_pair(W, v, s, w)
-                sigma = sigma_of_pair(W, pair)
+                sigma = pair.sigma
                 pool[sigma.element] = sigma
     for el, sigma in pool.items():
         ell = W.length(el)

@@ -17,14 +17,19 @@ are lookups, and the length is the Iwahori-Matsumoto closed count
 
 with ``d = shift[gamma]`` and ``lo`` = 0 for gamma > 0 and 1 otherwise: the
 affine roots ``gamma + n*delta``, ``n >= lo``, that x sends below zero.
+The inversion set is read off the same way: the negative roots
+``gamma + n*delta`` that x makes positive have their levels in the interval
+``shift[gamma] + [w(gamma) < 0] <= n < [gamma < 0]``, and the pull-back
+x^{-1}(a_i) of a simple root is read from the tables without inverting x.
 The value of an element is still the pair (images of the simple roots,
 ``lambda``): equality, hashing and JSON see only that pair, and words are
 derived views.  Bruhat comparisons come from the standard lifting recursion,
 run on small per-group element ids: each id stores its element, length and
 left-descent bitmask, and each left product s_i x is multiplied out once
 and kept as an id.  Lengths and comparisons have independent brute-force
-counterparts (bounded inversion counting, subword search) used as oracles by
-the test suite.  The alcove containment test runs on exact rational vertex
+counterparts used as oracles by the test suite: ``count_inversions``, which
+scans a window of levels acting root by root and is the only such scan, and
+subword search.  The alcove containment test runs on exact rational vertex
 coordinates; there are no tolerances anywhere.
 """
 
@@ -313,13 +318,17 @@ class AffineWeylGroup:
                         out[j] += m * c
         return out
 
-    def _is_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> bool:
-        """Whether x^{-1}(a_i) < 0.  x maps gamma_j + n*delta to
-        gamma_{perm[j]} + (n - shift[j])*delta, so x^{-1}(a_i) is
-        gamma_j + (level_i + shift[j])*delta with perm[j] the root of a_i."""
+    def _pull_back(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> tuple[int, int]:
+        """(j, m) with x^{-1}(a_i) = gamma_j + m*delta.  x maps gamma_j + n*delta
+        to gamma_{perm[j]} + (n - shift[j])*delta, so perm[j] is the root of
+        a_i and m = level_i + shift[j]."""
         g, level = self._simple_at[i]
         j = perm.index(g)
-        m = level + shift[j]
+        return j, level + shift[j]
+
+    def _is_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> bool:
+        """Whether x^{-1}(a_i) < 0."""
+        j, m = self._pull_back(perm, shift, i)
         return m < 0 or (m == 0 and self._negative[j] == 1)
 
     def _first_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...]) -> int | None:
@@ -368,6 +377,11 @@ class AffineWeylGroup:
         perm, shift = self._tables(x)
         i = self._root_index(a.finite.coeffs)
         return AffineRoot(self._roots[perm[i]], a.level - shift[i])
+
+    def pull_back(self, x: AffineWeylElement, i: int) -> AffineRoot:
+        """x^{-1}(a_i), read off the root tables of x."""
+        j, m = self._pull_back(*self._tables(x), i)
+        return AffineRoot(self._roots[j], m)
 
     def negated_roots(self, x: AffineWeylElement) -> list[AffineRoot]:
         """The real roots a with x(a) = -a, in root order.  x sends
@@ -456,28 +470,32 @@ class AffineWeylGroup:
         return tuple(letters)
 
     def count_inversions(self, x: AffineWeylElement) -> int:
-        """|{a > 0 : x(a) < 0}| by brute force over the provably sufficient
-        level window max|<gamma, lambda>| + 1 (negating identifies this set
-        with {a < 0 : x(a) > 0})."""
-        return len(self.inversions_from_negative(x))
+        """|{a < 0 : x(a) > 0}| by brute force: act on every root of every
+        level in the window -(M+1)..0, M = max|<gamma, lambda>|, which
+        provably holds them all.  The test suite's oracle for `length` and
+        `inversions_from_negative`; nothing in the package calls it."""
+        bound = max(map(abs, self._tables(x)[1])) + 1
+        return sum(
+            1
+            for gamma in self.rs.roots
+            for n in range(-bound, 0 if gamma.is_positive else 1)
+            if self.act(x, AffineRoot(gamma, n)).is_positive
+        )
 
     def inversions_from_negative(self, x: AffineWeylElement) -> list[AffineRoot]:
-        """{a < 0 : x(a) > 0}; finite, contained in levels -(M+1)..0 where
-        M = max|<gamma, lambda>| over gamma in Phi."""
-        bound = self._level_bound(x)
-        out = []
-        for gamma in self.rs.roots:
-            for n in range(-bound, 1):
-                if n == 0 and gamma.is_positive:
-                    continue
-                a = AffineRoot(gamma, n)
-                if self.act(x, a).is_positive:
-                    out.append(a)
-        return out
-
-    def _level_bound(self, x: AffineWeylElement) -> int:
-        # shift runs over <w(gamma), lambda>, i.e. over <beta, lambda> for all beta
-        return max(map(abs, self._tables(x)[1])) + 1
+        """{a < 0 : x(a) > 0}, in root order and then by level.  x sends
+        gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so for
+        each g the levels form the interval
+        shift[g] + [perm[g] < 0] <= n < [g < 0].  The window scan of
+        `count_inversions` is the oracle the tests compare it with."""
+        perm, shift = self._tables(x)
+        negative = self._negative
+        roots = self._roots
+        return [
+            AffineRoot(roots[g], n)
+            for g, (p, d) in enumerate(zip(perm, shift))
+            for n in range(d + negative[p], negative[g])
+        ]
 
     # -- Bruhat order ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ import sys
 
 from .affine import AffineRoot, AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import normalizer_simple_roots, weak_order_leq
-from .orbits import build_orbit_poset, export_poset
+from .orbits import build_orbit_poset, export_poset, node_row
 from .roots import build_root_system
 from .suites import SUITE_NAMES, run_suite
 from .typea import oracle_report
@@ -91,12 +91,14 @@ def _resolve_v(group, text: str, w):
 def _cmd_ideals(args) -> int:
     _, group = _resolve_context(args)
     rows = []
+    words = []
     for k, m in enumerate(group.minuscule):
+        words.append(group.reduced_word(m.element))
         rows.append(
             {
                 "ideal_id": k,
                 "roots": [str(r) for r in m.ideal.roots],
-                "word": word_to_text(group.reduced_word(m.element)),
+                "word": word_to_text(words[-1]),
                 "length": m.length,
                 "normalizer": [
                     group.simple_index(AffineRoot(r, 0))
@@ -107,12 +109,11 @@ def _cmd_ideals(args) -> int:
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
-        for row in rows:
+        for row, word in zip(rows, words):
             ideal_txt = "{" + ";".join(row["roots"]) + "}"
             norm_txt = "{" + ",".join(str(i) for i in row["normalizer"]) + "}"
-            word_txt = _styled_word(text_to_word(row["word"]))
             print(
-                f"{row['ideal_id']}  ideal={ideal_txt}  word={word_txt}"
+                f"{row['ideal_id']}  ideal={ideal_txt}  word={_styled_word(word)}"
                 f"  length={row['length']}  normalizer={norm_txt}"
             )
     return 0
@@ -123,24 +124,13 @@ def _cmd_orbits(args) -> int:
     w = _resolve_minuscule(group, args.ideal_id)
     v = _resolve_v(group, args.v, w)
     poset = build_orbit_poset(group, w, v)
-    rows = [
-        {
-            "S": [str(a) for a in node.s.roots],
-            "sigma_word": word_to_text(node.sigma_word),
-            "length": node.length,
-            "L": node.big_l,
-            "dim": node.dim,
-        }
-        for node in poset.nodes
-    ]
     if args.json:
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([node_row(node) for node in poset.nodes], indent=2))
     else:
-        for row in rows:
-            s_txt = "{" + ",".join(row["S"]) + "}"
+        for node in poset.nodes:
             print(
-                f"S={s_txt}  sigma={_styled_word(text_to_word(row['sigma_word']))}"
-                f"  length={row['length']}  L={row['L']}  dim={row['dim']}"
+                f"S={node.s}  sigma={_styled_word(node.sigma_word)}"
+                f"  length={node.length}  L={node.big_l}  dim={node.dim}"
             )
     return 0
 

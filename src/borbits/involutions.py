@@ -271,13 +271,12 @@ def _classify_descents(
     comes with its pulled-back root beta = v^{-1}(alpha_i)."""
     rs = group.rs
     sigma = pair.sigma
-    vinv = group.inverse(pair.v.element)
     witness_inv = pair.witness.inversion_set()
     sigma_s = None
     out: dict[int, tuple[DescentClassification, AffineRoot]] = {}
     for i in indices:
         kind = descent_classify(group, sigma, i)
-        beta = group.act(vinv, group.simple_affine_root(i))
+        beta = group.pull_back(pair.v.element, i)
         affine = -beta in witness_inv
         if affine:
             not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s.roots)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from .roots import Root, RootSystem
@@ -37,6 +38,7 @@ __all__ = [
     "weak_order_leq",
     "is_minimal_coset_rep",
     "inversion_shift",
+    "up_steps",
 ]
 
 
@@ -172,9 +174,18 @@ def is_minuscule(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
     )
 
 
+def up_steps(group: AffineWeylGroup, w: AffineWeylElement) -> Iterator[tuple[int, AffineRoot]]:
+    """The pairs (i, beta) where s_i w adds the inversion
+    beta = -w^{-1}(a_i) and beta lies in Phi^+ - delta.  Such a beta has
+    level -1, so s_i w is longer than w."""
+    for i in group.simple_indices:
+        pulled = group.pull_back(w, i)
+        if pulled.level == 1 and not pulled.finite.is_positive:
+            yield i, -pulled
+
+
 def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
-    """Breadth-first walk over the weak order: extend w to s_i w whenever the
-    added inversion -w^{-1}(alpha_i) stays inside Phi^+ - delta.  Each cover
+    """Breadth-first walk over the weak order along `up_steps`.  Each cover
     adds exactly one inversion, so everything reached is minuscule, and every
     minuscule element is reached because removing a minimal inversion is
     again minuscule."""
@@ -184,14 +195,7 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
     while frontier:
         new = []
         for w in frontier:
-            winv = group.inverse(w)
-            for i in group.simple_indices:
-                pulled = group.act(winv, group.simple_affine_root(i))
-                if not pulled.is_positive:
-                    continue
-                beta = -pulled
-                if beta.level != -1 or not beta.finite.is_positive:
-                    continue
+            for i, _ in up_steps(group, w):
                 nxt = group.multiply(group.simple_reflection(i), w)
                 if nxt not in seen:
                     seen.add(nxt)
@@ -278,8 +282,5 @@ def normalizer_by_ideal_stability(rs: RootSystem, ideal: AbelianIdeal) -> tuple[
 
 def is_minimal_coset_rep(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
     """Minimal length in its coset modulo the finite Weyl group: all finite
-    simple roots are kept positive."""
-    return all(
-        group.act(x, group.simple_affine_root(i)).is_positive
-        for i in range(1, group.rank + 1)
-    )
+    simple roots are kept positive, so only s_0 can be a right descent."""
+    return group.descents(x) <= {0}

@@ -44,7 +44,7 @@ from .involutions import (
     transform_set,
     twisted_conjugate,
 )
-from .minuscule import MinusculeElement, weak_order_leq
+from .minuscule import MinusculeElement, up_steps, weak_order_leq
 
 __all__ = [
     "OrbitNode",
@@ -53,6 +53,7 @@ __all__ = [
     "build_orbit_poset",
     "closure_leq",
     "export_poset",
+    "node_row",
     "verify_strong_form",
     "verify_branch_recursion",
     "verify_moves_vs_order",
@@ -158,6 +159,17 @@ def closure_leq(group: AffineWeylGroup, p: AdmissiblePair, q: AdmissiblePair) ->
     return group.bruhat_leq(p.sigma.element, q.sigma.element)
 
 
+def node_row(node: OrbitNode) -> dict:
+    """A node as the JSON outputs print it; the poset export adds its id."""
+    return {
+        "S": [str(a) for a in node.s.roots],
+        "sigma_word": word_to_text(node.sigma_word),
+        "length": node.length,
+        "L": node.big_l,
+        "dim": node.dim,
+    }
+
+
 def export_poset(poset: OrbitPoset, fmt: str) -> str:
     if fmt == "dot":
         lines = ["digraph {", "  rankdir=BT;"]
@@ -175,17 +187,7 @@ def export_poset(poset: OrbitPoset, fmt: str) -> str:
                 "ideal_id": poset.context.ideal_id,
                 "v_word": word_to_text(poset.context.v_word),
             },
-            "nodes": [
-                {
-                    "id": k,
-                    "S": [str(a) for a in node.s.roots],
-                    "sigma_word": word_to_text(node.sigma_word),
-                    "length": node.length,
-                    "L": node.big_l,
-                    "dim": node.dim,
-                }
-                for k, node in enumerate(poset.nodes)
-            ],
+            "nodes": [{"id": k, **node_row(node)} for k, node in enumerate(poset.nodes)],
             "hasse": [list(e) for e in poset.hasse],
         }
         return json.dumps(data, indent=2) + "\n"
@@ -242,14 +244,7 @@ def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
     for m in mins:
         if not weak_order_leq(m, w):
             continue
-        vinv = group.inverse(m.element)
-        for i in group.simple_indices:
-            pulled = group.act(vinv, group.simple_affine_root(i))
-            if not pulled.is_positive:
-                continue
-            beta_new = -pulled
-            if beta_new.level != -1 or not beta_new.finite.is_positive:
-                continue
+        for i, beta_new in up_steps(group, m.element):
             if beta_new not in w_inv or beta_new in m.inversion_set():
                 continue
             nxt = group.multiply(group.simple_reflection(i), m.element)
@@ -422,7 +417,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
         close()
 
     # compare at the identity level
-    ident = next(m for m in mins if m.element.is_identity)
+    ident = group.minuscule[0]
     checks = 0
     violations = []
     subsets0 = orthogonal_subsets(rs, gap_of[ident.element])
@@ -450,19 +445,10 @@ def _longest_parabolic_element(group: AffineWeylGroup, omit: int) -> AffineWeylE
     """Longest element of the finite parabolic generated by all simple
     reflections except the omitted index (1-based)."""
     cur = group.identity
-    while True:
-        i = next(
-            (
-                i
-                for i in range(1, group.rank + 1)
-                if i != omit
-                and group.act(cur, group.simple_affine_root(i)).is_positive
-            ),
-            None,
-        )
-        if i is None:
-            return cur
-        cur = group.multiply(cur, group.simple_reflection(i))
+    kept = set(range(1, group.rank + 1)) - {omit}
+    while ascents := kept - group.descents(cur):
+        cur = group.multiply(cur, group.simple_reflection(min(ascents)))
+    return cur
 
 
 def phi_involution(group: AffineWeylGroup, p_index: int) -> dict[int, int]:

@@ -137,14 +137,21 @@ def test_byte_identical_across_runs(capsys):
 
 
 def test_module_entry_point_round_trip():
-    """Fresh interpreters must produce byte-identical output too."""
+    """Fresh interpreters must produce byte-identical output too.  The child
+    finds the package through PYTHONPATH, so this runs from a clean checkout
+    without an install."""
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "borbits", "poset", "--type", "B", "--rank", "2",
            "--ideal-id", "3", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["context"]["type"] == "B"

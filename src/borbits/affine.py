@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 from .roots import Root, RootSystem
 
 if TYPE_CHECKING:
-    from .involutions import OrthogonalSet
+    from .involutions import Involution, OrthogonalSet
     from .minuscule import MinusculeElement
 
 __all__ = [
@@ -198,6 +198,10 @@ class AffineWeylGroup:
 
     * the root index and the tables of the simple reflections;
     * the reflection cache;
+    * three tables of deterministic results, each computed and checked
+      once: the involution of each orthogonal set (``reflection_product``),
+      the rank of id - x of each element (``rank_id_minus``) and the reduced
+      word of each element;
     * the Bruhat tables, all indexed by element id: the lengths, the
       left-descent masks, the left products s_i x and the comparison answers;
     * ``minuscule``, the minuscule elements in canonical order (position k
@@ -241,6 +245,11 @@ class AffineWeylGroup:
         )
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
+        # sigma by orthogonal set, rank(id - x) and reduced word by element; the
+        # first two are filled by the involutions module.
+        self._sigmas: dict[OrthogonalSet, Involution] = {}
+        self._ranks: dict[AffineWeylElement, int] = {}
+        self._words: dict[AffineWeylElement, ReducedWord] = {}
         # The Bruhat order runs on small element ids from _ids, so its tables
         # hold each distinct element once.  Per id: the element, its length and
         # its left-descent bitmask; _left maps (id of x, i) to the id of s_i x.
@@ -453,7 +462,11 @@ class AffineWeylGroup:
 
     def reduced_word(self, x: AffineWeylElement) -> ReducedWord:
         """Greedy left-descent stripping, always taking the smallest index;
-        the letters evaluate left to right back to x."""
+        the letters evaluate left to right back to x.  Each element's word is
+        stripped and checked once and kept by the group."""
+        word = self._words.get(x)
+        if word is not None:
+            return word
         letters: list[int] = []
         perm, shift = self._tables(x)
         while True:
@@ -467,7 +480,8 @@ class AffineWeylGroup:
             perm, shift = take(sp), tuple(map(add, shift, take(ss)))
         if perm != self.identity._perm or any(shift):
             raise AssertionError("descent stripping did not reach the identity")
-        return tuple(letters)
+        word = self._words[x] = tuple(letters)
+        return word
 
     def count_inversions(self, x: AffineWeylElement) -> int:
         """|{a < 0 : x(a) > 0}| by brute force: act on every root of every

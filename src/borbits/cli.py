@@ -12,7 +12,6 @@ from .minuscule import normalizer_simple_roots, weak_order_leq
 from .orbits import build_orbit_poset, export_poset, node_row
 from .roots import build_root_system
 from .suites import SUITE_NAMES, run_suite
-from .typea import oracle_report
 
 __all__ = ["main"]
 
@@ -160,6 +159,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # only this command needs the type-A oracle, so only it imports the module
+    from .typea import oracle_report
+
     q_list = tuple(int(p) for p in args.q.split(","))
     reports = oracle_report(args.n, args.ideal_id, q_list)
     print(json.dumps(reports, indent=2))

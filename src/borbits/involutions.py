@@ -131,27 +131,35 @@ class Involution:
 
 def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> Involution:
     """The product of the reflections of an orthogonal set (the order does
-    not matter; the result is checked to square to the identity)."""
-    el = group.identity
-    for a in s.roots:
-        el = group.multiply(el, group.reflection(a))
-    if group.multiply(el, el) != group.identity:
-        raise AssertionError("reflection product is not an involution")
-    return Involution(el, s)
+    not matter; the result is checked to square to the identity).  The group
+    keeps each set's product, so it is built and checked once."""
+    inv = group._sigmas.get(s)
+    if inv is None:
+        el = group.identity
+        for a in s.roots:
+            el = group.multiply(el, group.reflection(a))
+        if group.multiply(el, el) != group.identity:
+            raise AssertionError("reflection product is not an involution")
+        inv = group._sigmas[s] = Involution(el, s)
+    return inv
 
 
 def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     """Rank of id - x on the affine root lattice (simple roots plus delta).
     The delta direction is fixed by every element, so only the simple-root
-    rows can contribute: x(alpha_j) = w(alpha_j) - drop * delta."""
-    rows = []
-    for j in range(group.rank):
-        image = group.act(x, group.simple_affine_root(j + 1))
-        g = image.finite.coeffs
-        row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
-        row.append(-image.level)
-        rows.append(row)
-    return _int_matrix_rank(rows)
+    rows can contribute: x(alpha_j) = w(alpha_j) - drop * delta.  The group
+    keeps each element's rank, so the elimination runs once per element."""
+    rank = group._ranks.get(x)
+    if rank is None:
+        rows = []
+        for j in range(group.rank):
+            image = group.act(x, group.simple_affine_root(j + 1))
+            g = image.finite.coeffs
+            row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
+            row.append(-image.level)
+            rows.append(row)
+        rank = group._ranks[x] = _int_matrix_rank(rows)
+    return rank
 
 
 def _int_matrix_rank(rows: list[list[int]]) -> int:
@@ -174,7 +182,8 @@ def _int_matrix_rank(rows: list[list[int]]) -> int:
 def involution_length(group: AffineWeylGroup, inv: Involution) -> int:
     """(coxeter length + rank of id - sigma) / 2; an integer because the two
     terms have equal parity.  When the support is known its size must agree
-    with the matrix rank, and that is asserted."""
+    with the matrix rank; both facts are asserted on every call, against the
+    rank the group keeps."""
     ell = group.length(inv.element)
     rk = rank_id_minus(group, inv.element)
     if inv.support is not None and rk != inv.support.size:

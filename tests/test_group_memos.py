@@ -1,0 +1,203 @@
+"""The group keeps three tables of deterministic results: the involution of
+each orthogonal set, the rank of id - x of each element and the reduced
+word of each element.
+
+Every stored value is compared here with a from-scratch computation kept in
+this file, the counts show that each value is computed once per group, and
+sabotage of a stored value is still caught by the checks that read it.
+Each test builds its own groups, so no corrupted table reaches another test.
+"""
+
+import gc
+import sys
+import weakref
+
+import pytest
+
+from borbits import involutions
+from borbits.affine import AffineRoot, AffineWeylGroup
+from borbits.involutions import (
+    Involution,
+    _int_matrix_rank,
+    descent_move,
+    involution_length,
+    make_admissible_pair,
+    make_orthogonal_set,
+    orthogonal_subsets,
+    pair_descents,
+    rank_id_minus,
+    reflection_product,
+    transform_set,
+    twisted_conjugate,
+)
+from borbits.roots import build_root_system
+from borbits.suites import run_suite
+
+SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+def _fresh_group(letter, rank):
+    return AffineWeylGroup(build_root_system(letter, rank))
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace a function in every borbits module that holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "borbits" or name.startswith("borbits."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+# -- from-scratch versions, kept as the oracles -------------------------------
+
+
+def _product_from_scratch(group, s):
+    el = group.identity
+    for a in s.roots:
+        el = group.multiply(el, group.reflection(a))
+    return el
+
+
+def _rank_from_scratch(group, x):
+    """Rank of id - x on the simple roots plus delta, from the rows of x."""
+    rows = []
+    for j in range(group.rank):
+        image = group.act(x, group.simple_affine_root(j + 1))
+        g = image.finite.coeffs
+        rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-image.level])
+    return _int_matrix_rank(rows)
+
+
+def _check_rank_and_word(group, x):
+    assert rank_id_minus(group, x) == _rank_from_scratch(group, x)
+    word = group.reduced_word(x)
+    assert group.evaluate_word(word) == x
+    assert len(word) == group.length(x)
+    assert group.reduced_word(x) is word
+
+
+@pytest.mark.parametrize("letter,rank", SYSTEMS)
+def test_stored_values_agree_with_scratch(letter, rank):
+    group = _fresh_group(letter, rank)
+    sets = conjugates = 0
+    for m in group.minuscule:
+        _check_rank_and_word(group, m.element)
+        for s in orthogonal_subsets(group.rs, m.inversions):
+            sigma = reflection_product(group, s)
+            assert sigma.element == _product_from_scratch(group, s)
+            assert sigma.support == s
+            assert reflection_product(group, s) is sigma
+            _check_rank_and_word(group, sigma.element)
+            assert rank_id_minus(group, sigma.element) == s.size
+            sets += 1
+            for i in group.simple_indices:
+                conj = twisted_conjugate(group, i, sigma)
+                assert conj.support is None
+                _check_rank_and_word(group, conj.element)
+                conjugates += 1
+    assert sets > 0 and conjugates > 0
+
+
+def test_suites_compute_each_value_once(monkeypatch):
+    """On a fresh B3 group, the involutions and poset suites run the
+    elimination once per distinct element and build the product once per
+    distinct set."""
+    ranked: set = set()
+    multiplied: set = set()
+    eliminations = products = 0
+
+    def counted_rank_id_minus(group, x):
+        ranked.add(x)
+        return rank_id_minus(group, x)
+
+    def counted_reflection_product(group, s):
+        multiplied.add(s)
+        return reflection_product(group, s)
+
+    def counted_matrix_rank(rows):
+        nonlocal eliminations
+        eliminations += 1
+        return _int_matrix_rank(rows)
+
+    def counted_involution(element, support=None):
+        nonlocal products
+        if support is not None:
+            products += 1
+        return Involution(element, support)
+
+    _rebind(monkeypatch, rank_id_minus, counted_rank_id_minus)
+    _rebind(monkeypatch, reflection_product, counted_reflection_product)
+    monkeypatch.setattr(involutions, "_int_matrix_rank", counted_matrix_rank)
+    monkeypatch.setattr(involutions, "Involution", counted_involution)
+    group = _fresh_group("B", 3)
+    for name in ("involutions", "poset"):
+        assert all(r.ok for r in run_suite(group, name))
+    assert ranked and multiplied
+    assert eliminations == len(ranked)
+    assert products == len(multiplied)
+
+
+def test_tables_die_with_their_group():
+    group = _fresh_group("B", 2)
+    top = group.minuscule[-1]
+    s = orthogonal_subsets(group.rs, top.inversions)[-1]
+    sigma = reflection_product(group, s)
+    assert involution_length(group, sigma) > 0
+    assert group.reduced_word(sigma.element)
+    assert group._sigmas and group._ranks and group._words
+    refs = [weakref.ref(group), weakref.ref(sigma)]
+    del group, top, s, sigma
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+# -- the checks still fire --------------------------------------------------------
+
+
+def _supported_sigma(group, size):
+    """A stored involution whose support has the given size."""
+    for m in group.minuscule:
+        for s in orthogonal_subsets(group.rs, m.inversions):
+            if s.size == size:
+                return reflection_product(group, s)
+    raise LookupError(size)
+
+
+def test_a_wrong_support_size_is_caught_after_the_rank_is_stored():
+    group = _fresh_group("A", 3)
+    sigma = _supported_sigma(group, 2)
+    assert involution_length(group, sigma) > 0
+    assert sigma.element in group._ranks
+    other = _supported_sigma(group, 1).support
+    with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
+        involution_length(group, Involution(sigma.element, other))
+
+
+def test_a_corrupted_sigma_is_caught_by_the_move():
+    """The move's new involution comes from the table; when it is corrupted,
+    the twisted-conjugation check refuses the move."""
+    rs = build_root_system("A", 3)
+    clean = AffineWeylGroup(rs)
+    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    pair = make_admissible_pair(clean, clean.minuscule[0], theta, clean.minuscule[1])
+    i = next(i for i, cls in pair_descents(clean, pair).items() if cls.kind != "none")
+    moved = descent_move(clean, pair, i)
+    key = transform_set(clean, moved.v.element, moved.s)
+
+    group = AffineWeylGroup(rs)
+    pair = make_admissible_pair(group, group.minuscule[0], theta, group.minuscule[1])
+    assert key != transform_set(group, pair.v.element, pair.s)
+    group._sigmas[key] = Involution(pair.sigma.element, key)
+    with pytest.raises(AssertionError, match="descent move does not match twisted conjugation"):
+        descent_move(group, pair, i)
+
+
+def test_a_corrupted_rank_is_caught_by_involution_length():
+    group = _fresh_group("A", 3)
+    sigma = _supported_sigma(group, 2)
+    group._ranks[sigma.element] = 3
+    with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
+        involution_length(group, sigma)
+    with pytest.raises(AssertionError, match="different parity"):
+        involution_length(group, Involution(sigma.element))

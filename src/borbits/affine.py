@@ -200,8 +200,8 @@ class AffineWeylGroup:
     * the reflection cache;
     * three tables of deterministic results, each computed and checked
       once: the involution of each orthogonal set (``reflection_product``),
-      the rank of id - x of each element (``rank_id_minus``) and the reduced
-      word of each element;
+      the rank of id - x of each element with its length (``rank_id_minus``)
+      and the reduced word of each element;
     * the Bruhat tables, all indexed by element id: the lengths, the
       left-descent masks, the left products s_i x and the comparison answers;
     * ``minuscule``, the minuscule elements in canonical order (position k
@@ -245,10 +245,10 @@ class AffineWeylGroup:
         )
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
-        # sigma by orthogonal set, rank(id - x) and reduced word by element; the
-        # first two are filled by the involutions module.
+        # sigma by orthogonal set, (rank(id - x), length) and reduced word by
+        # element; the first two are filled by the involutions module.
         self._sigmas: dict[OrthogonalSet, Involution] = {}
-        self._ranks: dict[AffineWeylElement, int] = {}
+        self._ranks: dict[AffineWeylElement, tuple[int, int]] = {}
         self._words: dict[AffineWeylElement, ReducedWord] = {}
         # The Bruhat order runs on small element ids from _ids, so its tables
         # hold each distinct element once.  Per id: the element, its length and

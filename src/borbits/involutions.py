@@ -148,9 +148,9 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     """Rank of id - x on the affine root lattice (simple roots plus delta).
     The delta direction is fixed by every element, so only the simple-root
     rows can contribute: x(alpha_j) = w(alpha_j) - drop * delta.  The group
-    keeps each element's rank, so the elimination runs once per element."""
-    rank = group._ranks.get(x)
-    if rank is None:
+    keeps (rank, length) by element, so the elimination runs once per element."""
+    entry = group._ranks.get(x)
+    if entry is None:
         rows = []
         for j in range(group.rank):
             image = group.act(x, group.simple_affine_root(j + 1))
@@ -158,8 +158,8 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
             row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
             row.append(-image.level)
             rows.append(row)
-        rank = group._ranks[x] = _int_matrix_rank(rows)
-    return rank
+        entry = group._ranks[x] = (_int_matrix_rank(rows), group.length(x))
+    return entry[0]
 
 
 def _int_matrix_rank(rows: list[list[int]]) -> int:
@@ -183,9 +183,9 @@ def involution_length(group: AffineWeylGroup, inv: Involution) -> int:
     """(coxeter length + rank of id - sigma) / 2; an integer because the two
     terms have equal parity.  When the support is known its size must agree
     with the matrix rank; both facts are asserted on every call, against the
-    rank the group keeps."""
-    ell = group.length(inv.element)
+    rank and length the group keeps."""
     rk = rank_id_minus(group, inv.element)
+    ell = group._ranks[inv.element][1]
     if inv.support is not None and rk != inv.support.size:
         raise AssertionError("rank of id - sigma differs from the support size")
     if (ell + rk) % 2:

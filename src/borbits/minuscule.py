@@ -11,7 +11,9 @@ Both sides of the bijection are enumerated independently here: ideals by a
 depth-first walk over upward-closed subsets with sum-freeness pruning, and
 minuscule elements by a breadth-first walk over the weak order in which each
 step adds exactly one inversion.  The test suite checks that the two
-enumerations agree, which is the point of keeping them separate.
+enumerations agree, which is the point of keeping them separate.  Every
+ideal built here is validated against the root system's `ideal_masks`; the
+ideal walk keeps its own dominance-upper lists, so it stays an oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ class AbelianIdeal:
         return len(self.roots)
 
     def root_set(self) -> frozenset[Root]:
+        return self._root_set
+
+    @cached_property
+    def _root_set(self) -> frozenset[Root]:
+        # built on first use; equality and hashing stay on `roots`
         return frozenset(self.roots)
 
     def to_json_dict(self) -> dict:
@@ -61,20 +68,23 @@ class AbelianIdeal:
 
 
 def make_abelian_ideal(rs: RootSystem, roots) -> AbelianIdeal:
-    """Validate and canonically order an abelian ideal."""
+    """Validate and canonically order an abelian ideal, read as a bitmask over
+    the positive-root indices against `rs.ideal_masks`: no member may have a
+    dominance-upper outside the set or a sum partner inside it."""
     rset = set(roots)
+    members = []
     for r in rset:
-        if not r.is_positive or not rs.is_root(r.coeffs):
+        i = rs._pos_index.get(r)
+        if i is None:
             raise ValueError(f"{r} is not a positive root")
-    for r in rset:
-        for q in rs.positive_roots:
-            if rs.dominance_leq(r, q) and q not in rset:
-                raise ValueError("ideal is not upward closed")
-    for a in rset:
-        for b in rset:
-            if rs.is_root((a + b).coeffs):
-                raise ValueError("ideal is not sum-free")
-    return AbelianIdeal(tuple(sorted(rset, key=lambda r: r.sort_key)))
+        members.append(i)
+    mask = sum(1 << i for i in members)
+    above, partners = rs.ideal_masks
+    if any(above[i] & ~mask for i in members):
+        raise ValueError("ideal is not upward closed")
+    if any(partners[i] & mask for i in members):
+        raise ValueError("ideal is not sum-free")
+    return AbelianIdeal(tuple(rs.positive_roots[i] for i in sorted(members)))
 
 
 def ideal_from_json_dict(rs: RootSystem, data: dict) -> AbelianIdeal:

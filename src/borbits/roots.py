@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import re
 
 __all__ = [
@@ -353,6 +354,17 @@ class RootSystem:
     def dominance_leq(self, a: Root, b: Root) -> bool:
         """a <= b iff b - a has nonnegative simple-root coefficients."""
         return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
+
+    @cached_property
+    def ideal_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(above, partners), bitmasks over the positive-root indices: bit j
+        of above[i] is set iff r_i <= r_j in dominance order (r_i included),
+        and bit j of partners[i] iff r_i + r_j is a root.  Built on first use,
+        so constructing the system does not pay for it."""
+        pos = self.positive_roots
+        above = tuple(sum(1 << j for j, q in enumerate(pos) if self.dominance_leq(r, q)) for r in pos)
+        partners = tuple(sum(1 << j for j, q in enumerate(pos) if self.is_root((r + q).coeffs)) for r in pos)
+        return above, partners
 
     # -- text and epsilon coordinates ------------------------------------
 

@@ -1,6 +1,6 @@
 """The group keeps three tables of deterministic results: the involution of
-each orthogonal set, the rank of id - x of each element and the reduced
-word of each element.
+each orthogonal set, the rank of id - x of each element with its length,
+and the reduced word of each element.
 
 Every stored value is compared here with a from-scratch computation kept in
 this file, the counts show that each value is computed once per group, and
@@ -71,6 +71,7 @@ def _rank_from_scratch(group, x):
 
 def _check_rank_and_word(group, x):
     assert rank_id_minus(group, x) == _rank_from_scratch(group, x)
+    assert group._ranks[x] == (_rank_from_scratch(group, x), group.length(x))
     word = group.reduced_word(x)
     assert group.evaluate_word(word) == x
     assert len(word) == group.length(x)
@@ -196,8 +197,31 @@ def test_a_corrupted_sigma_is_caught_by_the_move():
 def test_a_corrupted_rank_is_caught_by_involution_length():
     group = _fresh_group("A", 3)
     sigma = _supported_sigma(group, 2)
-    group._ranks[sigma.element] = 3
+    group._ranks[sigma.element] = (3, group.length(sigma.element))
     with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
         involution_length(group, sigma)
     with pytest.raises(AssertionError, match="different parity"):
         involution_length(group, Involution(sigma.element))
+
+
+def test_a_corrupted_length_is_caught_by_involution_length():
+    group = _fresh_group("A", 3)
+    sigma = _supported_sigma(group, 2)
+    ell = group.length(sigma.element)
+    assert involution_length(group, sigma) == (ell + 2) // 2
+    group._ranks[sigma.element] = (2, ell + 1)
+    with pytest.raises(AssertionError, match="different parity"):
+        involution_length(group, sigma)
+
+
+def test_involution_length_counts_each_length_once(monkeypatch):
+    """The length is stored next to the rank, so repeated calls read it."""
+    group = _fresh_group("B", 3)
+    sigma = _supported_sigma(group, 2)
+    counted = []
+    length = group.length
+    monkeypatch.setattr(group, "length", lambda x: counted.append(x) or length(x))
+    values = {involution_length(group, sigma) for _ in range(5)}
+    assert values == {(length(sigma.element) + 2) // 2}
+    assert counted == [sigma.element]
+    assert group._ranks[sigma.element] == (2, length(sigma.element))

@@ -27,10 +27,12 @@ derived views.  Bruhat comparisons come from the standard lifting recursion,
 run on small per-group element ids: each id stores its element, length and
 left-descent bitmask, and each left product s_i x is multiplied out once
 and kept as an id.  Lengths and comparisons have independent brute-force
-counterparts used as oracles by the test suite: ``count_inversions``, which
-scans a window of levels acting root by root and is the only such scan, and
-subword search.  The alcove containment test runs on exact rational vertex
-coordinates; there are no tolerances anywhere.
+counterparts used as oracles by the test suite: a scan over a window of
+levels acting root by root, which lives in the tests, and subword search.
+Reduced words of minuscule elements come from the minuscule walk, which
+stores them here; the others are stripped on demand.  The alcove
+containment test runs on exact rational vertex coordinates; there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -463,7 +465,8 @@ class AffineWeylGroup:
     def reduced_word(self, x: AffineWeylElement) -> ReducedWord:
         """Greedy left-descent stripping, always taking the smallest index;
         the letters evaluate left to right back to x.  Each element's word is
-        stripped and checked once and kept by the group."""
+        stripped and checked once and kept by the group; the minuscule walk
+        stores the same words for the minuscule elements as it reaches them."""
         word = self._words.get(x)
         if word is not None:
             return word
@@ -483,25 +486,12 @@ class AffineWeylGroup:
         word = self._words[x] = tuple(letters)
         return word
 
-    def count_inversions(self, x: AffineWeylElement) -> int:
-        """|{a < 0 : x(a) > 0}| by brute force: act on every root of every
-        level in the window -(M+1)..0, M = max|<gamma, lambda>|, which
-        provably holds them all.  The test suite's oracle for `length` and
-        `inversions_from_negative`; nothing in the package calls it."""
-        bound = max(map(abs, self._tables(x)[1])) + 1
-        return sum(
-            1
-            for gamma in self.rs.roots
-            for n in range(-bound, 0 if gamma.is_positive else 1)
-            if self.act(x, AffineRoot(gamma, n)).is_positive
-        )
-
     def inversions_from_negative(self, x: AffineWeylElement) -> list[AffineRoot]:
         """{a < 0 : x(a) > 0}, in root order and then by level.  x sends
         gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so for
         each g the levels form the interval
-        shift[g] + [perm[g] < 0] <= n < [g < 0].  The window scan of
-        `count_inversions` is the oracle the tests compare it with."""
+        shift[g] + [perm[g] < 0] <= n < [g < 0].  The tests compare it with
+        a brute-force scan over a window of levels."""
         perm, shift = self._tables(x)
         negative = self._negative
         roots = self._roots

@@ -7,11 +7,13 @@ import argparse
 import json
 import sys
 
+from . import SUITE_NAMES
 from .affine import AffineRoot, AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import normalizer_simple_roots, weak_order_leq
-from .orbits import build_orbit_poset, export_poset, node_row
 from .roots import build_root_system
-from .suites import SUITE_NAMES, run_suite
+
+# orbits, suites and typea are imported inside the commands that run them,
+# so `ideals` neither compiles nor loads them.
 
 __all__ = ["main"]
 
@@ -119,6 +121,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from .orbits import build_orbit_poset, node_row
+
     rs, group = _resolve_context(args)
     w = _resolve_minuscule(group, args.ideal_id)
     v = _resolve_v(group, args.v, w)
@@ -135,6 +139,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    from .orbits import build_orbit_poset, export_poset
+
     rs, group = _resolve_context(args)
     w = _resolve_minuscule(group, args.ideal_id)
     v = _resolve_v(group, args.v, w)
@@ -143,6 +149,8 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_suite
+
     rs, group = _resolve_context(args)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     failed = False
@@ -159,7 +167,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # only this command needs the type-A oracle, so only it imports the module
     from .typea import oracle_report
 
     q_list = tuple(int(p) for p in args.q.split(","))

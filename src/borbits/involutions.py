@@ -244,7 +244,11 @@ def make_admissible_pair(
 
 
 def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet) -> OrthogonalSet:
-    return make_orthogonal_set(group.rs, (group.act(x, a) for a in s.roots))
+    """x(S), canonically ordered.  x preserves the pairing and is injective,
+    so the images are distinct and pairwise orthogonal and are not checked
+    again; `make_orthogonal_set` is for outside input."""
+    images = sorted((group.act(x, a) for a in s.roots), key=lambda a: a.sort_key)
+    return OrthogonalSet(tuple(images))
 
 
 def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> Involution:

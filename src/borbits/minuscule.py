@@ -198,19 +198,30 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
     """Breadth-first walk over the weak order along `up_steps`.  Each cover
     adds exactly one inversion, so everything reached is minuscule, and every
     minuscule element is reached because removing a minimal inversion is
-    again minuscule."""
+    again minuscule.
+
+    The walk also stores each element's reduced word in the group.  Every
+    left descent i of a minuscule x leads to the minuscule s_i x one level
+    down, whose `up_steps` yield i, so the smallest i over the edges into x
+    is its lowest left descent, and (i,) + word(s_i x) is the greedy word
+    of `AffineWeylGroup.reduced_word`."""
     rs = group.rs
-    seen = {group.identity}
+    words = group._words
+    words[group.identity] = ()
+    seen = [group.identity]
     frontier = [group.identity]
     while frontier:
-        new = []
+        # each element of the next level, with the word along its lowest edge
+        new: dict[AffineWeylElement, tuple[int, ...]] = {}
         for w in frontier:
             for i, _ in up_steps(group, w):
                 nxt = group.multiply(group.simple_reflection(i), w)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
+                word = new.get(nxt)
+                if word is None or i < word[0]:
+                    new[nxt] = (i,) + words[w]
+        words.update(new)
+        frontier = list(new)
+        seen += frontier
     out = [minuscule_from_element(group, x) for x in seen]
     out.sort(
         key=lambda m: (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from . import SUITE_NAMES
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import (
     Involution,
@@ -44,8 +45,6 @@ from .orbits import (
 )
 
 __all__ = ["SUITE_NAMES", "run_suite"]
-
-SUITE_NAMES = ("minuscule", "involutions", "poset", "strong-form", "phi")
 
 
 def run_suite(group: AffineWeylGroup, name: str) -> list[Report]:

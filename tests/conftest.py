@@ -1,6 +1,6 @@
 import pytest
 
-from borbits.affine import AffineWeylGroup
+from borbits.affine import AffineRoot, AffineWeylGroup
 from borbits.roots import build_root_system
 
 _CACHE: dict = {}
@@ -24,3 +24,17 @@ def get_system(letter: str, rank: int):
 @pytest.fixture
 def system():
     return get_system
+
+
+def count_inversions(group, x) -> int:
+    """|{a < 0 : x(a) > 0}| by brute force: act on every root of every level
+    in the window -(M+1)..0, M = max|<gamma, lambda>|, which provably holds
+    them all.  The oracle for `length` and `inversions_from_negative`."""
+    roots = group.rs.roots
+    bound = 1 + max(abs(group.act(x, AffineRoot(g, 0)).level) for g in roots)
+    return sum(
+        1
+        for gamma in roots
+        for n in range(-bound, 0 if gamma.is_positive else 1)
+        if group.act(x, AffineRoot(gamma, n)).is_positive
+    )

@@ -19,7 +19,7 @@ import pytest
 from borbits.affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from borbits.roots import Root, build_root_system
 
-from conftest import get_system
+from conftest import count_inversions, get_system
 
 
 # -- the matrix oracle ---------------------------------------------------------
@@ -147,7 +147,7 @@ def agreement_violations(group, seed, elements=8, max_len=12):
             if group.descents(x, side) != matrix_descents(group, x, side):
                 bad.append(f"x{k}: {side} descents")
         ell = group.length(x)
-        if ell != matrix_length(rs, x) or ell != group.count_inversions(x):
+        if ell != matrix_length(rs, x) or ell != count_inversions(group, x):
             bad.append(f"x{k}: length")
         y = xs[(k + 1) % len(xs)]
         xy = group.multiply(x, y)

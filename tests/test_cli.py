@@ -122,7 +122,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     def broken(group, name):
         return [Report(name, 1, ("planted violation",))]
 
-    monkeypatch.setattr("borbits.cli.run_suite", broken)
+    monkeypatch.setattr("borbits.suites.run_suite", broken)
     code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "1", "--suite", "minuscule")
     assert code == 1
     assert "SUITE minuscule: FAIL (1 checks)" in out

@@ -4,8 +4,8 @@
 worked out from the element's ``perm`` and ``shift`` tables, and
 ``pull_back`` reads x^{-1}(a_i) from the same tables.  The sweeps below
 compare them with the brute-force routes they replaced: the level-window
-scan kept in ``count_inversions``, and acting with ``inverse(x)``.  The
-elements are random words, most of them not minuscule.  A sabotage test
+scan ``count_inversions`` in ``conftest``, and acting with ``inverse(x)``.
+The elements are random words, most of them not minuscule.  A sabotage test
 corrupts the sign table the interval reads and checks that the sweep
 notices; a count test checks that the hot paths no longer invert.
 """
@@ -20,7 +20,7 @@ from borbits.minuscule import weak_order_leq
 from borbits.orbits import verify_branch_recursion
 from borbits.roots import build_root_system
 
-from conftest import get_system
+from conftest import count_inversions, get_system
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("E", 6)]
 
@@ -42,8 +42,8 @@ def inversion_violations(group, xs):
     bad = []
     for k, x in enumerate(xs):
         listed = group.inversions_from_negative(x)
-        if len(listed) != group.count_inversions(x):
-            bad.append(f"x{k}: {len(listed)} listed, {group.count_inversions(x)} scanned")
+        if len(listed) != count_inversions(group, x):
+            bad.append(f"x{k}: {len(listed)} listed, {count_inversions(group, x)} scanned")
         if len(set(listed)) != len(listed):
             bad.append(f"x{k}: repeated roots")
         for a in listed:

@@ -4,8 +4,11 @@ and the reduced word of each element.
 
 Every stored value is compared here with a from-scratch computation kept in
 this file, the counts show that each value is computed once per group, and
-sabotage of a stored value is still caught by the checks that read it.
-Each test builds its own groups, so no corrupted table reaches another test.
+sabotage of a stored value is still caught by the checks that read it.  The
+words of minuscule elements, which the minuscule walk stores, are compared
+with greedy stripping, and the unchecked `transform_set` with the checked
+`make_orthogonal_set`.  Each test builds its own groups, so no corrupted
+table reaches another test.
 """
 
 import gc
@@ -137,6 +140,54 @@ def test_suites_compute_each_value_once(monkeypatch):
     assert ranked and multiplied
     assert eliminations == len(ranked)
     assert products == len(multiplied)
+
+
+def _greedy_strip(group, x):
+    """The smallest left descent, stripped off until the identity is left."""
+    letters = []
+    while True:
+        left = group.descents(x, "left")
+        if not left:
+            return tuple(letters)
+        i = min(left)
+        letters.append(i)
+        x = group.multiply(group.simple_reflection(i), x)
+
+
+@pytest.mark.parametrize("letter,rank", SYSTEMS + [("F", 4), ("E", 6)])
+def test_walk_stores_the_greedy_words(letter, rank):
+    """The minuscule walk fills the word table; each stored word is the one
+    stripping gives, on this group and on a group that never walked."""
+    group = _fresh_group(letter, rank)
+    stripper = _fresh_group(letter, rank)
+    for m in group.minuscule:
+        word = group._words[m.element]
+        assert word == _greedy_strip(group, m.element)
+        assert word == stripper.reduced_word(m.element)
+        assert group.evaluate_word(word) == m.element
+        assert len(word) == m.length
+        assert group.reduced_word(m.element) is word
+
+
+@pytest.mark.parametrize("letter,rank", SYSTEMS)
+def test_transform_set_agrees_with_make_orthogonal_set(monkeypatch, letter, rank):
+    """Every (x, S) the poset and phi suites move gives the set that the
+    checked constructor builds from the same images.  The poset suite's
+    images come out in canonical order; phi's w_P reorders some of them."""
+    moved = []
+
+    def recorded_transform(group, x, s):
+        out = transform_set(group, x, s)
+        moved.append((x, s, out))
+        return out
+
+    _rebind(monkeypatch, transform_set, recorded_transform)
+    group = _fresh_group(letter, rank)
+    for name in ("poset", "phi"):
+        assert all(r.ok for r in run_suite(group, name))
+    assert moved
+    for x, s, out in moved:
+        assert out == make_orthogonal_set(group.rs, [group.act(x, a) for a in s.roots])
 
 
 def test_tables_die_with_their_group():

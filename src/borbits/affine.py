@@ -23,16 +23,17 @@ The inversion set is read off the same way: the negative roots
 x^{-1}(a_i) of a simple root is read from the tables without inverting x.
 The value of an element is still the pair (images of the simple roots,
 ``lambda``): equality, hashing and JSON see only that pair, and words are
-derived views.  Bruhat comparisons come from the standard lifting recursion,
-run on small per-group element ids: each id stores its element, length and
-left-descent bitmask, and each left product s_i x is multiplied out once
-and kept as an id.  Lengths and comparisons have independent brute-force
-counterparts used as oracles by the test suite: a scan over a window of
-levels acting root by root, which lives in the tests, and subword search.
-Reduced words of minuscule elements come from the minuscule walk, which
-stores them here; the others are stripped on demand.  The alcove
-containment test runs on exact rational vertex coordinates; there are no
-tolerances anywhere.
+derived views.  Left descents and left products s_i x act on one more
+table, ``d[g] = 2*shift'[g] + [perm'[g] < 0]`` on the tables of x^{-1}:
+greedy descent stripping gives each element's reduced word, and a Bruhat
+comparison u <= w is one pass down w's greedy word, the lifting recursion
+without its branches, carrying only that table of u.  Lengths and
+comparisons have independent brute-force counterparts used as oracles by
+the test suite: a scan over a window of levels acting root by root, which
+lives in the tests, and subword search.  Reduced words of minuscule
+elements come from the minuscule walk, which stores them here; the others
+are stripped on demand.  The alcove containment test runs on exact
+rational vertex coordinates; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, mul, neg
 import re
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .roots import Root, RootSystem
 
@@ -204,8 +205,8 @@ class AffineWeylGroup:
       once: the involution of each orthogonal set (``reflection_product``),
       the rank of id - x of each element with its length (``rank_id_minus``)
       and the reduced word of each element;
-    * the Bruhat tables, all indexed by element id: the lengths, the
-      left-descent masks, the left products s_i x and the comparison answers;
+    * the answers of the Bruhat comparisons asked for, keyed on the pair of
+      elements; the walk behind them keeps nothing else;
     * ``minuscule``, the minuscule elements in canonical order (position k
       is ideal id k), enumerated on first use, and ``minuscule_ids``, the
       map from each of their elements to its ideal id;
@@ -246,21 +247,24 @@ class AffineWeylGroup:
             (0,) * n,
         )
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
+        # For the tables of _left_table: per simple index, (root index, twice
+        # the level) of a_i, and the step from the table of x to that of s_i x,
+        # which permutes by s_i and adds twice its level drops (s_0 only).
+        self._descent_at = tuple((g, 2 * level) for g, level in self._simple_at)
+
+        def left_step(s: AffineWeylElement):
+            take = itemgetter(*s._perm)
+            drops = tuple(2 * q for q in s._shift)
+            return (lambda d: tuple(map(add, take(d), drops))) if any(drops) else take
+
+        self._left_steps = tuple(map(left_step, self._simple))
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
         # sigma by orthogonal set, (rank(id - x), length) and reduced word by
         # element; the first two are filled by the involutions module.
         self._sigmas: dict[OrthogonalSet, Involution] = {}
         self._ranks: dict[AffineWeylElement, tuple[int, int]] = {}
         self._words: dict[AffineWeylElement, ReducedWord] = {}
-        # The Bruhat order runs on small element ids from _ids, so its tables
-        # hold each distinct element once.  Per id: the element, its length and
-        # its left-descent bitmask; _left maps (id of x, i) to the id of s_i x.
-        self._ids: dict[AffineWeylElement, int] = {}
-        self._elements: list[AffineWeylElement] = []
-        self._lengths: list[int] = []
-        self._left_descents: list[int] = []
-        self._left: dict[tuple[int, int], int] = {}
-        self._bruhat: dict[tuple[int, int], bool] = {}
+        self._bruhat: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
 
     # -- root tables ---------------------------------------------------------
 
@@ -329,23 +333,25 @@ class AffineWeylGroup:
                         out[j] += m * c
         return out
 
-    def _pull_back(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> tuple[int, int]:
-        """(j, m) with x^{-1}(a_i) = gamma_j + m*delta.  x maps gamma_j + n*delta
-        to gamma_{perm[j]} + (n - shift[j])*delta, so perm[j] is the root of
-        a_i and m = level_i + shift[j]."""
-        g, level = self._simple_at[i]
-        j = perm.index(g)
-        return j, level + shift[j]
+    def _left_table(self, x: AffineWeylElement) -> list[int]:
+        """d[g] = 2*shift'[g] + [perm'[g] < 0] on the tables (perm', shift')
+        of x^{-1}, which sends gamma_{perm[j]} to gamma_j with level drop
+        -shift[j].  So x^{-1}(a_i) < 0 iff 2*level_i < d[g_i], with
+        a_i = gamma_{g_i} + level_i*delta.  As (s_i x)^{-1} = x^{-1} s_i, the
+        table of s_i x is d permuted by s_i's permutation plus twice s_i's
+        level drops.  Only the identity has d[g] = [gamma_g < 0] everywhere:
+        its finite part keeps every root's sign, and its translation pairs
+        to zero with every root."""
+        perm, shift = self._tables(x)
+        negative = self._negative
+        d = [0] * len(perm)
+        for j, g in enumerate(perm):
+            d[g] = negative[j] - 2 * shift[j]
+        return d
 
-    def _is_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...], i: int) -> bool:
-        """Whether x^{-1}(a_i) < 0."""
-        j, m = self._pull_back(perm, shift, i)
-        return m < 0 or (m == 0 and self._negative[j] == 1)
-
-    def _first_left_descent(self, perm: tuple[int, ...], shift: tuple[int, ...]) -> int | None:
-        return next(
-            (i for i in self.simple_indices if self._is_left_descent(perm, shift, i)), None
-        )
+    def _table_descents(self, d) -> Iterator[int]:
+        """The left descents of the element with left table d, lowest first."""
+        return (i for i, (g, two_level) in enumerate(self._descent_at) if d[g] > two_level)
 
     # -- basic elements ----------------------------------------------------
 
@@ -390,9 +396,13 @@ class AffineWeylGroup:
         return AffineRoot(self._roots[perm[i]], a.level - shift[i])
 
     def pull_back(self, x: AffineWeylElement, i: int) -> AffineRoot:
-        """x^{-1}(a_i), read off the root tables of x."""
-        j, m = self._pull_back(*self._tables(x), i)
-        return AffineRoot(self._roots[j], m)
+        """x^{-1}(a_i), read off the root tables of x without inverting it.
+        x maps gamma_j + n*delta to gamma_{perm[j]} + (n - shift[j])*delta, so
+        perm[j] is the root of a_i and the level is level_i + shift[j]."""
+        perm, shift = self._tables(x)
+        g, level = self._simple_at[i]
+        j = perm.index(g)
+        return AffineRoot(self._roots[j], level + shift[j])
 
     def negated_roots(self, x: AffineWeylElement) -> list[AffineRoot]:
         """The real roots a with x(a) = -a, in root order.  x sends
@@ -441,11 +451,11 @@ class AffineWeylGroup:
     def descents(self, x: AffineWeylElement, side: str = "right") -> frozenset[int]:
         """Simple indices i with x(a_i) negative (right) or x^{-1}(a_i)
         negative (left)."""
-        perm, shift = self._tables(x)
         if side == "left":
-            return frozenset(i for i in self.simple_indices if self._is_left_descent(perm, shift, i))
+            return frozenset(self._table_descents(self._left_table(x)))
         if side != "right":
             raise ValueError("side must be 'left' or 'right'")
+        perm, shift = self._tables(x)
         negative = self._negative
         return frozenset(
             i
@@ -462,29 +472,33 @@ class AffineWeylGroup:
         negative = self._negative
         return sum([abs(d + negative[q]) for d, q in zip(shift[p:], perm[p:])])
 
-    def reduced_word(self, x: AffineWeylElement) -> ReducedWord:
-        """Greedy left-descent stripping, always taking the smallest index;
-        the letters evaluate left to right back to x.  Each element's word is
-        stripped and checked once and kept by the group; the minuscule walk
-        stores the same words for the minuscule elements as it reaches them."""
+    def _word(self, x: AffineWeylElement) -> ReducedWord:
+        """Greedy left-descent stripping on the left table, always taking the
+        smallest index; the letters evaluate left to right back to x.  Each
+        element's word is stripped and checked once and kept by the group;
+        the minuscule walk stores the same words for the minuscule elements
+        as it reaches them."""
         word = self._words.get(x)
         if word is not None:
             return word
         letters: list[int] = []
-        perm, shift = self._tables(x)
-        while True:
-            i = self._first_left_descent(perm, shift)
+        d = self._left_table(x)
+        steps = self._left_steps
+        # a correct strip takes exactly l(x) steps, so a broken one stops too
+        for _ in range(self.length(x)):
+            i = next(self._table_descents(d), None)
             if i is None:
                 break
             letters.append(i)
-            # s_i * cur, composed on the tables alone
-            sp, ss = self._tables(self._simple[i])
-            take = itemgetter(*perm)
-            perm, shift = take(sp), tuple(map(add, shift, take(ss)))
-        if perm != self.identity._perm or any(shift):
+            d = steps[i](d)
+        if tuple(d) != self._negative:
             raise AssertionError("descent stripping did not reach the identity")
         word = self._words[x] = tuple(letters)
         return word
+
+    # the group's own callers use _word, so replacing reduced_word on an
+    # instance or wrapping it on the class reaches only outside callers
+    reduced_word = _word
 
     def inversions_from_negative(self, x: AffineWeylElement) -> list[AffineRoot]:
         """{a < 0 : x(a) > 0}, in root order and then by level.  x sends
@@ -503,60 +517,39 @@ class AffineWeylGroup:
 
     # -- Bruhat order ---------------------------------------------------------
 
-    def _id(self, x: AffineWeylElement) -> int:
-        ids = self._ids
-        n = ids.get(x)
-        if n is None:
-            n = ids[x] = len(ids)
-            self._elements.append(x)
-            self._lengths.append(self.length(x))
-            self._left_descents.append(sum(1 << i for i in self.descents(x, "left")))
-        return n
-
-    def _left_id(self, n: int, i: int) -> int:
-        """The id of s_i x, x the element of id n, multiplied out once."""
-        key = (n, i)
-        m = self._left.get(key)
-        if m is None:
-            m = self._left[key] = self._id(self.multiply(self._simple[i], self._elements[n]))
-        return m
-
     def bruhat_leq(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
-        """Lifting recursion: for a left descent i of w,
-        u <= w iff min(u, s_i u) <= s_i w.  It runs on element ids, taking
-        the lowest left descent of w."""
+        """The lifting recursion: for a left descent i of w,
+        u <= w iff min(u, s_i u) <= s_i w.  Taking the lowest left descent
+        every time, it never branches and runs down w's greedy word, so it
+        is one pass over that word carrying u's left table: u steps to s_i u
+        where i is a left descent of u.  The answer is True once u is the
+        identity and False once u is longer than what is left of the word.
+        u <= w also needs every letter of u's word in w's (the support)."""
         if u == self.identity:
             return True
-        bruhat = self._bruhat
-        key = (self._id(u), self._id(w))
-        cached = bruhat.get(key)
-        if cached is not None:
-            return cached
-        lengths = self._lengths
-        descents = self._left_descents
-        left = self._left_id
-        stack = [key]
-        while stack:
-            top = stack[-1]
-            if top in bruhat:
-                stack.pop()
-                continue
-            a, b = top
-            la, lb = lengths[a], lengths[b]
-            if la == 0 or la >= lb:
-                bruhat[top] = la == 0 or a == b
-                stack.pop()
-                continue
-            mask = descents[b]
-            i = (mask & -mask).bit_length() - 1
-            sub = (left(a, i) if descents[a] >> i & 1 else a, left(b, i))
-            answer = bruhat.get(sub)
-            if answer is not None:
-                bruhat[top] = answer
-                stack.pop()
-            else:
-                stack.append(sub)
-        return bruhat[key]
+        key = (u, w)
+        answer = self._bruhat.get(key)
+        if answer is not None:
+            return answer
+        word, u_word = self._word(w), self._word(u)
+        left, rest = len(u_word), len(word)
+        answer = False
+        if left <= rest and set(u_word) <= set(word):
+            d = self._left_table(u)
+            at, steps = self._descent_at, self._left_steps
+            for i in word:
+                rest -= 1
+                g, two_level = at[i]
+                if d[g] > two_level:
+                    left -= 1
+                    if not left:
+                        answer = True
+                        break
+                    d = steps[i](d)
+                if left > rest:
+                    break
+        self._bruhat[key] = answer
+        return answer
 
     def bruhat_lower_interval_oracle(self, w: AffineWeylElement) -> frozenset[AffineWeylElement]:
         """Everything below w for the Bruhat order, by brute force over the

@@ -148,8 +148,9 @@ class Root:
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
+        # kept on the instance; equality and hashing still see only coeffs
         return all(c >= 0 for c in self.coeffs) and any(self.coeffs)
 
     @property

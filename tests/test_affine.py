@@ -162,7 +162,9 @@ def test_bruhat_matches_subword_oracle(letter, rank, radius):
             assert W.bruhat_leq(u, w) == (u in below)
 
 
-@pytest.mark.parametrize("letter,rank", [("C", 3), ("D", 4)])
+@pytest.mark.parametrize(
+    "letter,rank", [("C", 3), ("D", 4), ("B", 3), ("G", 2), ("F", 4), ("E", 6)]
+)
 def test_bruhat_matches_oracle_on_random_longer_pairs(letter, rank):
     rs, W = get_system(letter, rank)
     rng = random.Random(17)

@@ -212,10 +212,10 @@ def test_bruhat_cache_is_keyed_on_element_ids():
     w = W.evaluate_word((0, 1, 2, 1, 0, 2))
     u = W.evaluate_word((1, 2, 0))
     assert W.bruhat_leq(u, w)
-    entries = len(W._bruhat)
-    # an equal element built separately maps to the same id and hits the cache
+    assert list(W._bruhat) == [(u, w)]
+    # an equal element built separately is the same key and hits the cache:
+    # flip the stored answer and the copy reads the flipped one
+    W._bruhat[u, w] = False
     copy = AffineWeylElement.from_json_dict(w.to_json_dict())
-    assert W.bruhat_leq(u, copy)
-    assert len(W._bruhat) == entries
-    assert sorted(W._ids.values()) == list(range(len(W._ids)))
-    assert all(isinstance(i, int) and isinstance(j, int) for i, j in W._bruhat)
+    assert not W.bruhat_leq(u, copy)
+    assert list(W._bruhat) == [(u, w)]

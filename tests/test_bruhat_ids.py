@@ -1,13 +1,14 @@
-"""The id-based Bruhat recursion against the subword oracle.
+"""The Bruhat walk down the greedy word against the subword oracle.
 
-``bruhat_leq`` runs the lifting recursion on per-group element ids, with
-lengths, left-descent masks and left products s_i x stored per id.  The
+``bruhat_leq`` walks w's stored greedy word once, carrying u's left table
+and stepping it with the group's per-generator ``_left_steps``.  The
 agreement sweep compares every entry of every orbit poset (v = identity) of
 A3, B3, C3 and G2 with ``bruhat_leq_oracle``, which searches the subwords of
 a reduced word and never reads those tables.  The sabotage tests corrupt one
-stored left product or one stored length and check that the sweep notices;
-the last test checks that each (element, generator) product is multiplied
-out at most once.
+stored word or one left step and check that the sweep notices, and that
+greedy stripping on a corrupted step stops with an error.  One more test
+checks that a comparison multiplies nothing out and keeps nothing but its
+answer.
 """
 
 import pytest
@@ -92,44 +93,37 @@ def _sabotaged_sweep(corrupt):
     return clean, oracle_mismatches(group, pairs, intervals)
 
 
-def test_sweep_detects_a_corrupted_left_product():
+def test_sweep_detects_a_corrupted_word():
     def corrupt(group):
-        # send one stored s_i x, x as long as possible, to another element of
-        # the same length: the recursion still terminates, on wrong data
-        lengths = group._lengths
-        same_length = {}
-        for k, ell in enumerate(lengths):
-            same_length.setdefault(ell, []).append(k)
-        (n, i), m = max(
-            ((key, m) for key, m in group._left.items() if len(same_length[lengths[m]]) > 1),
-            key=lambda item: lengths[item[0][0]],
-        )
-        group._left[n, i] = next(k for k in same_length[lengths[m]] if k != m)
+        # the longest compared element's word loses its last letter, so the
+        # walk runs down the word of another element
+        w = max(group._words, key=lambda x: len(group._words[x]))
+        group._words[w] = group._words[w][:-1]
 
     clean, sabotaged = _sabotaged_sweep(corrupt)
     assert clean == []
     assert sabotaged != []
 
 
-def test_sweep_detects_a_corrupted_length():
+def test_sweep_detects_a_corrupted_left_step():
     def corrupt(group):
-        # the longest element compared claims to be one shorter
-        n = max(range(len(group._lengths)), key=group._lengths.__getitem__)
-        group._lengths[n] -= 1
+        # s_1 steps the left table of u as s_2 would
+        steps = group._left_steps
+        group._left_steps = (steps[0], steps[2]) + steps[2:]
 
     clean, sabotaged = _sabotaged_sweep(corrupt)
     assert clean == []
     assert sabotaged != []
 
 
-def test_each_left_product_is_multiplied_once(monkeypatch):
+def test_comparisons_register_nothing(monkeypatch):
     """All pairs of one D4 orbit poset's involutions, compared on a fresh
-    group, call ``multiply`` at most once per (element, generator)."""
+    group, call ``multiply`` never, store one answer per distinct pair with
+    u not the identity, and keep words of the compared elements only."""
     group = _fresh_group("D", 4)
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
     els = [node.sigma.element for node in poset.nodes]
     fresh = _fresh_group("D", 4)
-    simple = {fresh.simple_reflection(i) for i in fresh.simple_indices}
     calls = []
     original = AffineWeylGroup.multiply
 
@@ -141,6 +135,18 @@ def test_each_left_product_is_multiplied_once(monkeypatch):
     for u in els:
         for x in els:
             fresh.bruhat_leq(u, x)
-    assert calls
-    assert all(x in simple for x, _ in calls)
-    assert len(calls) == len(set(calls))
+    assert calls == []
+    queried = {(u, x) for u in els for x in els if not u.is_identity}
+    assert len(queried) > len(els)
+    assert len(fresh._bruhat) == len(queried) and set(fresh._bruhat) == queried
+    assert set(fresh._words) <= set(els)
+
+
+def test_stripping_with_a_corrupted_left_step_stops_and_raises():
+    # s_0 steps the left table as s_1 would; the strip must not run on
+    group = _fresh_group("B", 3)
+    x = group.evaluate_word((0, 1, 2, 3, 0, 2))
+    steps = group._left_steps
+    group._left_steps = (steps[1],) + steps[1:]
+    with pytest.raises(AssertionError, match="did not reach the identity"):
+        group.reduced_word(x)

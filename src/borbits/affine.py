@@ -21,10 +21,11 @@ The inversion set is read off the same way: the negative roots
 ``gamma + n*delta`` that x makes positive have their levels in the interval
 ``shift[gamma] + [w(gamma) < 0] <= n < [gamma < 0]``, and the pull-back
 x^{-1}(a_i) of a simple root is read from the tables without inverting x.
-The value of an element is still the pair (images of the simple roots,
-``lambda``): equality, hashing and JSON see only that pair, and words are
-derived views.  Left descents and left products s_i x act on one more
-table, ``d[g] = 2*shift'[g] + [perm'[g] < 0]`` on the tables of x^{-1}:
+An element is just its two tables, and they are faithful: ``perm`` fixes w,
+which acts faithfully on the roots, and ``shift`` fixes ``lambda``, whose
+pairings with the roots it lists.  Equality and hashing see the tables, and
+words are derived views.  Left descents and left products s_i x act on one
+more table, ``d[g] = 2*shift'[g] + [perm'[g] < 0]`` on the tables of x^{-1}:
 greedy descent stripping gives each element's reduced word, and a Bruhat
 comparison u <= w is one pass down w's greedy word, the lifting recursion
 without its branches, carrying only that table of u.  Lengths and
@@ -32,16 +33,16 @@ comparisons have independent brute-force counterparts used as oracles by
 the test suite: a scan over a window of levels acting root by root, which
 lives in the tests, and subword search.  Reduced words of minuscule
 elements come from the minuscule walk, which stores them here; the others
-are stripped on demand.  The alcove containment test runs on exact
-rational vertex coordinates; there are no tolerances anywhere.
+are stripped on demand.  The alcove containment test reads integer wall
+values at the alcove vertices off the tables; there are no tolerances
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, mul
 import re
 from typing import TYPE_CHECKING, Iterator
 
@@ -123,74 +124,35 @@ def parse_affine_root(rs: RootSystem, text: str) -> AffineRoot:
 
 
 class AffineWeylElement:
-    """``t_lambda * w``: images of the simple roots under ``w`` (rows of an
-    integer matrix on root coordinates) plus the translation ``lambda`` in
-    simple-coroot coordinates.
+    """``t_lambda * w`` as the root tables of the group that made it:
+    ``perm[i]`` is the index of ``w(gamma_i)`` and ``shift[i]`` is
+    ``<w(gamma_i), lambda>`` (see the module docstring).  Elements are
+    immutable values, equal exactly when their tables are."""
 
-    Elements are immutable values.  One made by a group also carries that
-    group's root tables ``perm`` and ``shift`` (see the module docstring);
-    one built directly, e.g. from JSON, gets them from the first group that
-    uses it."""
+    __slots__ = ("perm", "shift", "_hash")
 
-    __slots__ = ("images", "translation", "_perm", "_shift", "_hash")
-
-    def __init__(
-        self,
-        images: tuple[tuple[int, ...], ...],
-        translation: tuple[int, ...],
-        perm: tuple[int, ...] | None = None,
-        shift: tuple[int, ...] | None = None,
-    ):
-        self.images = images
-        self.translation = translation
-        self._perm = perm
-        self._shift = shift
+    def __init__(self, perm: tuple[int, ...], shift: tuple[int, ...]):
+        self.perm = perm
+        self.shift = shift
         self._hash = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
-        return self.images == other.images and self.translation == other.translation
+        return self.perm == other.perm and self.shift == other.shift
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.images, self.translation))
+            h = self._hash = hash((self.perm, self.shift))
         return h
 
     def __repr__(self) -> str:
-        return f"AffineWeylElement(images={self.images!r}, translation={self.translation!r})"
+        return f"AffineWeylElement(perm={self.perm!r}, shift={self.shift!r})"
 
     @property
     def is_identity(self) -> bool:
-        rank = len(self.images)
-        return self.translation == (0,) * rank and self.images == tuple(
-            tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "w": [list(row) for row in self.images],
-            "lambda": list(self.translation),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "AffineWeylElement":
-        return AffineWeylElement(
-            tuple(tuple(int(x) for x in row) for row in data["w"]),
-            tuple(int(x) for x in data["lambda"]),
-        )
-
-
-def _apply_images(images: tuple[tuple[int, ...], ...], coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    rank = len(images)
-    out = [0] * rank
-    for i, c in enumerate(coeffs):
-        if c:
-            row = images[i]
-            for j in range(rank):
-                out[j] += c * row[j]
-    return tuple(out)
+        return self.perm == tuple(range(len(self.perm))) and not any(self.shift)
 
 
 class AffineWeylGroup:
@@ -211,8 +173,7 @@ class AffineWeylGroup:
       is ideal id k), enumerated on first use, and ``minuscule_ids``, the
       map from each of their elements to its ideal id;
     * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
-      bucketed by their involution, built on first use;
-    * the alcove vertices, built on first use.
+      bucketed by their involution, built on first use.
 
     Elements themselves are immutable values.
     """
@@ -237,15 +198,11 @@ class AffineWeylGroup:
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[a.finite.coeffs], a.level) for a in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
-        # root indices of alpha_1..alpha_r, whose images are an element's images
-        self._image_at = tuple(g for g, _ in self._simple_at[1:])
+        # (root index, level) of the walls alpha_1..alpha_r and 2*delta - theta
+        # of the doubled alcove, for alcove_image_check
+        self._walls = self._simple_at[1:] + ((self._simple_at[0][0], 2),)
         n = len(self._coeffs)
-        self.identity = AffineWeylElement(
-            tuple(tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)),
-            (0,) * self.rank,
-            tuple(range(n)),
-            (0,) * n,
-        )
+        self.identity = AffineWeylElement(tuple(range(n)), (0,) * n)
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         # For the tables of _left_table: per simple index, (root index, twice
         # the level) of a_i, and the step from the table of x to that of s_i x,
@@ -253,8 +210,8 @@ class AffineWeylGroup:
         self._descent_at = tuple((g, 2 * level) for g, level in self._simple_at)
 
         def left_step(s: AffineWeylElement):
-            take = itemgetter(*s._perm)
-            drops = tuple(2 * q for q in s._shift)
+            take = itemgetter(*s.perm)
+            drops = tuple(2 * q for q in s.shift)
             return (lambda d: tuple(map(add, take(d), drops))) if any(drops) else take
 
         self._left_steps = tuple(map(left_step, self._simple))
@@ -292,46 +249,7 @@ class AffineWeylGroup:
             p = sum(map(mul, beta, pair))
             perm.append(index[tuple([b - p * c for b, c in zip(beta, gamma)])])
             shift.append(level * p)
-        return self._element(tuple(perm), tuple(shift), tuple(-level * c for c in cov))
-
-    def _element(self, perm: tuple[int, ...], shift: tuple[int, ...], translation) -> AffineWeylElement:
-        coeffs = self._coeffs
-        return AffineWeylElement(
-            tuple([coeffs[perm[g]] for g in self._image_at]), translation, perm, shift
-        )
-
-    def _tables(self, x: AffineWeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        perm = x._perm
-        if perm is None:
-            perm, shift = self._tables_from_matrix(x.images, x.translation)
-            x._perm, x._shift = perm, shift
-            return perm, shift
-        return perm, x._shift
-
-    def _tables_from_matrix(self, images, translation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The root tables of an element given only as images and translation."""
-        rank = self.rank
-        cart = self.rs.cartan
-        # <alpha_j, lambda> for every simple root alpha_j
-        pair = [sum(translation[k] * cart[k][j] for k in range(rank)) for j in range(rank)]
-        perm = []
-        shift = []
-        for c in self._coeffs:
-            img = _apply_images(images, c)
-            perm.append(self._root_index(img))
-            shift.append(sum(a * b for a, b in zip(img, pair)))
-        return tuple(perm), tuple(shift)
-
-    def _push_coweight(self, perm: tuple[int, ...], mu: tuple[int, ...], out: list[int]) -> list[int]:
-        """Add w(mu) to out, for mu over the simple coroots and w given by
-        perm: w(alpha_k^vee) is the coroot of w(alpha_k)."""
-        coroots = self._coroots
-        for k, m in enumerate(mu):
-            if m:
-                for j, c in enumerate(coroots[perm[self._image_at[k]]]):
-                    if c:
-                        out[j] += m * c
-        return out
+        return AffineWeylElement(tuple(perm), tuple(shift))
 
     def _left_table(self, x: AffineWeylElement) -> list[int]:
         """d[g] = 2*shift'[g] + [perm'[g] < 0] on the tables (perm', shift')
@@ -340,9 +258,9 @@ class AffineWeylGroup:
         a_i = gamma_{g_i} + level_i*delta.  As (s_i x)^{-1} = x^{-1} s_i, the
         table of s_i x is d permuted by s_i's permutation plus twice s_i's
         level drops.  Only the identity has d[g] = [gamma_g < 0] everywhere:
-        its finite part keeps every root's sign, and its translation pairs
-        to zero with every root."""
-        perm, shift = self._tables(x)
+        its finite part keeps every root's sign, and its lambda pairs to zero
+        with every root."""
+        perm, shift = x.perm, x.shift
         negative = self._negative
         d = [0] * len(perm)
         for j, g in enumerate(perm):
@@ -391,7 +309,7 @@ class AffineWeylGroup:
     # -- group operations ----------------------------------------------------
 
     def act(self, x: AffineWeylElement, a: AffineRoot) -> AffineRoot:
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         i = self._root_index(a.finite.coeffs)
         return AffineRoot(self._roots[perm[i]], a.level - shift[i])
 
@@ -399,7 +317,7 @@ class AffineWeylGroup:
         """x^{-1}(a_i), read off the root tables of x without inverting it.
         x maps gamma_j + n*delta to gamma_{perm[j]} + (n - shift[j])*delta, so
         perm[j] is the root of a_i and the level is level_i + shift[j]."""
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         g, level = self._simple_at[i]
         j = perm.index(g)
         return AffineRoot(self._roots[j], level + shift[j])
@@ -408,7 +326,7 @@ class AffineWeylGroup:
         """The real roots a with x(a) = -a, in root order.  x sends
         gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so that
         root is negated iff perm[g] is the index of -gamma_g and 2n = shift[g]."""
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         roots = self._roots
         return [
             AffineRoot(roots[g], d // 2)
@@ -417,28 +335,19 @@ class AffineWeylGroup:
         ]
 
     def multiply(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-        """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta), and
-        t_lambda w t_mu v = t_{lambda + w(mu)} wv."""
-        px, sx = self._tables(x)
-        py, sy = self._tables(y)
-        take = itemgetter(*py)
-        return self._element(
-            take(px),
-            tuple(map(add, sy, take(sx))),
-            tuple(self._push_coweight(px, y.translation, list(x.translation))),
-        )
+        """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta)."""
+        take = itemgetter(*y.perm)
+        return AffineWeylElement(take(x.perm), tuple(map(add, y.shift, take(x.shift))))
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
-        """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta,
-        and (t_lambda w)^{-1} = t_{-w^{-1}(lambda)} w^{-1}."""
-        perm, shift = self._tables(x)
+        """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta."""
+        perm, shift = x.perm, x.shift
         inv = [0] * len(perm)
         inv_shift = [0] * len(perm)
         for i, p in enumerate(perm):
             inv[p] = i
             inv_shift[p] = -shift[i]
-        lam = self._push_coweight(inv, x.translation, [0] * self.rank)
-        return self._element(tuple(inv), tuple(inv_shift), tuple(map(neg, lam)))
+        return AffineWeylElement(tuple(inv), tuple(inv_shift))
 
     def evaluate_word(self, word: ReducedWord) -> AffineWeylElement:
         out = self.identity
@@ -455,7 +364,7 @@ class AffineWeylGroup:
             return frozenset(self._table_descents(self._left_table(x)))
         if side != "right":
             raise ValueError("side must be 'left' or 'right'")
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         negative = self._negative
         return frozenset(
             i
@@ -467,7 +376,7 @@ class AffineWeylGroup:
         """The closed count of the module docstring.  Folding gamma with
         -gamma (shift and sign both flip) leaves the sum over gamma > 0 of
         |shift[gamma] + [w(gamma) < 0]|."""
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         p = self._pos_start
         negative = self._negative
         return sum([abs(d + negative[q]) for d, q in zip(shift[p:], perm[p:])])
@@ -506,7 +415,7 @@ class AffineWeylGroup:
         each g the levels form the interval
         shift[g] + [perm[g] < 0] <= n < [g < 0].  The tests compare it with
         a brute-force scan over a window of levels."""
-        perm, shift = self._tables(x)
+        perm, shift = x.perm, x.shift
         negative = self._negative
         roots = self._roots
         return [
@@ -593,64 +502,19 @@ class AffineWeylGroup:
 
     # -- alcove geometry --------------------------------------------------------
 
-    @cached_property
-    def _alcove_vertices(self) -> list[tuple[Fraction, ...]]:
-        # only the alcove test needs them, so the group builds them on first use
-        rank = self.rank
-        cart = [[Fraction(self.rs.cartan[i][j]) for j in range(rank)] for i in range(rank)]
-        inv = _invert_rational(cart)
-        vertices = [tuple(Fraction(0) for _ in range(rank))]
-        for i in range(rank):
-            m = self.rs.marks[i]
-            vertices.append(tuple(inv[i][j] / m for j in range(rank)))
-        return vertices
-
-    def _pair_root_with_point(self, coeffs: tuple[int, ...], point: tuple[Fraction, ...]) -> Fraction:
-        return sum(
-            (point[k] * self.rs.pairing_with_simple_coroot(coeffs, k + 1) for k in range(self.rank)),
-            Fraction(0),
-        )
-
-    def act_on_point(self, x: AffineWeylElement, point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """Affine action on the coroot space, x . v = w(v) + lambda."""
-        out = [Fraction(c) for c in x.translation]
-        for k, v in enumerate(point):
-            if v:
-                img = self.rs.coroot_coords(Root(x.images[k]))
-                for j in range(self.rank):
-                    out[j] += v * img[j]
-        return tuple(out)
-
     def alcove_image_check(self, x: AffineWeylElement) -> bool:
         """True iff x^{-1} maps the closed fundamental alcove into the closed
         doubled alcove.  Checking the vertices suffices because affine maps
-        send the simplex onto the convex hull of the image vertices."""
-        xinv = self.inverse(x)
-        theta = self.rs.highest_root.coeffs
-        for p in self._alcove_vertices:
-            q = self.act_on_point(xinv, p)
-            for i in range(1, self.rank + 1):
-                if self._pair_root_with_point(self.rs.simple_root(i).coeffs, q) < 0:
-                    return False
-            if self._pair_root_with_point(theta, q) > 2:
+        send the simplex onto the convex hull of the image vertices.  A point
+        p is in the doubled alcove iff every wall a (alpha_1..alpha_r and
+        2*delta - theta) has a(p) >= 0, and a(x^{-1} p) = (x a)(p).  With
+        x a = beta + n*delta that value is n at the vertex 0 and
+        (beta_k + n*m_k) / m_k at the vertex omega_k^vee / m_k, m_k the mark
+        of alpha_k in theta: integer tests on the tables of x."""
+        perm, shift = x.perm, x.shift
+        coeffs, marks = self._coeffs, self.rs.marks
+        for g, level in self._walls:
+            n = level - shift[g]
+            if n < 0 or any(b + n * m < 0 for b, m in zip(coeffs[perm[g]], marks)):
                 return False
         return True
-
-
-def _invert_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    return _gauss_jordan(aug, n)
-
-
-def _gauss_jordan(aug: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    for col in range(n):
-        piv = next(k for k in range(col, n) if aug[k][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[col])]
-    return [row[n:] for row in aug]

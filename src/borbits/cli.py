@@ -151,11 +151,12 @@ def _cmd_poset(args) -> int:
 def _cmd_verify(args) -> int:
     from .suites import run_suite
 
-    rs, group = _resolve_context(args)
+    rs = build_root_system(args.type_letter, args.rank)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        reports = run_suite(group, name)
+        # a group per suite, so one suite's caches are freed before the next
+        reports = run_suite(AffineWeylGroup(rs), name)
         checks = sum(r.checks for r in reports)
         ok = all(r.ok for r in reports)
         failed = failed or not ok

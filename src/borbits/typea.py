@@ -3,9 +3,9 @@
 An abelian ideal of strictly upper triangular matrices is a set of slots
 (i, j) above the diagonal, upward closed for interval containment and with
 no two slots chaining as (i, j), (j, k).  Over a small prime field the
-Borel conjugation orbits on the ideal can be enumerated outright with a
-union-find; conjugation factors through the adjoint group, so the torus
-generators are single-slot diagonals rather than determinant-one ones.
+Borel conjugation orbits on the ideal can be enumerated outright by walking
+along the generators; conjugation factors through the adjoint group, so the
+torus generators are single-slot diagonals rather than determinant-one ones.
 Conjugation is linear, so each generator acts on the points of the ideal as
 a permutation of their indices, built from its images of the slot basis;
 each prime is partitioned once per report.
@@ -31,7 +31,6 @@ from operator import mul
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, reflection_product
 from .minuscule import enumerate_abelian_ideals
-from .orbits import _UnionFind
 from .roots import Root, RootSystem, build_root_system
 
 __all__ = [
@@ -212,20 +211,28 @@ def enumerate_orbits(ctx: MatrixIdealContext) -> OrbitPartition:
         raise ValueError("element count exceeds the enumeration cap")
     vectors = list(product(range(ctx.q), repeat=len(ctx.positions)))
     perms = _generator_perms(ctx)
-    uf = _UnionFind(len(vectors))
-    for perm in perms:
-        for k, image in enumerate(perm):
-            uf.union(k, image)
-    grouped: dict[int, list[int]] = {}
-    for k in range(len(vectors)):
-        grouped.setdefault(uf.find(k), []).append(k)
-    # points are in lexicographic order, so each class lists its points
-    # sorted and the classes come out ordered by their least point
-    members = sorted(grouped.values())
-    class_of = [0] * len(vectors)
-    for c, ks in enumerate(members):
-        for k in ks:
-            class_of[k] = c
+    # Every generator has finite order, so its inverse is one of its powers
+    # and walking forward along the generators reaches the whole class.
+    # Points are in lexicographic order and a class is numbered at its least
+    # point, so the classes come out ordered by their least point.
+    class_of = [-1] * len(vectors)
+    count = 0
+    for start in range(len(vectors)):
+        if class_of[start] >= 0:
+            continue
+        class_of[start] = count
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for perm in perms:
+                image = perm[k]
+                if class_of[image] < 0:
+                    class_of[image] = count
+                    stack.append(image)
+        count += 1
+    members: list[list[int]] = [[] for _ in range(count)]
+    for k, c in enumerate(class_of):
+        members[c].append(k)
     for perm in perms:
         for k, image in enumerate(perm):
             if class_of[image] != class_of[k]:

@@ -143,7 +143,7 @@ def test_criterion_05_weak_order_and_oracle():
                             seen.add(y)
                             new.append(y)
                 frontier = new
-            elements = sorted(seen, key=lambda x: (W.length(x), x.images, x.translation))
+            elements = sorted(seen, key=lambda x: (W.length(x), x.perm, x.shift))
             for w in elements:
                 below = W.bruhat_lower_interval_oracle(w)
                 for u in elements:

@@ -59,6 +59,14 @@ def test_orbits_and_poset_load_neither_suites_nor_typea():
         assert "borbits.typea" not in modules
 
 
+def test_oracle_typea_loads_neither_orbits_nor_suites():
+    code, modules = _modules_after(["oracle-typea", "--n", "3", "--ideal-id", "2", "--q", "2"])
+    assert code == 0
+    assert "borbits.typea" in modules
+    assert "borbits.orbits" not in modules
+    assert "borbits.suites" not in modules
+
+
 def test_public_names_resolve_to_their_modules():
     count, own, unbound, missing = _child("""
         import importlib, json

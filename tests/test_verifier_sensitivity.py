@@ -1,8 +1,9 @@
 """The verification sweeps must be able to fail, not just pass.
 
 Each test plants a deliberate falsehood (a flipped Bruhat answer, a wrong
-length) and checks that the corresponding sweep reports violations.  A
-verifier that stays green under sabotage would be vacuous.
+length, a missing alcove wall) and checks that the corresponding sweep
+reports violations.  A verifier that stays green under sabotage would be
+vacuous.
 """
 
 from borbits.affine import AffineWeylGroup
@@ -12,6 +13,7 @@ from borbits.orbits import (
     verify_moves_vs_order,
     verify_strong_form,
 )
+from borbits.suites import suite_minuscule
 
 from conftest import get_system
 
@@ -55,6 +57,23 @@ def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
     )
     rep = verify_branch_recursion(group, w)
     assert not rep.ok
+
+
+def _criteria_report(group):
+    (rep,) = [r for r in suite_minuscule(group) if r.name == "minuscule-criteria-agree"]
+    return rep
+
+
+def test_minuscule_criteria_detect_a_missing_alcove_wall():
+    """Without the wall 2*delta - theta the doubled alcove is unbounded, so
+    the alcove check accepts elements that the inversion criterion rejects."""
+    clean = _criteria_report(_fresh_group("A", 3))
+    assert clean.ok
+    group = _fresh_group("A", 3)
+    group._walls = group._walls[:-1]
+    rep = _criteria_report(group)
+    assert rep.checks == clean.checks
+    assert rep.violations
 
 
 def test_sweeps_pass_untouched():

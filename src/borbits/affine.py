@@ -21,6 +21,10 @@ The inversion set is read off the same way: the negative roots
 ``gamma + n*delta`` that x makes positive have their levels in the interval
 ``shift[gamma] + [w(gamma) < 0] <= n < [gamma < 0]``, and the pull-back
 x^{-1}(a_i) of a simple root is read from the tables without inverting x.
+For a minuscule x every such root is some ``r - delta`` with r > 0, so its
+inversion set is a bitmask over the positive roots, read in one pass
+(`inversion_mask`); `inversions_from_negative` lists the roots themselves
+and stays as the oracle.
 An element is just its two tables, and they are faithful: ``perm`` fixes w,
 which acts faithfully on the roots, and ``shift`` fixes ``lambda``, whose
 pairings with the roots it lists.  Equality and hashing see the tables, and
@@ -40,13 +44,12 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, itemgetter, mul
 import re
 from typing import TYPE_CHECKING, Iterator
 
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, _Value
 
 if TYPE_CHECKING:
     from .involutions import Involution, OrthogonalSet
@@ -76,16 +79,24 @@ def text_to_word(text: str) -> ReducedWord:
     return tuple(int(p) for p in text.split())
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(_Value):
     """A real affine root ``finite + level * delta``."""
 
-    finite: Root
-    level: int
+    __slots__ = ("finite", "level")
 
-    def __post_init__(self) -> None:
-        if not any(self.finite.coeffs):
+    def __init__(self, finite: Root, level: int):
+        if not any(finite.coeffs):
             raise ValueError("affine roots must have a nonzero finite part")
+        self.finite, self.level = finite, level
+
+    # the value methods spelled out for speed
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.finite == other.finite
+
+    def __hash__(self) -> int:
+        return hash((self.finite, self.level))
 
     @property
     def is_positive(self) -> bool:
@@ -161,7 +172,8 @@ class AffineWeylGroup:
     The group object owns everything derived from its root system, and all
     of it is freed with the group:
 
-    * the root index and the tables of the simple reflections;
+    * the root index, the tables of the simple reflections and the shared
+      r - delta of each positive root;
     * the reflection cache;
     * three tables of deterministic results, each computed and checked
       once: the involution of each orthogonal set (``reflection_product``),
@@ -195,6 +207,9 @@ class AffineWeylGroup:
         self._affine_simple = (AffineRoot(-rs.highest_root, 1),) + tuple(
             AffineRoot(g, 0) for g in rs.simple_roots
         )
+        # r_j - delta for each positive root r_j, shared by every inversion
+        # set of a minuscule element
+        self._shifted = tuple(AffineRoot(g, -1) for g in rs.positive_roots)
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[a.finite.coeffs], a.level) for a in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
@@ -322,6 +337,27 @@ class AffineWeylGroup:
         j = perm.index(g)
         return AffineRoot(self._roots[j], level + shift[j])
 
+    def up_steps(self, x: AffineWeylElement) -> Iterator[tuple[int, AffineRoot]]:
+        """The pairs (i, beta), lowest i first, where s_i x adds the inversion
+        beta = -x^{-1}(a_i) and beta lies in Phi^+ - delta.  Such a beta has
+        level -1, so s_i x is longer than x.  As in `pull_back`,
+        x^{-1}(a_i) = gamma_j + (level_i + shift[j])*delta with perm[j] = g_i,
+        so beta is the shared -gamma_j - delta."""
+        perm, shift, negative = x.perm, x.shift, self._negative
+        for i, (g, level) in enumerate(self._simple_at):
+            j = perm.index(g)
+            if negative[j] and level + shift[j] == 1:
+                yield i, self._shifted[self._negation[j] - self._pos_start]
+
+    def normalizer_indices(self, x: AffineWeylElement) -> list[int]:
+        """The finite simple indices i with x(alpha_i) again a simple affine
+        root: alpha_i has index g_i and level 0, so x(alpha_i) has index
+        perm[g_i] and level -shift[g_i]."""
+        perm, shift, simple = x.perm, x.shift, self._simple_index
+        return [
+            i for i, (g, _) in enumerate(self._simple_at[1:], 1) if (perm[g], -shift[g]) in simple
+        ]
+
     def negated_roots(self, x: AffineWeylElement) -> list[AffineRoot]:
         """The real roots a with x(a) = -a, in root order.  x sends
         gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so that
@@ -424,6 +460,18 @@ class AffineWeylGroup:
             for n in range(d + negative[p], negative[g])
         ]
 
+    def inversion_mask(self, x: AffineWeylElement) -> int | None:
+        """The inversion set of a minuscule x as a bitmask over the positive
+        roots, bit j for r_j - delta; None if x is not minuscule.  Folding
+        gamma with -gamma in the intervals above, lo = shift[g] + [perm[g] < 0]
+        must be 0 or -1 for each positive gamma_g: lo > 0 inverts -gamma_g,
+        lo < -1 inverts gamma_g - 2*delta, and lo = -1 inverts gamma_g - delta."""
+        p = self._pos_start
+        lows = list(map(add, x.shift[p:], map(self._negative.__getitem__, x.perm[p:])))
+        if min(lows) < -1 or max(lows) > 0:
+            return None
+        return sum(1 << j for j, lo in enumerate(lows) if lo)
+
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
@@ -494,9 +542,8 @@ class AffineWeylGroup:
     def shifted_orthogonal_index(self) -> dict[AffineWeylElement, list[OrthogonalSet]]:
         from .involutions import orthogonal_subsets, reflection_product
 
-        psi = [AffineRoot(g, -1) for g in self.rs.positive_roots]
         buckets: dict[AffineWeylElement, list[OrthogonalSet]] = {}
-        for sub in orthogonal_subsets(self.rs, psi):
+        for sub in orthogonal_subsets(self.rs, self._shifted):
             buckets.setdefault(reflection_product(self, sub).element, []).append(sub)
         return buckets
 

@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import SUITE_NAMES
-from .affine import AffineRoot, AffineWeylGroup, text_to_word, word_to_text
+from .affine import AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import normalizer_simple_roots, weak_order_leq
 from .roots import build_root_system
 
@@ -90,7 +90,11 @@ def _resolve_v(group, text: str, w):
 
 
 def _cmd_ideals(args) -> int:
-    _, group = _resolve_context(args)
+    rs, group = _resolve_context(args)
+    # each root's text and each simple root's number, once per system; the
+    # normalizer goes through normalizer_simple_roots, a layer perfbench traces
+    text = {r.coeffs: str(r) for r in rs.positive_roots}
+    number = {r.coeffs: i for i, r in enumerate(rs.simple_roots, 1)}
     rows = []
     words = []
     for k, m in enumerate(group.minuscule):
@@ -98,13 +102,10 @@ def _cmd_ideals(args) -> int:
         rows.append(
             {
                 "ideal_id": k,
-                "roots": [str(r) for r in m.ideal.roots],
+                "roots": [text[r.coeffs] for r in m.ideal.roots],
                 "word": word_to_text(words[-1]),
                 "length": m.length,
-                "normalizer": [
-                    group.simple_index(AffineRoot(r, 0))
-                    for r in normalizer_simple_roots(group, m)
-                ],
+                "normalizer": [number[r.coeffs] for r in normalizer_simple_roots(group, m)],
             }
         )
     if args.json:

@@ -11,19 +11,21 @@ Both sides of the bijection are enumerated independently here: ideals by a
 depth-first walk over upward-closed subsets with sum-freeness pruning, and
 minuscule elements by a breadth-first walk over the weak order in which each
 step adds exactly one inversion.  The test suite checks that the two
-enumerations agree, which is the point of keeping them separate.  Every
-ideal built here is validated against the root system's `ideal_masks`; the
-ideal walk keeps its own dominance-upper lists, so it stays an oracle.
+enumerations agree, which is the point of keeping them separate.
+
+The walk reads each element's inversion set off its root tables as a
+bitmask over the positive roots (`AffineWeylGroup.inversion_mask`), checks
+it against the root system's `ideal_masks` and builds the ideal from it;
+the inversions are the group's shared ``r - delta``.  The tests keep
+`inversions_from_negative` with the root-list `make_abelian_ideal` as its
+oracle; the ideal walk keeps its own dominance-upper lists, so it stays an
+oracle too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
-
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, _Value
 
 __all__ = [
     "AbelianIdeal",
@@ -32,6 +34,7 @@ __all__ = [
     "enumerate_minuscule",
     "ideal_to_element",
     "ideal_from_json_dict",
+    "ideal_from_mask",
     "is_minuscule",
     "make_abelian_ideal",
     "minuscule_from_element",
@@ -39,52 +42,65 @@ __all__ = [
     "normalizer_by_ideal_stability",
     "weak_order_leq",
     "is_minimal_coset_rep",
-    "inversion_shift",
-    "up_steps",
 ]
 
 
-@dataclass(frozen=True)
-class AbelianIdeal:
+class AbelianIdeal(_Value):
     """An upward-closed, sum-free subset of the positive roots, canonically
     ordered."""
 
-    roots: tuple[Root, ...]
+    __slots__ = ("roots", "_root_set")
+
+    def __init__(self, roots: tuple[Root, ...]):
+        self.roots = roots
 
     @property
     def size(self) -> int:
         return len(self.roots)
 
     def root_set(self) -> frozenset[Root]:
-        return self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset[Root]:
         # built on first use; equality and hashing stay on `roots`
-        return frozenset(self.roots)
+        try:
+            return self._root_set
+        except AttributeError:
+            self._root_set = frozenset(self.roots)
+            return self._root_set
 
     def to_json_dict(self) -> dict:
         return {"roots": [str(r) for r in self.roots]}
 
 
-def make_abelian_ideal(rs: RootSystem, roots) -> AbelianIdeal:
-    """Validate and canonically order an abelian ideal, read as a bitmask over
-    the positive-root indices against `rs.ideal_masks`: no member may have a
-    dominance-upper outside the set or a sum partner inside it."""
-    rset = set(roots)
-    members = []
-    for r in rset:
-        i = rs._pos_index.get(r)
-        if i is None:
-            raise ValueError(f"{r} is not a positive root")
-        members.append(i)
-    mask = sum(1 << i for i in members)
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
+def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
+    """The abelian ideal {r_i : bit i of mask set}, validated against
+    `rs.ideal_masks`: no member may have a dominance-upper outside the set
+    or a sum partner inside it.  The members come out in index order, which
+    is the canonical order."""
+    members = _bits(mask)
     above, partners = rs.ideal_masks
     if any(above[i] & ~mask for i in members):
         raise ValueError("ideal is not upward closed")
     if any(partners[i] & mask for i in members):
         raise ValueError("ideal is not sum-free")
-    return AbelianIdeal(tuple(rs.positive_roots[i] for i in sorted(members)))
+    pos = rs.positive_roots
+    return AbelianIdeal(tuple(pos[i] for i in members))
+
+
+def make_abelian_ideal(rs: RootSystem, roots) -> AbelianIdeal:
+    """Validate and canonically order an abelian ideal given as roots: the
+    parser's entry, and with `inversions_from_negative` the oracle of the
+    minuscule walk in the tests."""
+    mask = 0
+    for r in set(roots):
+        i = rs._pos_index.get(r)
+        if i is None:
+            raise ValueError(f"{r} is not a positive root")
+        mask |= 1 << i
+    return ideal_from_mask(rs, mask)
 
 
 def ideal_from_json_dict(rs: RootSystem, data: dict) -> AbelianIdeal:
@@ -127,85 +143,61 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
     ideals = [
         AbelianIdeal(tuple(sorted(s, key=lambda r: r.sort_key))) for s in found
     ]
-    ideals.sort(key=_ideal_key(rs))
+    ideals.sort(key=lambda I: (I.size, tuple(rs.positive_index(r) for r in I.roots)))
     return ideals
 
 
-def _ideal_key(rs: RootSystem):
-    def key(ideal: AbelianIdeal):
-        return (ideal.size, tuple(rs.positive_index(r) for r in ideal.roots))
-
-    return key
-
-
-@dataclass(frozen=True)
-class MinusculeElement:
+class MinusculeElement(_Value):
     """A minuscule affine Weyl element with its inversion set and ideal."""
 
-    element: AffineWeylElement
-    inversions: tuple[AffineRoot, ...]
-    ideal: AbelianIdeal
+    __slots__ = ("element", "inversions", "ideal", "_inversion_set")
+
+    def __init__(
+        self, element: AffineWeylElement, inversions: tuple[AffineRoot, ...], ideal: AbelianIdeal
+    ):
+        self.element, self.inversions, self.ideal = element, inversions, ideal
 
     @property
     def length(self) -> int:
         return len(self.inversions)
 
     def inversion_set(self) -> frozenset[AffineRoot]:
-        return self._inversion_set
-
-    @cached_property
-    def _inversion_set(self) -> frozenset[AffineRoot]:
         # built on first use; equality and hashing stay on `inversions`
-        return frozenset(self.inversions)
-
-
-def inversion_shift(rs: RootSystem, ideal: AbelianIdeal) -> tuple[AffineRoot, ...]:
-    """The ideal translated to level -1, i.e. the expected inversion set."""
-    return tuple(AffineRoot(r, -1) for r in ideal.roots)
+        try:
+            return self._inversion_set
+        except AttributeError:
+            self._inversion_set = frozenset(self.inversions)
+            return self._inversion_set
 
 
 def minuscule_from_element(group: AffineWeylGroup, x: AffineWeylElement) -> MinusculeElement:
-    """Wrap an element, computing and validating its inversion data."""
-    inv = group.inversions_from_negative(x)
-    for a in inv:
-        if a.level != -1 or not a.finite.is_positive:
-            raise ValueError("element is not minuscule")
-    inv.sort(key=lambda a: a.sort_key)
-    ideal = make_abelian_ideal(group.rs, [a.finite for a in inv])
-    return MinusculeElement(x, tuple(inv), ideal)
+    """Wrap an element: its inversion mask, read off the tables, validated
+    as an abelian ideal.  The inversions are the group's shared r - delta."""
+    mask = group.inversion_mask(x)
+    if mask is None:
+        raise ValueError("element is not minuscule")
+    inversions = tuple(group._shifted[i] for i in _bits(mask))
+    return MinusculeElement(x, inversions, ideal_from_mask(group.rs, mask))
 
 
 def is_minuscule(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
     """Inversion criterion: every negative root made positive lies in
-    Phi^+ - delta."""
-    return all(
-        a.level == -1 and a.finite.is_positive
-        for a in group.inversions_from_negative(x)
-    )
-
-
-def up_steps(group: AffineWeylGroup, w: AffineWeylElement) -> Iterator[tuple[int, AffineRoot]]:
-    """The pairs (i, beta) where s_i w adds the inversion
-    beta = -w^{-1}(a_i) and beta lies in Phi^+ - delta.  Such a beta has
-    level -1, so s_i w is longer than w."""
-    for i in group.simple_indices:
-        pulled = group.pull_back(w, i)
-        if pulled.level == 1 and not pulled.finite.is_positive:
-            yield i, -pulled
+    Phi^+ - delta (see `AffineWeylGroup.inversion_mask`)."""
+    return group.inversion_mask(x) is not None
 
 
 def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
-    """Breadth-first walk over the weak order along `up_steps`.  Each cover
+    """Breadth-first walk over the weak order along
+    `AffineWeylGroup.up_steps`.  Each cover
     adds exactly one inversion, so everything reached is minuscule, and every
     minuscule element is reached because removing a minimal inversion is
     again minuscule.
 
     The walk also stores each element's reduced word in the group.  Every
     left descent i of a minuscule x leads to the minuscule s_i x one level
-    down, whose `up_steps` yield i, so the smallest i over the edges into x
+    down, whose up steps yield i, so the smallest i over the edges into x
     is its lowest left descent, and (i,) + word(s_i x) is the greedy word
     of `AffineWeylGroup.reduced_word`."""
-    rs = group.rs
     words = group._words
     words[group.identity] = ()
     seen = [group.identity]
@@ -214,7 +206,7 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
         # each element of the next level, with the word along its lowest edge
         new: dict[AffineWeylElement, tuple[int, ...]] = {}
         for w in frontier:
-            for i, _ in up_steps(group, w):
+            for i, _ in group.up_steps(w):
                 nxt = group.multiply(group.simple_reflection(i), w)
                 word = new.get(nxt)
                 if word is None or i < word[0]:
@@ -223,12 +215,9 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
         frontier = list(new)
         seen += frontier
     out = [minuscule_from_element(group, x) for x in seen]
-    out.sort(
-        key=lambda m: (
-            m.length,
-            tuple(rs.positive_index(a.finite) for a in m.inversions),
-        )
-    )
+    # root indices order the positive roots as positive indices do
+    index = group._index
+    out.sort(key=lambda m: (m.length, tuple([index[r.coeffs] for r in m.ideal.roots])))
     return out
 
 
@@ -237,7 +226,7 @@ def ideal_to_element(group: AffineWeylGroup, ideal: AbelianIdeal) -> MinusculeEl
     maximal missing inversion beta; its image under the current element is
     the negative of a simple root, and that reflection extends the element."""
     rs = group.rs
-    target = set(inversion_shift(rs, ideal))
+    target = {AffineRoot(r, -1) for r in ideal.roots}
     cur = group.identity
     have: set[AffineRoot] = set()
     while have != target:
@@ -270,12 +259,8 @@ def weak_order_leq(m1: MinusculeElement, m2: MinusculeElement) -> bool:
 def normalizer_simple_roots(group: AffineWeylGroup, m: MinusculeElement) -> tuple[Root, ...]:
     """Finite simple roots alpha with w(alpha) again a simple affine root;
     these generate the normalizer of the ideal."""
-    out = []
-    for i in range(1, group.rank + 1):
-        image = group.act(m.element, group.simple_affine_root(i))
-        if group.is_simple_affine(image):
-            out.append(group.rs.simple_root(i))
-    return tuple(out)
+    simple = group.rs.simple_roots
+    return tuple(simple[i - 1] for i in group.normalizer_indices(m.element))
 
 
 def normalizer_by_ideal_stability(rs: RootSystem, ideal: AbelianIdeal) -> tuple[Root, ...]:

@@ -44,7 +44,7 @@ from .involutions import (
     transform_set,
     twisted_conjugate,
 )
-from .minuscule import MinusculeElement, up_steps, weak_order_leq
+from .minuscule import MinusculeElement, weak_order_leq
 
 __all__ = [
     "OrbitNode",
@@ -244,7 +244,7 @@ def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
     for m in mins:
         if not weak_order_leq(m, w):
             continue
-        for i, beta_new in up_steps(group, m.element):
+        for i, beta_new in group.up_steps(m.element):
             if beta_new not in w_inv or beta_new in m.inversion_set():
                 continue
             nxt = group.multiply(group.simple_reflection(i), m.element)

@@ -15,9 +15,9 @@ internally, 1-based in the public simple-root API).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import add, le, mul
 import re
 
 __all__ = [
@@ -29,19 +29,24 @@ __all__ = [
 ]
 
 CLASSICAL_TYPES = "ABCD"
-VALID_TYPES = "ABCDEFG"
+# the ranks each type admits
+_RANK_BOUNDS = {
+    "A": (1, 64),
+    "B": (2, 64),
+    "C": (2, 64),
+    "D": (3, 64),
+    "E": (6, 8),
+    "F": (4, 4),
+    "G": (2, 2),
+}
 
 
-def _rank_bounds(letter: str) -> tuple[int, int]:
-    return {
-        "A": (1, 64),
-        "B": (2, 64),
-        "C": (2, 64),
-        "D": (3, 64),
-        "E": (6, 8),
-        "F": (4, 4),
-        "G": (2, 2),
-    }[letter]
+def _check_type(type_letter: str, rank: int) -> None:
+    if type_letter not in _RANK_BOUNDS:
+        raise ValueError(f"unknown type letter {type_letter!r}")
+    lo, hi = _RANK_BOUNDS[type_letter]
+    if not lo <= rank <= hi:
+        raise ValueError(f"type {type_letter} does not admit rank {rank}")
 
 
 def _doubled_simple_vectors(letter: str, rank: int) -> list[tuple[int, ...]]:
@@ -102,56 +107,80 @@ def _bourbaki_cartan(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class _Value:
+    """Base of the immutable value classes: equality, hashing and a
+    dataclass-style repr on the public slots, in slot order.  Private slots
+    hold caches and stay out of the value."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{self.__class__.__name__}({args})"
+
+
+class CartanDatum(_Value):
     """Cartan matrix of an irreducible type, Bourbaki numbering."""
 
-    type_letter: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("type_letter", "rank", "cartan_matrix")
 
-    def __post_init__(self) -> None:
-        if self.type_letter not in VALID_TYPES:
-            raise ValueError(f"unknown type letter {self.type_letter!r}")
-        lo, hi = _rank_bounds(self.type_letter)
-        if not lo <= self.rank <= hi:
-            raise ValueError(
-                f"type {self.type_letter} does not admit rank {self.rank}"
-            )
-        expected = _bourbaki_cartan(self.type_letter, self.rank)
-        if self.cartan_matrix != expected:
+    def __init__(self, type_letter: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]):
+        self.type_letter, self.rank, self.cartan_matrix = type_letter, rank, cartan_matrix
+        _check_type(type_letter, rank)
+        if cartan_matrix != _bourbaki_cartan(type_letter, rank):
             raise ValueError("Cartan matrix does not match the Bourbaki one")
-        for i in range(self.rank):
-            if self.cartan_matrix[i][i] != 2:
+        for i in range(rank):
+            if cartan_matrix[i][i] != 2:
                 raise ValueError("Cartan diagonal must be 2")
-            for j in range(self.rank):
-                if i != j and self.cartan_matrix[i][j] > 0:
+            for j in range(rank):
+                if i != j and cartan_matrix[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
 
 
 def cartan_datum(type_letter: str, rank: int) -> CartanDatum:
-    if type_letter not in VALID_TYPES:
-        raise ValueError(f"unknown type letter {type_letter!r}")
-    lo, hi = _rank_bounds(type_letter)
-    if not lo <= rank <= hi:
-        raise ValueError(f"type {type_letter} does not admit rank {rank}")
+    _check_type(type_letter, rank)
     return CartanDatum(type_letter, rank, _bourbaki_cartan(type_letter, rank))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Value):
     """A root as an integer coefficient vector over the simple roots."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "_positive")
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    # the value methods on the one field, spelled out for speed
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @cached_property
+    @property
     def is_positive(self) -> bool:
-        # kept on the instance; equality and hashing still see only coeffs
-        return all(c >= 0 for c in self.coeffs) and any(self.coeffs)
+        try:  # kept on the instance after the first call
+            return self._positive
+        except AttributeError:
+            self._positive = all(c >= 0 for c in self.coeffs) and any(self.coeffs)
+            return self._positive
 
     @property
     def is_negative(self) -> bool:
@@ -177,33 +206,24 @@ class Root:
 def _symmetrizers(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Minimal positive integers d with d_i C_ij = d_j C_ji (the matrix is
     irreducible, so a breadth-first walk over the Dynkin graph fixes all
-    ratios)."""
+    ratios).  Reaching j from i sets d_j = d_i * -C_ij and scales every
+    earlier value by -C_ji, so all stay integers."""
     rank = len(cartan)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    d = [0] * rank
+    d[0] = 1
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                dj = d[i] * -cartan[i][j]
+                d = [x * -cartan[j][i] for x in d]
+                d[j] = dj
                 queue.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise AssertionError("Dynkin diagram is not connected")
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
-    return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class RootSystem:
@@ -228,24 +248,19 @@ class RootSystem:
         all_coeffs = self._generate()
         roots = sorted((Root(c) for c in all_coeffs), key=lambda r: r.sort_key)
         self.roots: tuple[Root, ...] = tuple(roots)
-        self.positive_roots: tuple[Root, ...] = tuple(
-            r for r in roots if r.is_positive
-        )
+        self.positive_roots: tuple[Root, ...] = tuple(r for r in roots if r.is_positive)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise AssertionError("root count mismatch")
         for r in self.roots:
             if not (r.is_positive or r.is_negative):
                 raise AssertionError("root with mixed coefficient signs")
+        # built once: the height-one roots open Phi^+ as alpha_rank, ..., alpha_1
+        self.simple_roots: tuple[Root, ...] = self.positive_roots[self.rank - 1::-1]
         self._root_set = frozenset(r.coeffs for r in self.roots)
         self._pos_index = {r: i for i, r in enumerate(self.positive_roots)}
-        self._norm2 = {r.coeffs: self._inner(r.coeffs, r.coeffs) for r in self.roots}
-        self._form_vec = {
-            r.coeffs: tuple(
-                sum(self._form[i][j] * r.coeffs[i] for i in range(self.rank))
-                for j in range(self.rank)
-            )
-            for r in self.roots
-        }
+        # B(r, alpha_j) for each j (B is symmetric), and B(r, r)
+        self._form_vec = {c: tuple(sum(map(mul, c, row)) for row in self._form) for c in self._root_set}
+        self._norm2 = {c: sum(map(mul, c, v)) for c, v in self._form_vec.items()}
         self.highest_root = self._find_highest()
         self.marks: tuple[int, ...] = self.highest_root.coeffs
         self._coroot = {r.coeffs: self._coroot_coords(r) for r in self.roots}
@@ -261,23 +276,14 @@ class RootSystem:
         while frontier:
             new = []
             for c in frontier:
-                for i in range(rank):
-                    k = sum(c[j] * self.cartan[i][j] for j in range(rank))
-                    r = tuple(
-                        c[j] - k if j == i else c[j] for j in range(rank)
-                    )
+                for i, row in enumerate(self.cartan):
+                    # s_i(c) = c - <c, alpha_i^vee> alpha_i
+                    r = c[:i] + (c[i] - sum(map(mul, c, row)),) + c[i + 1:]
                     if r not in seen:
                         seen.add(r)
                         new.append(r)
             frontier = new
         return seen
-
-    def _inner(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        return sum(
-            a[i] * self._form[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
 
     def _find_highest(self) -> Root:
         """The maximum of the positive roots in dominance order.  A maximum
@@ -315,11 +321,7 @@ class RootSystem:
         """The i-th simple root, 1-based."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range")
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
-
-    @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        return tuple(self.simple_root(i) for i in range(1, self.rank + 1))
+        return self.simple_roots[i - 1]
 
     def positive_index(self, root: Root) -> int:
         return self._pos_index[root]
@@ -328,9 +330,7 @@ class RootSystem:
         """<beta, gamma^vee>, an integer for any two roots."""
         if beta.coeffs not in self._root_set or gamma.coeffs not in self._root_set:
             raise ValueError("pairing arguments must be roots")
-        num = 2 * sum(
-            beta.coeffs[i] * v for i, v in enumerate(self._form_vec[gamma.coeffs])
-        )
+        num = 2 * sum(map(mul, beta.coeffs, self._form_vec[gamma.coeffs]))
         den = self._norm2[gamma.coeffs]
         if num % den:
             raise AssertionError("non-integral pairing between roots")
@@ -338,8 +338,7 @@ class RootSystem:
 
     def pairing_with_simple_coroot(self, coeffs: tuple[int, ...], k: int) -> int:
         """<vector, alpha_k^vee> for a root-lattice vector, k 1-based."""
-        row = self.cartan[k - 1]
-        return sum(coeffs[j] * row[j] for j in range(self.rank))
+        return sum(map(mul, coeffs, self.cartan[k - 1]))
 
     def coroot_coords(self, gamma: Root) -> tuple[int, ...]:
         return self._coroot[gamma.coeffs]
@@ -361,10 +360,12 @@ class RootSystem:
         """(above, partners), bitmasks over the positive-root indices: bit j
         of above[i] is set iff r_i <= r_j in dominance order (r_i included),
         and bit j of partners[i] iff r_i + r_j is a root.  Built on first use,
-        so constructing the system does not pay for it."""
-        pos = self.positive_roots
-        above = tuple(sum(1 << j for j, q in enumerate(pos) if self.dominance_leq(r, q)) for r in pos)
-        partners = tuple(sum(1 << j for j, q in enumerate(pos) if self.is_root((r + q).coeffs)) for r in pos)
+        so constructing the system does not pay for it.  Both are read on
+        coefficient tuples, with no Root built."""
+        pos = [r.coeffs for r in self.positive_roots]
+        roots = self._root_set
+        above = tuple(sum(1 << j for j, q in enumerate(pos) if all(map(le, r, q))) for r in pos)
+        partners = tuple(sum(1 << j for j, q in enumerate(pos) if tuple(map(add, r, q)) in roots) for r in pos)
         return above, partners
 
     # -- text and epsilon coordinates ------------------------------------
@@ -416,6 +417,9 @@ class RootSystem:
         return self.root(coeffs)
 
     def _solve_epsilon(self, target: tuple[int, ...]) -> tuple[int, ...]:
+        # imported here, so that loading the module does not load fractions
+        from fractions import Fraction
+
         dim = self._epsilon_dim()
         rows = [
             [Fraction(self._eps[i][p], 2) for i in range(self.rank)]

@@ -47,6 +47,45 @@ def test_ideals_loads_only_its_layers():
     ]
 
 
+def test_ideals_loads_neither_dataclasses_nor_fractions():
+    """The value classes on the `ideals` path are `__slots__` classes and the
+    epsilon solver imports `Fraction` itself, so the command loads none of
+    `dataclasses`, `inspect` (which `dataclasses` imports) or `fractions`."""
+    code, loaded = _child("""
+        import contextlib, io, json, sys
+        from borbits import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["ideals", "--type", "B", "--rank", "3"])
+        print(json.dumps([code, [m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]]))
+    """)
+    assert code == 0
+    assert loaded == []
+
+
+def test_building_a_group_does_not_load_fractions():
+    loaded = _child("""
+        import json, sys
+        from borbits.affine import AffineWeylGroup
+        from borbits.roots import build_root_system
+        for letter, rank in (("A", 3), ("B", 4), ("G", 2), ("E", 6)):
+            AffineWeylGroup(build_root_system(letter, rank))
+        print(json.dumps("fractions" in sys.modules))
+    """)
+    assert loaded is False
+
+
+def test_epsilon_parsing_still_solves_exactly():
+    parsed = _child("""
+        import json, sys
+        from borbits.roots import build_root_system
+        rs = build_root_system("B", 3)
+        before = "fractions" in sys.modules
+        roots = [str(rs.epsilon_to_root(e)) for e in ("e1-e3", "e2+e3", "e3")]
+        print(json.dumps([before, roots, str(rs.parse_root("e1-e2"))]))
+    """)
+    assert parsed == [False, ["1,1,0", "0,1,2", "0,0,1"], "1,0,0"]
+
+
 def test_orbits_and_poset_load_neither_suites_nor_typea():
     for argv in (
         ["orbits", "--type", "A", "--rank", "2", "--ideal-id", "2"],

@@ -1,0 +1,96 @@
+"""The value classes keep the value semantics of the frozen dataclasses they
+replaced: the same fields, equality, hash and repr.
+
+`CartanDatum`, `Root`, `AffineRoot`, `AbelianIdeal` and `MinusculeElement`
+are `__slots__` classes.  A frozen dataclass compares its fields as a tuple
+when the classes match, hashes that tuple and prints
+``Name(field=value, ...)``; the references below are such dataclasses with
+the same fields, and every instance is checked against its reference.  The
+hash matters beyond equality: it fixes the iteration order of sets of roots.
+"""
+
+from dataclasses import make_dataclass
+
+import pytest
+
+from borbits.affine import AffineRoot
+from borbits.minuscule import AbelianIdeal, MinusculeElement
+from borbits.roots import CartanDatum, Root, cartan_datum
+
+from conftest import get_system
+
+SYSTEMS = [("A", 3), ("B", 3), ("G", 2)]
+
+
+def _reference(value, names):
+    """A frozen dataclass with the class name and fields of value."""
+    cls = make_dataclass(type(value).__name__, names, frozen=True)
+    return cls(*(getattr(value, n) for n in names))
+
+
+def _check(value, names):
+    ref = _reference(value, names)
+    assert repr(value) == repr(ref)
+    assert hash(value) == hash(ref)
+    twin = type(value)(*(getattr(value, n) for n in names))
+    assert twin == value and hash(twin) == hash(value)
+    assert twin is not value
+    assert value != ref  # another class never compares equal
+    assert value.__slots__[: len(names)] == tuple(names)
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("letter,rank", SYSTEMS)
+def test_values_match_their_dataclass_references(letter, rank):
+    rs, group = get_system(letter, rank)
+    _check(rs.datum, ["type_letter", "rank", "cartan_matrix"])
+    for r in rs.roots:
+        _check(r, ["coeffs"])
+        _check(AffineRoot(r, -2), ["finite", "level"])
+    for m in group.minuscule:
+        _check(m.ideal, ["roots"])
+        _check(m, ["element", "inversions", "ideal"])
+
+
+def test_equality_reads_every_field():
+    rs, group = get_system("A", 3)
+    a, b = rs.simple_root(1), rs.simple_root(2)
+    assert Root(a.coeffs) == a and Root(a.coeffs) != b
+    assert AffineRoot(a, 1) != AffineRoot(a, 0)
+    assert AffineRoot(a, 1) != AffineRoot(b, 1)
+    m, n = group.minuscule[1], group.minuscule[2]
+    assert MinusculeElement(m.element, m.inversions, n.ideal) != m
+    assert AbelianIdeal(m.ideal.roots) != n.ideal
+    assert cartan_datum("A", 3) == rs.datum != cartan_datum("A", 2)
+
+
+def test_caches_stay_out_of_the_value():
+    rs, group = get_system("B", 3)
+    m = group.minuscule[-1]
+    fresh = MinusculeElement(m.element, m.inversions, AbelianIdeal(m.ideal.roots))
+    m.inversion_set(), m.ideal.root_set(), rs.highest_root.is_positive
+    assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+    assert Root(rs.highest_root.coeffs) == rs.highest_root
+
+
+def test_cartan_datum_still_validates():
+    with pytest.raises(ValueError, match="does not match the Bourbaki one"):
+        CartanDatum("A", 2, ((2, 0), (0, 2)))
+    with pytest.raises(ValueError, match="unknown type letter"):
+        CartanDatum("H", 2, ((2, -1), (-1, 2)))
+    with pytest.raises(ValueError, match="does not admit rank 9"):
+        cartan_datum("E", 9)
+
+
+def test_simple_roots_are_built_once():
+    """`simple_roots` and `simple_root(i)` hand out the system's own positive
+    roots: the unit vectors, the same objects on every call."""
+    for letter, rank in [("A", 1), ("A", 5), ("C", 4), ("D", 5), ("E", 8), ("F", 4), ("G", 2)]:
+        rs, _ = get_system(letter, rank)
+        assert [r.coeffs for r in rs.simple_roots] == [
+            tuple(int(j == i) for j in range(rank)) for i in range(rank)
+        ]
+        for i, r in enumerate(rs.simple_roots, 1):
+            assert rs.simple_root(i) is r is rs.simple_root(i)
+            assert rs.positive_roots[rs.positive_index(r)] is r
+        assert rs.simple_roots is rs.simple_roots

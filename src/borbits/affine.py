@@ -480,8 +480,9 @@ class AffineWeylGroup:
         every time, it never branches and runs down w's greedy word, so it
         is one pass over that word carrying u's left table: u steps to s_i u
         where i is a left descent of u.  The answer is True once u is the
-        identity and False once u is longer than what is left of the word.
-        u <= w also needs every letter of u's word in w's (the support)."""
+        identity and False once u is longer than what is left of the word;
+        u == w is True without a walk.  u <= w also needs every letter of
+        u's word in w's (the support)."""
         if u == self.identity:
             return True
         key = (u, w)
@@ -490,8 +491,8 @@ class AffineWeylGroup:
             return answer
         word, u_word = self._word(w), self._word(u)
         left, rest = len(u_word), len(word)
-        answer = False
-        if left <= rest and set(u_word) <= set(word):
+        answer = u == w
+        if not answer and left <= rest and set(u_word) <= set(word):
             d = self._left_table(u)
             at, steps = self._descent_at, self._left_steps
             for i in word:

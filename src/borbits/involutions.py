@@ -18,13 +18,11 @@ exercised as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, parse_affine_root
 from .minuscule import MinusculeElement, weak_order_leq
-from .roots import RootSystem
+from .roots import RootSystem, _Value
 
 __all__ = [
     "Report",
@@ -47,36 +45,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """Outcome of a verification sweep: how many checks ran and which failed."""
 
-    name: str
-    checks: int
-    violations: tuple[str, ...] = ()
+    __slots__ = ("name", "checks", "violations")
+
+    def __init__(self, name: str, checks: int, violations: tuple[str, ...] = ()):
+        self.name, self.checks, self.violations = name, checks, violations
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class OrthogonalSet:
+class OrthogonalSet(_Value):
     """A canonically ordered set of pairwise orthogonal real affine roots."""
 
-    roots: tuple[AffineRoot, ...]
+    __slots__ = ("roots", "_root_set")
+
+    def __init__(self, roots: tuple[AffineRoot, ...]):
+        self.roots = roots
+
+    # the value methods on the one field, spelled out for speed: the group
+    # keeps each set's involution in a dict keyed on the set
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.roots == other.roots
+
+    def __hash__(self) -> int:
+        return hash((self.roots,))
 
     @property
     def size(self) -> int:
         return len(self.roots)
 
     def root_set(self) -> frozenset[AffineRoot]:
-        return self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset[AffineRoot]:
         # built on first use; equality and hashing stay on `roots`
-        return frozenset(self.roots)
+        try:
+            return self._root_set
+        except AttributeError:
+            self._root_set = frozenset(self.roots)
+            return self._root_set
 
     def to_json_dict(self) -> dict:
         return {"roots": [str(a) for a in self.roots]}
@@ -120,13 +130,14 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     return [OrthogonalSet(tuple(pool[i] for i in idxs)) for idxs in out]
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(_Value):
     """An involutive affine Weyl element, with its orthogonal support when it
     was built as a product of commuting reflections."""
 
-    element: AffineWeylElement
-    support: Optional[OrthogonalSet] = None
+    __slots__ = ("element", "support", "__weakref__")
+
+    def __init__(self, element: AffineWeylElement, support: Optional[OrthogonalSet] = None):
+        self.element, self.support = element, support
 
 
 def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> Involution:
@@ -215,17 +226,21 @@ def descent_classify(group: AffineWeylGroup, inv: Involution, i: int) -> str:
     return "complex"
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(_Value):
     """A minuscule v together with an orthogonal S inside the inversion gap
     to a witness minuscule element above v.  The pair carries its involution
     sigma, the product of the reflections in v(S), built once by
     `make_admissible_pair`; equality and hashing stay on (v, S, witness)."""
 
-    v: MinusculeElement
-    s: OrthogonalSet
-    witness: MinusculeElement
-    sigma: Involution = field(compare=False)
+    __slots__ = ("v", "s", "witness", "sigma")
+
+    def __init__(
+        self, v: MinusculeElement, s: OrthogonalSet, witness: MinusculeElement, sigma: Involution
+    ):
+        self.v, self.s, self.witness, self.sigma = v, s, witness, sigma
+
+    def _fields(self) -> tuple:
+        return (self.v, self.s, self.witness)
 
 
 def make_admissible_pair(
@@ -258,10 +273,12 @@ def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> Involution:
     return pair.sigma
 
 
-@dataclass(frozen=True)
-class DescentClassification:
-    kind: str                  # none | real | complex
-    locus: Optional[str] = None  # finite | affine, present iff kind != none
+class DescentClassification(_Value):
+    __slots__ = ("kind", "locus")
+
+    def __init__(self, kind: str, locus: Optional[str] = None):
+        self.kind = kind    # none | real | complex
+        self.locus = locus  # finite | affine, present iff kind != none
 
 
 def pair_descents(group: AffineWeylGroup, pair: AdmissiblePair) -> dict[int, DescentClassification]:

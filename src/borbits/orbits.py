@@ -20,7 +20,7 @@ affine pictures for maximal parabolics whose simple root has mark one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from .affine import (
     AffineRoot,
@@ -44,7 +44,8 @@ from .involutions import (
     transform_set,
     twisted_conjugate,
 )
-from .minuscule import MinusculeElement, weak_order_leq
+from .minuscule import MinusculeElement, _bits, weak_order_leq
+from .roots import _Value
 
 __all__ = [
     "OrbitNode",
@@ -63,39 +64,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitNode:
-    s: OrthogonalSet
-    sigma: Involution
-    sigma_word: ReducedWord
-    length: int     # coxeter length of sigma
-    big_l: int      # (length + |S|) / 2
-    dim: int        # orbit dimension, length(v) + big_l
+class OrbitNode(_Value):
+    # length: coxeter length of sigma; big_l: (length + |S|) / 2;
+    # dim: orbit dimension, length(v) + big_l
+    __slots__ = ("s", "sigma", "sigma_word", "length", "big_l", "dim")
+
+    def __init__(self, s: OrthogonalSet, sigma: Involution, sigma_word: ReducedWord,
+                 length: int, big_l: int, dim: int):
+        self.s, self.sigma, self.sigma_word = s, sigma, sigma_word
+        self.length, self.big_l, self.dim = length, big_l, dim
 
 
-@dataclass(frozen=True)
-class PosetContext:
-    type_letter: str
-    rank: int
-    ideal_id: int
-    v_word: ReducedWord
-    w: MinusculeElement
-    v: MinusculeElement
+class PosetContext(_Value):
+    __slots__ = ("type_letter", "rank", "ideal_id", "v_word", "w", "v")
+
+    def __init__(self, type_letter: str, rank: int, ideal_id: int, v_word: ReducedWord,
+                 w: MinusculeElement, v: MinusculeElement):
+        self.type_letter, self.rank, self.ideal_id = type_letter, rank, ideal_id
+        self.v_word, self.w, self.v = v_word, w, v
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
-    context: PosetContext
-    nodes: tuple[OrbitNode, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    hasse: tuple[tuple[int, int], ...]
+class OrbitPoset(_Value):
+    __slots__ = ("context", "nodes", "leq", "hasse")
+
+    def __init__(self, context: PosetContext, nodes: tuple[OrbitNode, ...],
+                 leq: tuple[tuple[bool, ...], ...], hasse: tuple[tuple[int, int], ...]):
+        self.context, self.nodes, self.leq, self.hasse = context, nodes, leq, hasse
 
 
 def build_orbit_poset(
     group: AffineWeylGroup, w: MinusculeElement, v: MinusculeElement
 ) -> OrbitPoset:
     """Nodes are the orthogonal subsets of the inversion gap; the order is
-    Bruhat comparison of the associated involutions."""
+    Bruhat comparison of the associated involutions, inferred by length and
+    transitivity (the poset suite compares it with every pair)."""
     if not weak_order_leq(v, w):
         raise ValueError("v is not below w")
     subsets = orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set())
@@ -116,17 +118,29 @@ def build_orbit_poset(
             )
         )
     n = len(nodes)
-    leq = tuple(
-        tuple(
-            group.bruhat_leq(nodes[i].sigma.element, nodes[j].sigma.element)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise AssertionError("closure order is not antisymmetric")
+    if len({node.sigma.element for node in nodes}) != n:
+        raise AssertionError("closure order is not antisymmetric")
+    # Bruhat order: u < w forces length(u) < length(w), and everything below
+    # u is below w.  So only strictly shorter nodes not yet known to be below
+    # are compared, the longest first, and each hit brings its lower set.
+    order = sorted(range(n), key=lambda k: nodes[k].length)
+    lengths = [nodes[k].length for k in order]
+    below = [0] * n  # bit i of below[j]: node i is strictly below node j
+    for j in order:
+        x, known = nodes[j].sigma.element, 0
+        for i in reversed(order[: bisect_left(lengths, nodes[j].length)]):
+            if not known >> i & 1 and group.bruhat_leq(nodes[i].sigma.element, x):
+                known |= 1 << i | below[i]
+        below[j] = known
+    columns = [format(below[j] | 1 << j, f"0{n}b")[::-1] for j in range(n)]
+    leq = tuple(tuple(c == "1" for c in row) for row in zip(*columns))
+    hasse = []
+    for j in range(n):
+        # the covers of j: below j, and below nothing that is below j
+        covers = below[j]
+        for k in _bits(below[j]):
+            covers &= ~below[k]
+        hasse.extend((i, j) for i in _bits(covers))
     ctx = PosetContext(
         group.rs.datum.type_letter,
         group.rank,
@@ -135,20 +149,7 @@ def build_orbit_poset(
         w,
         v,
     )
-    return OrbitPoset(ctx, tuple(nodes), leq, _transitive_reduction(leq))
-
-
-def _transitive_reduction(leq) -> tuple[tuple[int, int], ...]:
-    n = len(leq)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                continue
-            edges.append((i, j))
-    return tuple(sorted(edges))
+    return OrbitPoset(ctx, tuple(nodes), leq, tuple(sorted(hasse)))
 
 
 def closure_leq(group: AffineWeylGroup, p: AdmissiblePair, q: AdmissiblePair) -> bool:

@@ -372,8 +372,13 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
                 continue
             poset = build_orbit_poset(group, w, v)
             n = len(poset.nodes)
-            leq = poset.leq
+            # the pairwise comparison is the oracle of the inferred order, and
+            # the order checks run on it, where transitivity is not built in
+            sigmas = [node.sigma.element for node in poset.nodes]
+            leq = tuple(tuple(group.bruhat_leq(a, b) for b in sigmas) for a in sigmas)
             checks += 1
+            if poset.leq != leq:
+                bad.append("inferred order differs from pairwise Bruhat comparison")
             for i in range(n):
                 if not leq[i][i]:
                     bad.append("order is not reflexive")

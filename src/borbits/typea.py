@@ -24,14 +24,13 @@ combinatorial one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, reflection_product
 from .minuscule import enumerate_abelian_ideals
-from .roots import Root, RootSystem, build_root_system
+from .roots import Root, RootSystem, _Value, build_root_system
 
 __all__ = [
     "MatrixIdealContext",
@@ -50,14 +49,14 @@ ELEMENT_CAP = 10**7
 Position = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MatrixIdealContext:
+class MatrixIdealContext(_Value):
     """Slots of an abelian ideal of strictly upper triangular n x n matrices
     over F_q."""
 
-    n: int
-    q: int
-    positions: tuple[Position, ...]
+    __slots__ = ("n", "q", "positions")
+
+    def __init__(self, n: int, q: int, positions: tuple[Position, ...]):
+        self.n, self.q, self.positions = n, q, positions
 
     @property
     def element_count(self) -> int:
@@ -119,14 +118,15 @@ def ideal_positions(n: int, ideal_id: int) -> tuple[Position, ...]:
     return tuple(sorted(root_to_position(r) for r in ideals[ideal_id].roots))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(_Value):
     """Conjugation classes of the ideal under the Borel group of SL_n(F_q)."""
 
-    context: MatrixIdealContext
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
-    sizes: tuple[int, ...]
-    representatives: tuple[tuple[int, ...], ...]
+    __slots__ = ("context", "classes", "sizes", "representatives")
+
+    def __init__(self, context: MatrixIdealContext, classes: tuple[tuple[tuple[int, ...], ...], ...],
+                 sizes: tuple[int, ...], representatives: tuple[tuple[int, ...], ...]):
+        self.context, self.classes = context, classes
+        self.sizes, self.representatives = sizes, representatives
 
     def class_of(self, vec: tuple[int, ...]) -> int:
         for k, cls in enumerate(self.classes):

@@ -6,7 +6,6 @@ The re-deriving move (classify every index, rebuild v with the brute-force
 window scan) is kept here as the oracle that the sweep compares against.
 """
 
-import dataclasses
 import json
 import re
 import sys
@@ -16,6 +15,7 @@ import pytest
 from borbits.affine import AffineRoot, AffineWeylGroup
 from borbits.cli import main
 from borbits.involutions import (
+    AdmissiblePair,
     DescentClassification,
     Report,
     descent_classify,
@@ -257,7 +257,7 @@ def test_a_foreign_sigma_is_caught():
     witness = next(m for m in group.minuscule if other_s.root_set() <= m.inversion_set())
     other = make_admissible_pair(group, pair.v, other_s, witness)
     assert descent_move(group, pair, 0).sigma.element == twisted_conjugate(group, 0, pair.sigma).element
-    sabotaged = dataclasses.replace(pair, sigma=other.sigma)
+    sabotaged = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
     assert sabotaged == pair
     with pytest.raises(AssertionError, match="descent move does not match twisted conjugation"):
         descent_move(group, sabotaged, 0)
@@ -277,7 +277,7 @@ def test_every_foreign_sigma_is_refused():
                 if other.sigma.element == pair.sigma.element:
                     continue
                 with pytest.raises((AssertionError, ValueError)):
-                    descent_move(group, dataclasses.replace(pair, sigma=other.sigma), i)
+                    descent_move(group, AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma), i)
                 refused += 1
     assert refused > 0
 

@@ -62,6 +62,26 @@ def test_ideals_loads_neither_dataclasses_nor_fractions():
     assert loaded == []
 
 
+def test_orbit_commands_load_neither_dataclasses_nor_inspect():
+    """The value classes of the involution, orbit and type-A layers are
+    `__slots__` classes too, so no command loads `dataclasses` or `inspect`."""
+    for argv in (
+        ["orbits", "--type", "A", "--rank", "3", "--ideal-id", "4"],
+        ["poset", "--type", "B", "--rank", "3", "--ideal-id", "5", "--format", "dot"],
+        ["verify", "--type", "B", "--rank", "2", "--suite", "all"],
+        ["oracle-typea", "--n", "3", "--ideal-id", "2", "--q", "2"],
+    ):
+        code, loaded = _child(f"""
+            import contextlib, io, json, sys
+            from borbits import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main({argv!r})
+            print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+        """)
+        assert code == 0, argv
+        assert loaded == [], argv
+
+
 def test_building_a_group_does_not_load_fractions():
     loaded = _child("""
         import json, sys

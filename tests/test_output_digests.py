@@ -1,10 +1,12 @@
-"""Pinned output of `ideals` commands outside the benchmark's golden pool.
+"""Pinned output of commands outside the benchmark's golden pool.
 
 The benchmark checks its 78 commands against `perfbench/golden.json`; these
-three are larger than any of them (E8 lists 256 ideals of up to 36 roots,
-A9 and A10 list 512 and 1024 ideals).  Their standard output, recorded
-before the minuscule walk moved onto positive-root bitmasks, is pinned by
-its sha256.
+are larger than any of them.  E8 `ideals` lists 256 ideals of up to 36
+roots, A9 and A10 list 512 and 1024 ideals; their standard output was
+recorded before the minuscule walk moved onto positive-root bitmasks.  The
+E7 posets of ideals 127 and 100 were recorded while the closure order was
+still the all-pairs Bruhat matrix and its cubic transitive reduction.  Each
+output is pinned by its sha256.
 """
 
 import contextlib
@@ -22,9 +24,26 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(DIGESTS))
-def test_ideals_output_digest(command):
+POSET_DIGESTS = {
+    "poset --type E --rank 7 --ideal-id 127 --format json":
+        "38530926f0c64bee10ca0932ea7e3b02935ce624615931e874d647147d5dba21",
+    "poset --type E --rank 7 --ideal-id 100 --format dot":
+        "f6b23f79d63bb2ae4f0f43d936a00a15ce7cc32ae1546e1e248f87880407d6e9",
+}
+
+
+def _digest(command):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(command.split()) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[command]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_ideals_output_digest(command):
+    assert _digest(command) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(POSET_DIGESTS))
+def test_poset_output_digest(command):
+    assert _digest(command) == POSET_DIGESTS[command]

@@ -1,35 +1,52 @@
 """The value classes keep the value semantics of the frozen dataclasses they
 replaced: the same fields, equality, hash and repr.
 
-`CartanDatum`, `Root`, `AffineRoot`, `AbelianIdeal` and `MinusculeElement`
-are `__slots__` classes.  A frozen dataclass compares its fields as a tuple
-when the classes match, hashes that tuple and prints
-``Name(field=value, ...)``; the references below are such dataclasses with
-the same fields, and every instance is checked against its reference.  The
-hash matters beyond equality: it fixes the iteration order of sets of roots.
+`CartanDatum`, `Root`, `AffineRoot`, `AbelianIdeal`, `MinusculeElement`,
+`Report`, `OrthogonalSet`, `Involution`, `AdmissiblePair`,
+`DescentClassification`, `OrbitNode`, `PosetContext`, `OrbitPoset`,
+`MatrixIdealContext` and `OrbitPartition` are `__slots__` classes.  A frozen
+dataclass compares its fields as a tuple when the classes match, hashes that
+tuple and prints ``Name(field=value, ...)``; the references below are such
+dataclasses with the same fields, and every instance is checked against its
+reference.  The hash matters beyond equality: it fixes the iteration order
+of sets of roots.
 """
 
-from dataclasses import make_dataclass
+from dataclasses import field, make_dataclass
 
 import pytest
 
 from borbits.affine import AffineRoot
+from borbits.involutions import (
+    AdmissiblePair,
+    Involution,
+    OrthogonalSet,
+    Report,
+    orthogonal_subsets,
+    pair_descents,
+    reflection_product,
+)
 from borbits.minuscule import AbelianIdeal, MinusculeElement
+from borbits.orbits import build_orbit_poset
 from borbits.roots import CartanDatum, Root, cartan_datum
+from borbits.suites import _admissible_sweep
+from borbits.typea import enumerate_orbits, ideal_positions, make_context
 
 from conftest import get_system
 
 SYSTEMS = [("A", 3), ("B", 3), ("G", 2)]
 
 
-def _reference(value, names):
-    """A frozen dataclass with the class name and fields of value."""
-    cls = make_dataclass(type(value).__name__, names, frozen=True)
+def _reference(value, names, blind=()):
+    """A frozen dataclass with the class name and fields of value; the
+    fields in blind are left out of equality and hashing."""
+    specs = [(n, object, field(compare=False)) if n in blind else n for n in names]
+    cls = make_dataclass(type(value).__name__, specs, frozen=True)
     return cls(*(getattr(value, n) for n in names))
 
 
-def _check(value, names):
-    ref = _reference(value, names)
+def _check(value, names, blind=()):
+    ref = _reference(value, names, blind)
     assert repr(value) == repr(ref)
     assert hash(value) == hash(ref)
     twin = type(value)(*(getattr(value, n) for n in names))
@@ -50,6 +67,41 @@ def test_values_match_their_dataclass_references(letter, rank):
     for m in group.minuscule:
         _check(m.ideal, ["roots"])
         _check(m, ["element", "inversions", "ideal"])
+        for s in orthogonal_subsets(rs, m.inversions):
+            _check(s, ["roots"])
+            _check(reflection_product(group, s), ["element", "support"])
+    for pair in _admissible_sweep(group):
+        _check(pair, ["v", "s", "witness", "sigma"], blind=("sigma",))
+        for cls in pair_descents(group, pair).values():
+            _check(cls, ["kind", "locus"])
+    poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
+    _check(poset, ["context", "nodes", "leq", "hasse"])
+    _check(poset.context, ["type_letter", "rank", "ideal_id", "v_word", "w", "v"])
+    for node in poset.nodes:
+        _check(node, ["s", "sigma", "sigma_word", "length", "big_l", "dim"])
+        _check(Involution(node.sigma.element), ["element", "support"])
+
+
+def test_reports_and_typea_values_match_their_dataclass_references():
+    _check(Report("poset", 3, ("a", "b")), ["name", "checks", "violations"])
+    _check(Report("phi", 0), ["name", "checks", "violations"])
+    for q in (2, 3):
+        ctx = make_context(4, q, ideal_positions(4, 5))
+        _check(ctx, ["n", "q", "positions"])
+        _check(enumerate_orbits(ctx), ["context", "classes", "sizes", "representatives"])
+
+
+def test_admissible_pairs_ignore_sigma():
+    """Equality and hashing stay on (v, S, witness); the repr prints sigma."""
+    _, group = get_system("B", 3)
+    pairs = list(_admissible_sweep(group))
+    pair = pairs[-1]
+    other = next(p for p in pairs if p.sigma.element != pair.sigma.element)
+    swapped = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
+    assert swapped == pair and hash(swapped) == hash(pair)
+    assert repr(swapped) != repr(pair) and repr(other.sigma) in repr(swapped)
+    changed = next(p.s for p in pairs if p.s != pair.s)
+    assert AdmissiblePair(pair.v, changed, pair.witness, pair.sigma) != pair
 
 
 def test_equality_reads_every_field():
@@ -70,6 +122,10 @@ def test_caches_stay_out_of_the_value():
     fresh = MinusculeElement(m.element, m.inversions, AbelianIdeal(m.ideal.roots))
     m.inversion_set(), m.ideal.root_set(), rs.highest_root.is_positive
     assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+    s = orthogonal_subsets(rs, m.inversions)[-1]
+    copy = OrthogonalSet(s.roots)
+    assert s.root_set() == frozenset(s.roots)
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
     assert Root(rs.highest_root.coeffs) == rs.highest_root
 
 

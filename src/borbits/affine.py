@@ -24,7 +24,10 @@ x^{-1}(a_i) of a simple root is read from the tables without inverting x.
 For a minuscule x every such root is some ``r - delta`` with r > 0, so its
 inversion set is a bitmask over the positive roots, read in one pass
 (`inversion_mask`); `inversions_from_negative` lists the roots themselves
-and stays as the oracle.
+and stays as the oracle.  Past the minuscule walk that bitmask, bit j for
+``r_j - delta``, is the one form of a subset of ``Phi^+ - delta``: inversion
+sets, the gaps between them and the orthogonal supports inside a gap
+(`shifted_mask`, `shifted_roots`).
 An element is just its two tables, and they are faithful: ``perm`` fixes w,
 which acts faithfully on the roots, and ``shift`` fixes ``lambda``, whose
 pairings with the roots it lists.  Equality and hashing see the tables, and
@@ -33,13 +36,12 @@ more table, ``d[g] = 2*shift'[g] + [perm'[g] < 0]`` on the tables of x^{-1}:
 greedy descent stripping gives each element's reduced word, and a Bruhat
 comparison u <= w is one pass down w's greedy word, the lifting recursion
 without its branches, carrying only that table of u.  Lengths and
-comparisons have independent brute-force counterparts used as oracles by
-the test suite: a scan over a window of levels acting root by root, which
-lives in the tests, and subword search.  Reduced words of minuscule
-elements come from the minuscule walk, which stores them here; the others
-are stripped on demand.  The alcove containment test reads integer wall
-values at the alcove vertices off the tables; there are no tolerances
-anywhere.
+comparisons have independent brute-force counterparts, which live in the
+tests as oracles: a scan over a window of levels acting root by root, and
+subword search.  Reduced words of minuscule elements come from the
+minuscule walk, which stores them here; the others are stripped on demand.
+The alcove containment test reads integer wall values at the alcove
+vertices off the tables; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from __future__ import annotations
 from functools import cached_property
 from operator import add, itemgetter, mul
 import re
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .roots import Root, RootSystem, _Value
+from .roots import Root, RootSystem, _Value, _bits
 
 if TYPE_CHECKING:
     from .involutions import Involution, OrthogonalSet
@@ -337,17 +339,22 @@ class AffineWeylGroup:
         j = perm.index(g)
         return AffineRoot(self._roots[j], level + shift[j])
 
-    def up_steps(self, x: AffineWeylElement) -> Iterator[tuple[int, AffineRoot]]:
-        """The pairs (i, beta), lowest i first, where s_i x adds the inversion
-        beta = -x^{-1}(a_i) and beta lies in Phi^+ - delta.  Such a beta has
-        level -1, so s_i x is longer than x.  As in `pull_back`,
+    def up_steps(self, x: AffineWeylElement) -> Iterator[tuple[int, int]]:
+        """The pairs (i, k), lowest i first, where s_i x adds the inversion
+        r_k - delta = -x^{-1}(a_i) of Phi^+ - delta.  Such a root has level
+        -1, so s_i x is longer than x.  As in `pull_back`,
         x^{-1}(a_i) = gamma_j + (level_i + shift[j])*delta with perm[j] = g_i,
-        so beta is the shared -gamma_j - delta."""
+        so r_k is -gamma_j."""
         perm, shift, negative = x.perm, x.shift, self._negative
         for i, (g, level) in enumerate(self._simple_at):
             j = perm.index(g)
             if negative[j] and level + shift[j] == 1:
-                yield i, self._shifted[self._negation[j] - self._pos_start]
+                yield i, self._negation[j] - self._pos_start
+
+    def negated_position(self, a: AffineRoot) -> int | None:
+        """The k with -a = r_k - delta, None if -a is not in Phi^+ - delta."""
+        g = self._index[a.finite.coeffs]
+        return self._negation[g] - self._pos_start if a.level == 1 and self._negative[g] else None
 
     def normalizer_indices(self, x: AffineWeylElement) -> list[int]:
         """The finite simple indices i with x(alpha_i) again a simple affine
@@ -472,6 +479,18 @@ class AffineWeylGroup:
             return None
         return sum(1 << j for j, lo in enumerate(lows) if lo)
 
+    def shifted_mask(self, roots: Iterable[AffineRoot]) -> int | None:
+        """The bitmask of a set of roots r_j - delta, bit j; None if one of
+        them is not in Phi^+ - delta."""
+        index = self.rs._pos_index
+        bits = [index.get(a.finite) if a.level == -1 else None for a in roots]
+        return None if None in bits else sum(1 << j for j in set(bits))
+
+    def shifted_roots(self, mask: int) -> tuple[AffineRoot, ...]:
+        """The shared roots r_j - delta of the set bits j of mask, in the
+        canonical order (by positive-root index)."""
+        return tuple(map(self._shifted.__getitem__, _bits(mask)))
+
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
@@ -508,23 +527,6 @@ class AffineWeylGroup:
                     break
         self._bruhat[key] = answer
         return answer
-
-    def bruhat_lower_interval_oracle(self, w: AffineWeylElement) -> frozenset[AffineWeylElement]:
-        """Everything below w for the Bruhat order, by brute force over the
-        subwords of one fixed reduced word of w.  Guarded to length <= 20."""
-        word = self.reduced_word(w)
-        if len(word) > 20:
-            raise ValueError("the subword oracle is capped at length 20")
-        reachable = {self.identity}
-        for i in word:
-            s = self.simple_reflection(i)
-            reachable |= {self.multiply(x, s) for x in reachable}
-        return frozenset(reachable)
-
-    def bruhat_leq_oracle(self, u: AffineWeylElement, w: AffineWeylElement) -> bool:
-        """Subword-property brute force: u <= w iff some subword of one fixed
-        reduced word of w evaluates to u."""
-        return u in self.bruhat_lower_interval_oracle(w)
 
     # -- per-system derived data -------------------------------------------------
     # The builders live in modules that import this one, hence the local imports.

@@ -8,6 +8,11 @@ reflection, the classification of descents of admissible pairs into
 real/complex and finite/affine kinds, and the four-case descent move that
 lowers an admissible pair along a descent.
 
+The inversion gap of a pair and its support S lie in ``Phi^+ - delta``, so
+they are read as bitmasks over the positive roots (bit j for r_j - delta),
+and containment and orthogonality are bit tests against the root system's
+`orthogonal_masks`.  v(S) has roots at other levels; no mask describes it.
+
 Two consistency checks that are easy to get wrong are kept close to the
 data: every root sent to its negative by the involution of an orthogonal
 subset of an inversion set must be a half sum of two support roots, and
@@ -22,7 +27,7 @@ from typing import Iterable, Optional
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, parse_affine_root
 from .minuscule import MinusculeElement, weak_order_leq
-from .roots import RootSystem, _Value
+from .roots import RootSystem, _Value, _bits
 
 __all__ = [
     "Report",
@@ -61,7 +66,7 @@ class Report(_Value):
 class OrthogonalSet(_Value):
     """A canonically ordered set of pairwise orthogonal real affine roots."""
 
-    __slots__ = ("roots", "_root_set")
+    __slots__ = ("roots",)
 
     def __init__(self, roots: tuple[AffineRoot, ...]):
         self.roots = roots
@@ -79,14 +84,6 @@ class OrthogonalSet(_Value):
     @property
     def size(self) -> int:
         return len(self.roots)
-
-    def root_set(self) -> frozenset[AffineRoot]:
-        # built on first use; equality and hashing stay on `roots`
-        try:
-            return self._root_set
-        except AttributeError:
-            self._root_set = frozenset(self.roots)
-            return self._root_set
 
     def to_json_dict(self) -> dict:
         return {"roots": [str(a) for a in self.roots]}
@@ -109,25 +106,24 @@ def orthogonal_set_from_json_dict(rs: RootSystem, data: dict) -> OrthogonalSet:
 
 
 def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[OrthogonalSet]:
-    """All pairwise orthogonal subsets, by clique backtracking, in canonical
-    order (size, then lexicographic positions)."""
+    """All pairwise orthogonal subsets in canonical order (size, then
+    lexicographic positions in the sorted pool), one size at a time: each
+    clique, in order, grows by each later root orthogonal to all of it.
+    Orthogonality is read from `rs.orthogonal_masks` at the positive root of
+    each finite part, into bitmasks over the pool."""
     pool = sorted(set(roots), key=lambda a: a.sort_key)
-    ortho = [
-        [rs.pairing(a.finite, b.finite) == 0 for b in pool] for a in pool
+    index, ortho = rs._pos_index, rs.orthogonal_masks
+    keys = [index[a.finite] if a.finite.is_positive else index[-a.finite] for a in pool]
+    # bit q of later[p]: pool[q] comes after pool[p] and is orthogonal to it
+    later = [
+        sum(1 << q for q in range(p + 1, len(keys)) if ortho[k] >> keys[q] & 1) for p, k in enumerate(keys)
     ]
-    out: list[tuple[int, ...]] = []
-
-    def extend(start: int, chosen: list[int]) -> None:
-        out.append(tuple(chosen))
-        for j in range(start, len(pool)):
-            if all(ortho[i][j] for i in chosen):
-                chosen.append(j)
-                extend(j + 1, chosen)
-                chosen.pop()
-
-    extend(0, [])
-    out.sort(key=lambda idxs: (len(idxs), idxs))
-    return [OrthogonalSet(tuple(pool[i] for i in idxs)) for idxs in out]
+    out: list[OrthogonalSet] = []
+    level = [((), (1 << len(pool)) - 1)]
+    while level:
+        out += [OrthogonalSet(chosen) for chosen, _ in level]
+        level = [(chosen + (pool[j],), free & later[j]) for chosen, free in level for j in _bits(free)]
+    return out
 
 
 class Involution(_Value):
@@ -251,8 +247,8 @@ def make_admissible_pair(
 ) -> AdmissiblePair:
     if not weak_order_leq(v, witness):
         raise ValueError("invalid pair: v is not below the witness")
-    gap = witness.inversion_set() - v.inversion_set()
-    if not s.root_set() <= gap:
+    support = group.shifted_mask(s.roots)
+    if support is None or support & (v._mask | ~witness._mask):
         raise ValueError("invalid pair: S is not inside the inversion gap")
     sigma = reflection_product(group, transform_set(group, v.element, s))
     return AdmissiblePair(v, s, witness, sigma)
@@ -298,21 +294,23 @@ def _classify_descents(
     group: AffineWeylGroup, pair: AdmissiblePair, indices: Iterable[int]
 ) -> dict[int, tuple[DescentClassification, AffineRoot]]:
     """The body of `pair_descents` for the given indices; each classification
-    comes with its pulled-back root beta = v^{-1}(alpha_i)."""
-    rs = group.rs
+    comes with its pulled-back root beta = v^{-1}(alpha_i).  The witness's
+    inversions and S are read as masks: -beta is in them when its bit k is."""
     sigma = pair.sigma
-    witness_inv = pair.witness.inversion_set()
+    witness, support = pair.witness._mask, group.shifted_mask(pair.s.roots)
+    ortho = group.rs.orthogonal_masks
     sigma_s = None
     out: dict[int, tuple[DescentClassification, AffineRoot]] = {}
     for i in indices:
         kind = descent_classify(group, sigma, i)
         beta = group.pull_back(pair.v.element, i)
-        affine = -beta in witness_inv
+        k = group.negated_position(beta)
+        affine = k is not None and witness >> k & 1
         if affine:
-            not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s.roots)
+            not_orth = bool(support & ~ortho[k])
             if (kind != "none") != not_orth:
                 raise AssertionError("affine descent criterion mismatch")
-            if (kind == "real") != (-beta in pair.s.root_set()):
+            if (kind == "real") != bool(support >> k & 1):
                 raise AssertionError("real affine descent criterion mismatch")
         if kind == "none":
             out[i] = (DescentClassification("none"), beta)
@@ -324,10 +322,7 @@ def _classify_descents(
                 sigma_s = reflection_product(group, pair.s)
             if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
                 raise AssertionError("finite descent does not descend the support involution")
-            real_for_support = (
-                group.act(sigma_s.element, beta) == -beta
-            )
-            if real_for_support != (kind == "real"):
+            if (group.act(sigma_s.element, beta) == -beta) != (kind == "real"):
                 raise AssertionError("real finite descent criterion mismatch")
             out[i] = (DescentClassification(kind, "finite"), beta)
         elif affine:
@@ -355,7 +350,9 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
         if cls.kind == "complex":
             new_s = pair.s
         else:
-            new_s = make_orthogonal_set(rs, pair.s.root_set() - {-beta})
+            # dropping -beta from a canonical tuple keeps it canonical
+            gone = -beta
+            new_s = OrthogonalSet(tuple(a for a in pair.s.roots if a != gone))
         result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
     else:
         if cls.kind == "complex":
@@ -376,27 +373,23 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
     """S with the pair gamma1 = gamma2 + 2 beta replaced by beta + gamma2.
     All decompositions must give the same replacement; anything else is
     surfaced rather than silently picked."""
-    candidates = []
-    for g1 in s.roots:
-        for g2 in s.roots:
-            if g1 == g2:
-                continue
-            diff = g1.finite - g2.finite
-            if g1.level == g2.level and diff.coeffs == tuple(
-                2 * c for c in beta.finite.coeffs
-            ):
-                candidates.append((g1, g2))
+    twice = tuple(2 * c for c in beta.finite.coeffs)
+    candidates = [
+        (g1, g2)
+        for g1 in s.roots
+        for g2 in s.roots
+        if g1 != g2 and g1.level == g2.level and (g1.finite - g2.finite).coeffs == twice
+    ]
     if not candidates:
         raise AssertionError("real finite descent without a half-difference pair")
     results = set()
     for g1, g2 in candidates:
-        repl = AffineRoot(beta.finite + g2.finite, g2.level)
-        kept = s.root_set() - {g1, g2} | {repl}
-        results.add(frozenset(kept))
+        kept = [a for a in s.roots if a not in (g1, g2)]
+        results.add(make_orthogonal_set(rs, kept + [AffineRoot(beta.finite + g2.finite, g2.level)]))
     if len(results) != 1:
         raise AssertionError("ambiguous real finite descent replacement")
-    (kept,) = results
-    return make_orthogonal_set(rs, kept)
+    (out,) = results
+    return out
 
 
 def negated_root_report(
@@ -408,8 +401,10 @@ def negated_root_report(
     S and verify each is half of (+-b) + (+-b') with b, b' in S; roots at
     level -1 with positive finite part must use the plus-plus form, finite
     roots the mixed form."""
-    if inside is not None and not s.root_set() <= inside.inversion_set():
-        raise ValueError("S is not inside the inversion set of the given element")
+    if inside is not None:
+        support = group.shifted_mask(s.roots)
+        if support is None or support & ~inside._mask:
+            raise ValueError("S is not inside the inversion set of the given element")
     sigma = reflection_product(group, s)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
     halves: dict[tuple, set[tuple[int, int]]] = {}
@@ -447,6 +442,6 @@ def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bo
     for sub in orthogonal_subsets(group.rs, m.inversions):
         el = reflection_product(group, sub).element
         mates = buckets.get(el, [])
-        if len(mates) != 1 or mates[0].root_set() != sub.root_set():
+        if len(mates) != 1 or mates[0] != sub:
             return False
     return True

@@ -16,7 +16,9 @@ enumerations agree, which is the point of keeping them separate.
 The walk reads each element's inversion set off its root tables as a
 bitmask over the positive roots (`AffineWeylGroup.inversion_mask`), checks
 it against the root system's `ideal_masks` and builds the ideal from it;
-the inversions are the group's shared ``r - delta``.  The tests keep
+the inversions are the group's shared ``r - delta``.  Each element keeps
+that mask, and the weak order is mask inclusion; the other modules read
+gaps and supports as masks over the same positive roots.  The tests keep
 `inversions_from_negative` with the root-list `make_abelian_ideal` as its
 oracle; the ideal walk keeps its own dominance-upper lists, so it stays an
 oracle too.
@@ -25,7 +27,7 @@ oracle too.
 from __future__ import annotations
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
-from .roots import Root, RootSystem, _Value
+from .roots import Root, RootSystem, _Value, _bits
 
 __all__ = [
     "AbelianIdeal",
@@ -49,7 +51,7 @@ class AbelianIdeal(_Value):
     """An upward-closed, sum-free subset of the positive roots, canonically
     ordered."""
 
-    __slots__ = ("roots", "_root_set")
+    __slots__ = ("roots",)
 
     def __init__(self, roots: tuple[Root, ...]):
         self.roots = roots
@@ -58,21 +60,8 @@ class AbelianIdeal(_Value):
     def size(self) -> int:
         return len(self.roots)
 
-    def root_set(self) -> frozenset[Root]:
-        # built on first use; equality and hashing stay on `roots`
-        try:
-            return self._root_set
-        except AttributeError:
-            self._root_set = frozenset(self.roots)
-            return self._root_set
-
     def to_json_dict(self) -> dict:
         return {"roots": [str(r) for r in self.roots]}
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
@@ -148,9 +137,12 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
 
 
 class MinusculeElement(_Value):
-    """A minuscule affine Weyl element with its inversion set and ideal."""
+    """A minuscule affine Weyl element with its inversion set and ideal.
+    `minuscule_from_element` also keeps the inversion set as a bitmask over
+    the positive roots, in the private slot ``_mask``, which stays out of
+    the value."""
 
-    __slots__ = ("element", "inversions", "ideal", "_inversion_set")
+    __slots__ = ("element", "inversions", "ideal", "_mask")
 
     def __init__(
         self, element: AffineWeylElement, inversions: tuple[AffineRoot, ...], ideal: AbelianIdeal
@@ -161,23 +153,17 @@ class MinusculeElement(_Value):
     def length(self) -> int:
         return len(self.inversions)
 
-    def inversion_set(self) -> frozenset[AffineRoot]:
-        # built on first use; equality and hashing stay on `inversions`
-        try:
-            return self._inversion_set
-        except AttributeError:
-            self._inversion_set = frozenset(self.inversions)
-            return self._inversion_set
-
 
 def minuscule_from_element(group: AffineWeylGroup, x: AffineWeylElement) -> MinusculeElement:
     """Wrap an element: its inversion mask, read off the tables, validated
-    as an abelian ideal.  The inversions are the group's shared r - delta."""
+    as an abelian ideal and kept.  The inversions are the group's shared
+    r - delta."""
     mask = group.inversion_mask(x)
     if mask is None:
         raise ValueError("element is not minuscule")
-    inversions = tuple(group._shifted[i] for i in _bits(mask))
-    return MinusculeElement(x, inversions, ideal_from_mask(group.rs, mask))
+    m = MinusculeElement(x, group.shifted_roots(mask), ideal_from_mask(group.rs, mask))
+    m._mask = mask
+    return m
 
 
 def is_minuscule(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
@@ -222,38 +208,32 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
 
 
 def ideal_to_element(group: AffineWeylGroup, ideal: AbelianIdeal) -> MinusculeElement:
-    """Constructive inverse of the bijection: repeatedly pick a dominance
-    maximal missing inversion beta; its image under the current element is
-    the negative of a simple root, and that reflection extends the element."""
-    rs = group.rs
-    target = {AffineRoot(r, -1) for r in ideal.roots}
-    cur = group.identity
-    have: set[AffineRoot] = set()
+    """Constructive inverse of the bijection: repeatedly pick the lowest
+    dominance maximal missing inversion beta (nothing else missing lies
+    above it in `ideal_masks`); its image under the current element is the
+    negative of a simple root, and that reflection extends the element."""
+    above = group.rs.ideal_masks[0]
+    target = sum(1 << group.rs.positive_index(r) for r in ideal.roots)
+    cur, have = group.identity, 0
     while have != target:
-        missing = sorted(target - have, key=lambda a: a.sort_key)
-        best = [
-            a
-            for a in missing
-            if not any(
-                b != a and rs.dominance_leq(a.finite, b.finite) for b in missing
-            )
-        ]
-        beta = min(best, key=lambda a: a.sort_key)
-        alpha = -group.act(cur, beta)
+        missing = target & ~have
+        j = next(j for j in _bits(missing) if above[j] & missing == 1 << j)
+        alpha = -group.act(cur, group._shifted[j])
         if not group.is_simple_affine(alpha):
             raise AssertionError("non-simple lift while building a minuscule element")
         cur = group.multiply(group.simple_reflection(group.simple_index(alpha)), cur)
-        have.add(beta)
+        have |= 1 << j
     out = minuscule_from_element(group, cur)
-    if out.ideal.root_set() != ideal.root_set():
+    if out.ideal != ideal:
         raise AssertionError("ideal round trip failed")
     return out
 
 
 def weak_order_leq(m1: MinusculeElement, m2: MinusculeElement) -> bool:
-    """Inclusion of inversion sets; on minuscule elements this coincides with
-    the Bruhat order (asserted exhaustively by the test suite)."""
-    return m1.inversion_set() <= m2.inversion_set()
+    """Inclusion of inversion sets, as masks; on minuscule elements this
+    coincides with the Bruhat order (asserted exhaustively by the test
+    suite)."""
+    return not m1._mask & ~m2._mask
 
 
 def normalizer_simple_roots(group: AffineWeylGroup, m: MinusculeElement) -> tuple[Root, ...]:
@@ -269,7 +249,7 @@ def normalizer_by_ideal_stability(rs: RootSystem, ideal: AbelianIdeal) -> tuple[
     Cartan part, so a simple root lying in the ideal never qualifies; a
     simple root is not a sum of two positive roots, so no lowering can land
     in a negative root space and these are the only cases."""
-    members = ideal.root_set()
+    members = set(ideal.roots)
     out = []
     for i in range(1, rs.rank + 1):
         alpha = rs.simple_root(i)

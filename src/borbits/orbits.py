@@ -44,8 +44,8 @@ from .involutions import (
     transform_set,
     twisted_conjugate,
 )
-from .minuscule import MinusculeElement, _bits, weak_order_leq
-from .roots import _Value
+from .minuscule import MinusculeElement, weak_order_leq
+from .roots import _Value, _bits
 
 __all__ = [
     "OrbitNode",
@@ -100,23 +100,14 @@ def build_orbit_poset(
     transitivity (the poset suite compares it with every pair)."""
     if not weak_order_leq(v, w):
         raise ValueError("v is not below w")
-    subsets = orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set())
+    subsets = orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v._mask))
     ell_v = v.length
     nodes = []
     for s in subsets:
         sigma = make_admissible_pair(group, v, s, w).sigma
         ell = group.length(sigma.element)
         big_l = involution_length(group, sigma)
-        nodes.append(
-            OrbitNode(
-                s,
-                sigma,
-                group.reduced_word(sigma.element),
-                ell,
-                big_l,
-                ell_v + big_l,
-            )
-        )
+        nodes.append(OrbitNode(s, sigma, group.reduced_word(sigma.element), ell, big_l, ell_v + big_l))
     n = len(nodes)
     if len({node.sigma.element for node in nodes}) != n:
         raise AssertionError("closure order is not antisymmetric")
@@ -203,33 +194,33 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     orthogonal subset of Phi^+ - delta whose involution is Bruhat-below the
     involution of S lies inside the inversion set of w as well."""
     buckets = group.shifted_orthogonal_index
-    all_subsets = [(s, el, group.length(el)) for el, subs in buckets.items() for s in subs]
+    all_subsets = [
+        (s, group.shifted_mask(s.roots), el, group.length(el)) for el, subs in buckets.items() for s in subs
+    ]
     mins = group.minuscule
-    contexts: dict[frozenset[AffineRoot], list[int]] = {}
+    contexts: dict[OrthogonalSet, list[int]] = {}
     for k, m in enumerate(mins):
         for s in orthogonal_subsets(group.rs, m.inversions):
-            contexts.setdefault(s.root_set(), []).append(k)
+            contexts.setdefault(s, []).append(k)
     checks = 0
     violations = []
-    for s_key, holders in contexts.items():
-        sigma_s = reflection_product(
-            group, make_orthogonal_set(group.rs, s_key)
-        ).element
+    for s, holders in contexts.items():
+        sigma_s = reflection_product(group, s).element
         len_s = group.length(sigma_s)
         below = []
-        for r, el, len_r in all_subsets:
+        for r, r_mask, el, len_r in all_subsets:
             if len_r > len_s:
                 continue
             checks += 1
             if group.bruhat_leq(el, sigma_s):
-                below.append(r)
+                below.append((r, r_mask))
         for k in holders:
-            inv = mins[k].inversion_set()
-            for r in below:
+            inv = mins[k]._mask
+            for r, r_mask in below:
                 checks += 1
-                if not r.root_set() <= inv:
+                if r_mask & ~inv:
                     violations.append(
-                        f"{r} is below {set(map(str, s_key))} but escapes ideal {k}"
+                        f"{r} is below {set(map(str, s.roots))} but escapes ideal {k}"
                     )
     return Report("strong-form", checks, tuple(violations))
 
@@ -239,17 +230,17 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
 
 def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
     """Covers v < s_i v <= w inside the minuscule poset; yields
-    (v, i, v', beta_new) with beta_new the added inversion."""
+    (v, i, v', k) with r_k - delta the added inversion."""
     ids = group.minuscule_ids
-    w_inv = w.inversion_set()
     for m in mins:
         if not weak_order_leq(m, w):
             continue
-        for i, beta_new in group.up_steps(m.element):
-            if beta_new not in w_inv or beta_new in m.inversion_set():
+        gap = w._mask & ~m._mask
+        for i, k in group.up_steps(m.element):
+            if not gap >> k & 1:
                 continue
             nxt = group.multiply(group.simple_reflection(i), m.element)
-            yield m, i, group.minuscule[ids[nxt]], beta_new
+            yield m, i, group.minuscule[ids[nxt]], k
 
 
 def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Report:
@@ -267,18 +258,16 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
             f"v={word_to_text(group.reduced_word(v.element))} i={i} S={s}: {what}"
         )
 
-    for v, i, v2, beta_new in _weak_covers(group, group.minuscule, w):
-        gap2 = w.inversion_set() - v2.inversion_set()
-        for s in orthogonal_subsets(group.rs, gap2):
+    ortho = group.rs.orthogonal_masks
+    for v, i, v2, k in _weak_covers(group, group.minuscule, w):
+        for s in orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v2._mask)):
             checks += 1
             sig_v = make_admissible_pair(group, v, s, w).sigma
             sig_v2 = make_admissible_pair(group, v2, s, w).sigma
             l_v = involution_length(group, sig_v)
             l_v2 = involution_length(group, sig_v2)
-            orth = all(
-                group.rs.pairing(beta_new.finite, a.finite) == 0 for a in s.roots
-            )
-            if not orth:
+            support = group.shifted_mask(s.roots)
+            if support & ~ortho[k]:
                 if sig_v2.element != twisted_conjugate(group, i, sig_v).element:
                     fail(v, i, s, "twisted conjugate mismatch")
                 if l_v2 != l_v - 1:
@@ -286,7 +275,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
                 if not group.bruhat_leq(sig_v2.element, sig_v.element):
                     fail(v, i, s, "no Bruhat drop")
             else:
-                big = make_orthogonal_set(group.rs, s.root_set() | {beta_new})
+                big = OrthogonalSet(group.shifted_roots(support | 1 << k))
                 sig_big = make_admissible_pair(group, v, big, w).sigma
                 l_big = involution_length(group, sig_big)
                 if sig_v2.element != sig_v.element:
@@ -301,6 +290,18 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
 
 
 # -- move-generated order vs Bruhat comparison --------------------------------
+
+
+def _transitive_closure(rows: list[int]) -> list[int]:
+    """Warshall's algorithm on bit rows: bit j of row i is set in the result
+    iff j is reached from i along set bits."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, row = 1 << k, rows[k]
+        for i, r in enumerate(rows):
+            if r & bit:
+                rows[i] = r | row
+    return rows
 
 
 class _UnionFind:
@@ -332,106 +333,88 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     propagate, and the whole thing is saturated under transitivity.
     """
     rs = group.rs
+    ortho, ids = rs.orthogonal_masks, group.minuscule_ids
     mins = [m for m in group.minuscule if weak_order_leq(m, w)]
-    node_id: dict[tuple[AffineWeylElement, frozenset[AffineRoot]], int] = {}
-    node_pairs: list[tuple[MinusculeElement, OrthogonalSet]] = []
-    gap_of: dict[AffineWeylElement, frozenset[AffineRoot]] = {}
+    # a node is keyed on (ideal id of v, mask of S); supports lists the masks
+    # of S per ideal id, in the order of orthogonal_subsets
+    node_id: dict[tuple[int, int], int] = {}
+    node_pairs: list[tuple[MinusculeElement, OrthogonalSet, int]] = []
+    supports: dict[int, list[int]] = {}
     for m in mins:
-        gap = gap_of[m.element] = w.inversion_set() - m.inversion_set()
-        for s in orthogonal_subsets(rs, gap):
-            node_id[(m.element, s.root_set())] = len(node_pairs)
-            node_pairs.append((m, s))
+        vid = ids[m.element]
+        masks = supports[vid] = []
+        for s in orthogonal_subsets(rs, group.shifted_roots(w._mask & ~m._mask)):
+            mask = group.shifted_mask(s.roots)
+            node_id[(vid, mask)] = len(node_pairs)
+            node_pairs.append((m, s, mask))
+            masks.append(mask)
     n = len(node_pairs)
     uf = _UnionFind(n)
     edges: set[tuple[int, int]] = set()
 
     # merges along weak covers, and the degeneration edge for the split case
-    for v, i, v2, beta_new in _weak_covers(group, mins, w):
-        for s in orthogonal_subsets(rs, gap_of[v2.element]):
-            upper = node_id[(v2.element, s.root_set())]
-            if all(rs.pairing(beta_new.finite, a.finite) == 0 for a in s.roots):
-                uf.union(upper, node_id[(v.element, s.root_set() | {beta_new})])
+    for v, i, v2, j in _weak_covers(group, mins, w):
+        vid, vid2 = ids[v.element], ids[v2.element]
+        for mask in supports[vid2]:
+            upper = node_id[(vid2, mask)]
+            if not mask & ~ortho[j]:
+                uf.union(upper, node_id[(vid, mask | 1 << j)])
             else:
-                uf.union(upper, node_id[(v.element, s.root_set())])
+                uf.union(upper, node_id[(vid, mask)])
 
     # torus degenerations at every level
-    for k, (m, s) in enumerate(node_pairs):
-        for beta in gap_of[m.element]:
-            if beta in s.root_set():
-                continue
-            if all(rs.pairing(beta.finite, a.finite) == 0 for a in s.roots):
-                edges.add((k, node_id[(m.element, s.root_set() | {beta})]))
+    for k, (m, s, mask) in enumerate(node_pairs):
+        vid = ids[m.element]
+        for j in _bits(w._mask & ~m._mask & ~mask):
+            if not mask & ~ortho[j]:
+                edges.add((k, node_id[(vid, mask | 1 << j)]))
 
     # finite descent moves, recorded per (v, i) for the transport rule
-    finite_moves: dict[tuple[AffineWeylElement, int], list[tuple[int, int]]] = {}
-    for k, (m, s) in enumerate(node_pairs):
+    finite_moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k, (m, s, _) in enumerate(node_pairs):
         if s.size == 0:
             continue
+        vid = ids[m.element]
         pair = make_admissible_pair(group, m, s, w)
         for i, cls in pair_descents(group, pair).items():
             if cls.kind == "none" or cls.locus != "finite":
                 continue
             moved = descent_move(group, pair, i)
-            k2 = node_id[(m.element, moved.s.root_set())]
+            k2 = node_id[(vid, group.shifted_mask(moved.s.roots))]
             edges.add((k2, k))
-            finite_moves.setdefault((m.element, i), []).append((k, k2))
+            finite_moves.setdefault((vid, i), []).append((k, k2))
 
     # saturate: transitive closure plus transport through common finite descents
     classes = sorted({uf.find(k) for k in range(n)})
     cls_index = {c: j for j, c in enumerate(classes)}
     of = [cls_index[uf.find(k)] for k in range(n)]
     size = len(classes)
-    reach = [1 << j for j in range(size)]
-    adj = [0] * size
+    adj = [1 << j for j in range(size)]
     for a, b in edges:
         adj[of[a]] |= 1 << of[b]
-
-    def close() -> None:
-        changed = True
-        while changed:
-            changed = False
-            for j in range(size):
-                new = reach[j] | adj[j]
-                acc = new
-                bits = new
-                while bits:
-                    low = bits & -bits
-                    acc |= reach[low.bit_length() - 1]
-                    bits ^= low
-                if acc != reach[j]:
-                    reach[j] = acc
-                    changed = True
-
-    close()
+    reach = _transitive_closure(adj)
     while True:
         added = False
-        for key, pairs in finite_moves.items():
+        for pairs in finite_moves.values():
             for k_s, k_s2 in pairs:
                 for k_r, k_r2 in pairs:
-                    if reach[of[k_r2]] >> of[k_s2] & 1 and not (
-                        reach[of[k_r]] >> of[k_s] & 1
-                    ):
-                        adj[of[k_r]] |= 1 << of[k_s]
+                    if reach[of[k_r2]] >> of[k_s2] & 1 and not reach[of[k_r]] >> of[k_s] & 1:
+                        reach[of[k_r]] |= 1 << of[k_s]
                         added = True
         if not added:
             break
-        close()
+        reach = _transitive_closure(reach)
 
-    # compare at the identity level
-    ident = group.minuscule[0]
+    # compare at the identity level, ideal id 0
     checks = 0
     violations = []
-    subsets0 = orthogonal_subsets(rs, gap_of[ident.element])
-    sigma0 = {
-        s.root_set(): reflection_product(group, s).element for s in subsets0
-    }
-    for s1 in subsets0:
-        k1 = of[node_id[(ident.element, s1.root_set())]]
-        for s2 in subsets0:
+    nodes0 = [(s, of[k]) for k, (m, s, _) in enumerate(node_pairs) if ids[m.element] == 0]
+    level0 = [(s, reflection_product(group, s).element, k) for s, k in nodes0]
+    for s1, x1, k1 in level0:
+        for s2, x2, k2 in level0:
             checks += 1
-            k2 = of[node_id[(ident.element, s2.root_set())]]
             derived = bool(reach[k1] >> k2 & 1)
-            expected = group.bruhat_leq(sigma0[s1.root_set()], sigma0[s2.root_set()])
+            expected = group.bruhat_leq(x1, x2)
             if derived != expected:
                 violations.append(
                     f"{s1} vs {s2}: moves say {derived}, involutions say {expected}"

@@ -41,6 +41,11 @@ _RANK_BOUNDS = {
 }
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
 def _check_type(type_letter: str, rank: int) -> None:
     if type_letter not in _RANK_BOUNDS:
         raise ValueError(f"unknown type letter {type_letter!r}")
@@ -110,7 +115,7 @@ def _bourbaki_cartan(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
 class _Value:
     """Base of the immutable value classes: equality, hashing and a
     dataclass-style repr on the public slots, in slot order.  Private slots
-    hold caches and stay out of the value."""
+    hold derived data and stay out of the value."""
 
     __slots__ = ()
 
@@ -256,10 +261,10 @@ class RootSystem:
                 raise AssertionError("root with mixed coefficient signs")
         # built once: the height-one roots open Phi^+ as alpha_rank, ..., alpha_1
         self.simple_roots: tuple[Root, ...] = self.positive_roots[self.rank - 1::-1]
-        self._root_set = frozenset(r.coeffs for r in self.roots)
+        self._coeff_set = frozenset(r.coeffs for r in self.roots)
         self._pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         # B(r, alpha_j) for each j (B is symmetric), and B(r, r)
-        self._form_vec = {c: tuple(sum(map(mul, c, row)) for row in self._form) for c in self._root_set}
+        self._form_vec = {c: tuple(sum(map(mul, c, row)) for row in self._form) for c in self._coeff_set}
         self._norm2 = {c: sum(map(mul, c, v)) for c, v in self._form_vec.items()}
         self.highest_root = self._find_highest()
         self.marks: tuple[int, ...] = self.highest_root.coeffs
@@ -310,10 +315,10 @@ class RootSystem:
     # -- queries ---------------------------------------------------------
 
     def is_root(self, coeffs: tuple[int, ...]) -> bool:
-        return coeffs in self._root_set
+        return coeffs in self._coeff_set
 
     def root(self, coeffs: tuple[int, ...]) -> Root:
-        if coeffs not in self._root_set:
+        if coeffs not in self._coeff_set:
             raise ValueError(f"{coeffs} is not a root")
         return Root(coeffs)
 
@@ -328,7 +333,7 @@ class RootSystem:
 
     def pairing(self, beta: Root, gamma: Root) -> int:
         """<beta, gamma^vee>, an integer for any two roots."""
-        if beta.coeffs not in self._root_set or gamma.coeffs not in self._root_set:
+        if beta.coeffs not in self._coeff_set or gamma.coeffs not in self._coeff_set:
             raise ValueError("pairing arguments must be roots")
         num = 2 * sum(map(mul, beta.coeffs, self._form_vec[gamma.coeffs]))
         den = self._norm2[gamma.coeffs]
@@ -347,7 +352,7 @@ class RootSystem:
         """s_gamma(beta) = beta - <beta, gamma^vee> gamma."""
         k = self.pairing(beta, gamma)
         out = tuple(b - k * g for b, g in zip(beta.coeffs, gamma.coeffs))
-        if out not in self._root_set:
+        if out not in self._coeff_set:
             raise AssertionError("reflection left the root system")
         return Root(out)
 
@@ -363,10 +368,20 @@ class RootSystem:
         so constructing the system does not pay for it.  Both are read on
         coefficient tuples, with no Root built."""
         pos = [r.coeffs for r in self.positive_roots]
-        roots = self._root_set
+        roots = self._coeff_set
         above = tuple(sum(1 << j for j, q in enumerate(pos) if all(map(le, r, q))) for r in pos)
         partners = tuple(sum(1 << j for j, q in enumerate(pos) if tuple(map(add, r, q)) in roots) for r in pos)
         return above, partners
+
+    @cached_property
+    def orthogonal_masks(self) -> tuple[int, ...]:
+        """Bit j of row i is set iff <r_i, r_j^vee> = 0, over the positive-root
+        indices.  Orthogonality ignores signs and levels, so the rows serve
+        every real affine root through the positive root of its finite
+        part.  Built on first use, like `ideal_masks`."""
+        pos = [r.coeffs for r in self.positive_roots]
+        form = self._form_vec
+        return tuple(sum(1 << j for j, q in enumerate(pos) if not sum(map(mul, r, form[q]))) for r in pos)
 
     # -- text and epsilon coordinates ------------------------------------
 

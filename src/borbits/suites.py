@@ -8,6 +8,8 @@ pytest suite, which additionally pins concrete frozen examples.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 import random
 
 from . import SUITE_NAMES
@@ -37,6 +39,7 @@ from .minuscule import (
     weak_order_leq,
 )
 from .orbits import (
+    _transitive_closure,
     build_orbit_poset,
     verify_branch_recursion,
     verify_moves_vs_order,
@@ -66,10 +69,10 @@ def _admissible_sweep(group: AffineWeylGroup):
     inversion gap.  A generator, so that no sweep holds every pair at once."""
     mins = group.minuscule
     for w in mins:
-        below = [v for v in mins if weak_order_leq(v, w)]
-        for v in below:
-            for s in orthogonal_subsets(group.rs, w.inversion_set() - v.inversion_set()):
-                yield make_admissible_pair(group, v, s, w)
+        for v in mins:
+            if weak_order_leq(v, w):
+                for s in orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v._mask)):
+                    yield make_admissible_pair(group, v, s, w)
 
 
 def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
@@ -83,7 +86,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
         bad.append(f"{len(mins)} elements vs {len(ideals)} ideals")
     for k, (ideal, m) in enumerate(zip(ideals, mins)):
         checks += 1
-        if m.ideal.root_set() != ideal.root_set():
+        if m.ideal != ideal:
             bad.append(f"enumeration order mismatch at {k}")
         if ideal_to_element(group, ideal).element != m.element:
             bad.append(f"round trip failed at {k}")
@@ -128,14 +131,12 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 
     checks, bad = 0, []
     for m in mins:
-        inv = m.inversion_set()
-        for a in inv:
-            for g in rs.positive_roots:
-                b = AffineRoot(g, -1)
+        for a in m.inversions:
+            for j, g in enumerate(rs.positive_roots):
                 if rs.dominance_leq(a.finite, g):
                     checks += 1
-                    if b not in inv:
-                        bad.append(f"{b} above {a} escapes the inversion set")
+                    if not m._mask >> j & 1:
+                        bad.append(f"{AffineRoot(g, -1)} above {a} escapes the inversion set")
     reports.append(Report("inversion-upward-closure", checks, tuple(bad)))
 
     checks, bad = 0, []
@@ -264,12 +265,12 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     continue
                 checks += 1
                 beta = rs.simple_root(i)
-                moved = {
+                moved = group.shifted_mask(
                     AffineRoot(rs.reflect(beta, a.finite), a.level) for a in s.roots
-                }
-                if not moved <= m.inversion_set():
+                )
+                if moved is None or moved & ~m._mask:
                     bad.append(f"reflected support escapes the ideal for {s} at {i}")
-                if (moved == s.root_set()) != (kind == "real"):
+                if (moved == group.shifted_mask(s.roots)) != (kind == "real"):
                     bad.append(f"fixed-support iff real fails for {s} at {i}")
     reports.append(Report("support-reflection", checks, tuple(bad)))
 
@@ -305,10 +306,8 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             bad.append("the two crossing quadruples should share an involution")
         if negated_root_report(group, first).ok:
             bad.append("the half-sum check should fail outside every inversion set")
-        if any(
-            first.root_set() <= m.inversion_set() or second.root_set() <= m.inversion_set()
-            for m in mins
-        ):
+        masks = group.shifted_mask(first.roots), group.shifted_mask(second.roots)
+        if any(not mask & ~m._mask for m in mins for mask in masks):
             bad.append("the crossing quadruples should fit inside no inversion set")
         reports.append(Report("counterexample-sets", checks, tuple(bad)))
 
@@ -373,47 +372,34 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
             poset = build_orbit_poset(group, w, v)
             n = len(poset.nodes)
             # the pairwise comparison is the oracle of the inferred order, and
-            # the order checks run on it, where transitivity is not built in
+            # the order checks run on it, where transitivity is not built in;
+            # bit j of row i is set iff node i is below node j
             sigmas = [node.sigma.element for node in poset.nodes]
-            leq = tuple(tuple(group.bruhat_leq(a, b) for b in sigmas) for a in sigmas)
+            rows = [sum(group.bruhat_leq(a, b) << j for j, b in enumerate(sigmas)) for a in sigmas]
             checks += 1
-            if poset.leq != leq:
+            if poset.leq != tuple(tuple(bool(r >> j & 1) for j in range(n)) for r in rows):
                 bad.append("inferred order differs from pairwise Bruhat comparison")
+            supports = [group.shifted_mask(node.s.roots) for node in poset.nodes]
             for i in range(n):
-                if not leq[i][i]:
+                if not rows[i] >> i & 1:
                     bad.append("order is not reflexive")
                 for j in range(n):
-                    for k in range(n):
-                        if leq[i][j] and leq[j][k] and not leq[i][k]:
-                            bad.append("order is not transitive")
-                    if leq[i][j]:
+                    if rows[i] >> j & 1:
+                        # each k above j but not above i breaks transitivity
+                        bad += ["order is not transitive"] * (rows[j] & ~rows[i]).bit_count()
                         if i != j and poset.nodes[i].big_l >= poset.nodes[j].big_l:
                             bad.append("grading is not strict")
-                    if poset.nodes[i].s.root_set() <= poset.nodes[j].s.root_set():
-                        if not leq[i][j]:
-                            bad.append("containment does not imply closure")
-            maxima = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-            minima = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-            if len(maxima) != 1 or len(minima) != 1:
+                    if not supports[i] & ~supports[j] and not rows[i] >> j & 1:
+                        bad.append("containment does not imply closure")
+            # a maximum is above every node, a minimum below every node
+            full = (1 << n) - 1
+            if reduce(and_, rows, full).bit_count() != 1 or rows.count(full) != 1:
                 bad.append("poset does not have unique extremes")
-            reach = [set() for _ in range(n)]
+            edges = [0] * n
             for i, j in poset.hasse:
-                reach[i].add(j)
-            closure = [set(r) for r in reach]
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    for j in list(closure[i]):
-                        extra = closure[j] - closure[i]
-                        if extra:
-                            closure[i] |= extra
-                            changed = True
-            for i in range(n):
-                for j in range(n):
-                    expect = leq[i][j] and i != j
-                    if (j in closure[i]) != expect:
-                        bad.append("hasse closure mismatch")
+                edges[i] |= 1 << j
+            for i, r in enumerate(_transitive_closure(edges)):
+                bad += ["hasse closure mismatch"] * (r ^ (rows[i] & ~(1 << i))).bit_count()
     reports.append(Report("poset-invariants", checks, tuple(bad)))
 
     checks, bad = 0, []
@@ -421,8 +407,7 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
         counts = {}
         for v in mins:
             if weak_order_leq(v, w):
-                gap = w.inversion_set() - v.inversion_set()
-                counts[v.element] = len(orthogonal_subsets(rs, gap))
+                counts[v.element] = len(orthogonal_subsets(rs, group.shifted_roots(w._mask & ~v._mask)))
         for v1 in mins:
             for v2 in mins:
                 if (

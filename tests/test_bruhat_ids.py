@@ -17,6 +17,8 @@ from borbits.affine import AffineWeylGroup
 from borbits.orbits import build_orbit_poset
 from borbits.roots import build_root_system
 
+from oracles import bruhat_lower_interval_oracle
+
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
 
 # the subword oracle refuses reduced words longer than this
@@ -50,7 +52,7 @@ def lower_intervals(group, entries):
     for _, w, _ in entries:
         if w not in intervals:
             assert len(group.reduced_word(w)) <= ORACLE_CAP
-            intervals[w] = group.bruhat_lower_interval_oracle(w)
+            intervals[w] = bruhat_lower_interval_oracle(group, w)
     return intervals
 
 

@@ -72,7 +72,7 @@ def _neighbour_cases(rs) -> list[list[Root]]:
     for ideal in enumerate_abelian_ideals(rs):
         members = list(ideal.roots)
         cases.append(members)
-        cases += [members + [q] for q in rs.positive_roots if q not in ideal.root_set()]
+        cases += [members + [q] for q in rs.positive_roots if q not in ideal.roots]
         cases += [[r for r in members if r != q] for q in members]
         cases.append(members + [-rs.highest_root])
         cases.append([not_a_root] + members)
@@ -143,16 +143,6 @@ def test_the_table_is_built_on_first_use():
     group.minuscule
     assert "ideal_masks" in rs.__dict__
     assert rs.ideal_masks is rs.ideal_masks
-
-
-def test_root_set_is_built_once():
-    rs, _ = get_system("B", 3)
-    ideal = enumerate_abelian_ideals(rs)[-1]
-    assert ideal.root_set() is ideal.root_set()
-    assert ideal.root_set() == frozenset(ideal.roots)
-    twin = AbelianIdeal(ideal.roots)
-    twin.root_set()
-    assert twin == ideal and hash(twin) == hash(ideal)
 
 
 # -- sabotage: a wrong bit is caught -----------------------------------------------

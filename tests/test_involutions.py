@@ -148,7 +148,7 @@ def test_descent_move_affine_cases(system):
     alpha1 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(1), -1)])
     moved = descent_move(W, make_admissible_pair(W, ident, alpha1, w20), 0)
     assert moved.v.element == W.simple_reflection(0)
-    assert moved.s.root_set() == alpha1.root_set()
+    assert set(moved.s.roots) == set(alpha1.roots)
     with pytest.raises(ValueError):
         descent_move(W, make_admissible_pair(W, ident, alpha1, w20), 1)
 
@@ -188,7 +188,7 @@ def test_descent_move_drops_l_everywhere(system):
                 if not weak_order_leq(v, w):
                     continue
                 gap = sorted(
-                    w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key
+                    set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key
                 )
                 for s in orthogonal_subsets(rs, gap):
                     pair = make_admissible_pair(W, v, s, w)
@@ -242,8 +242,8 @@ def test_d4_counterexample_sets(system):
     assert not report.ok
     assert any("-2d" in v or "2d" in v for v in report.violations)
     for m in enumerate_minuscule(W):
-        assert not s.root_set() <= m.inversion_set()
-        assert not sp.root_set() <= m.inversion_set()
+        assert not set(s.roots) <= set(m.inversions)
+        assert not set(sp.roots) <= set(m.inversions)
 
 
 def test_orthogonal_set_json_round_trip(system):
@@ -255,7 +255,7 @@ def test_orthogonal_set_json_round_trip(system):
     s = shifted(rs, "e1+e3", "e1-e3", "e2+e4", "e2-e4")
     data = json.loads(json.dumps(s.to_json_dict()))
     assert data == {"roots": ["0,1,0,1-1d", "0,1,1,0-1d", "1,1,0,0-1d", "1,1,1,1-1d"]}
-    assert orthogonal_set_from_json_dict(rs, data).root_set() == s.root_set()
+    assert orthogonal_set_from_json_dict(rs, data) == s
 
 
 def test_support_injectivity(system):
@@ -275,7 +275,7 @@ def test_descent_equivalences(system):
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
-            gap = sorted(w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key)
+            gap = sorted(set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key)
             for s in orthogonal_subsets(rs, gap):
                 pair = make_admissible_pair(W, v, s, w)
                 sigma = pair.sigma
@@ -317,5 +317,5 @@ def test_support_reflection_prop(system):
                         AffineRoot(rs.reflect(beta, a.finite), a.level)
                         for a in s.roots
                     }
-                    assert moved <= m.inversion_set()
-                    assert (moved == s.root_set()) == (kind == "real")
+                    assert moved <= set(m.inversions)
+                    assert (moved == set(s.roots)) == (kind == "real")

@@ -115,7 +115,7 @@ def test_a_mask_with_a_sum_pair_is_refused():
         ideal_from_mask(rs, pair | upper)
     # the walk refuses an element whose mask gained alpha_1, alpha_2 and every
     # root of height >= 2: upward closed, but alpha_1 + alpha_2 is a root
-    m = next(m for m in group.minuscule if m.ideal.root_set() == {rs.highest_root})
+    m = next(m for m in group.minuscule if set(m.ideal.roots) == {rs.highest_root})
     real = group.inversion_mask
     group.inversion_mask = lambda x: real(x) | pair | upper
     with pytest.raises(ValueError, match="ideal is not sum-free"):

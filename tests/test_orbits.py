@@ -60,7 +60,7 @@ def test_a3_five_node_example(system):
         rs.parse_root("0,1,1"),
         rs.parse_root("1,1,1"),
     }
-    w = next(m for m in enumerate_minuscule(W) if m.ideal.root_set() == target)
+    w = next(m for m in enumerate_minuscule(W) if set(m.ideal.roots) == target)
     poset = build_orbit_poset(W, w, by_word(W, ()))
     assert len(poset.nodes) == 5
     sizes = sorted(n.s.size for n in poset.nodes)
@@ -73,7 +73,7 @@ def test_closure_leq_examples(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
     ident, s0 = mins[0], mins[1]
-    w20 = next(m for m in mins if m.ideal.root_set() == {rs.simple_root(2), rs.highest_root})
+    w20 = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
     empty = make_orthogonal_set(rs, [])
     theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
     alpha2 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(2), -1)])
@@ -104,7 +104,7 @@ def test_poset_invariants(system):
                     if i != j and leq[i][j]:
                         assert not leq[j][i]
                         assert poset.nodes[i].big_l < poset.nodes[j].big_l
-                    if poset.nodes[i].s.root_set() <= poset.nodes[j].s.root_set():
+                    if set(poset.nodes[i].s.roots) <= set(poset.nodes[j].s.roots):
                         assert leq[i][j]
                     for k in range(n):
                         if leq[i][j] and leq[j][k]:
@@ -163,7 +163,7 @@ def test_node_counts_monotone(system):
         counts = {}
         for v in mins:
             if weak_order_leq(v, w):
-                gap = sorted(w.inversion_set() - v.inversion_set(), key=lambda a: a.sort_key)
+                gap = sorted(set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key)
                 counts[v.element] = len(orthogonal_subsets(rs, gap))
         for v1 in mins:
             for v2 in mins:
@@ -257,7 +257,7 @@ def test_phi_gr24_case(system):
 def test_export_dot(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if m.ideal.root_set() == {rs.simple_root(2), rs.highest_root})
+    w = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
     poset = build_orbit_poset(W, w, mins[0])
     dot = export_poset(poset, "dot")
     assert dot.startswith("digraph {\n  rankdir=BT;\n")
@@ -271,7 +271,7 @@ def test_export_dot(system):
 def test_export_json_schema_and_determinism(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if m.ideal.root_set() == {rs.simple_root(2), rs.highest_root})
+    w = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
     poset = build_orbit_poset(W, w, mins[0])
     text = export_poset(poset, "json")
     assert text == export_poset(build_orbit_poset(W, w, mins[0]), "json")

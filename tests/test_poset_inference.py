@@ -15,6 +15,7 @@ from borbits import orbits, suites
 from borbits.affine import AffineWeylGroup
 from borbits.minuscule import weak_order_leq
 from borbits.orbits import OrbitPoset, build_orbit_poset
+from borbits.roots import build_root_system
 
 from conftest import get_system
 
@@ -119,3 +120,41 @@ def test_poset_suite_catches_a_dropped_relation(monkeypatch):
     found = _violations(group)
     assert dropped
     assert set(found) == {"inferred order differs from pairwise Bruhat comparison"}
+
+
+def test_poset_suite_catches_a_dropped_hasse_edge(monkeypatch):
+    _, group = get_system("B", 2)
+    real = suites.build_orbit_poset
+    dropped = []
+
+    def dropping(group, w, v):
+        poset = real(group, w, v)
+        if poset.hasse:
+            dropped.append(poset.hasse[0])
+        return OrbitPoset(poset.context, poset.nodes, poset.leq, poset.hasse[1:])
+
+    monkeypatch.setattr(suites, "build_orbit_poset", dropping)
+    found = _violations(group)
+    assert dropped
+    assert set(found) == {"hasse closure mismatch"}
+
+
+def test_poset_suite_catches_an_intransitive_order(monkeypatch):
+    """The pairwise matrix loses one relation a < c of a chain a < b < c;
+    the bit-row transitivity check sees it."""
+    group = AffineWeylGroup(build_root_system("B", 2))
+    poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
+    n = len(poset.nodes)
+    a, b, c = next(
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if len({i, j, k}) == 3 and poset.leq[i][j] and poset.leq[j][k]
+    )
+    lost = (poset.nodes[a].sigma.element, poset.nodes[c].sigma.element)
+    real = group.bruhat_leq
+    monkeypatch.setattr(group, "bruhat_leq", lambda u, w: (u, w) != lost and real(u, w))
+    found = _violations(group)
+    assert "order is not transitive" in found
+    assert "inferred order differs from pairwise Bruhat comparison" in found

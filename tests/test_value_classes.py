@@ -119,12 +119,13 @@ def test_equality_reads_every_field():
 def test_caches_stay_out_of_the_value():
     rs, group = get_system("B", 3)
     m = group.minuscule[-1]
+    # the walk's element carries its inversion mask, the fresh one none
     fresh = MinusculeElement(m.element, m.inversions, AbelianIdeal(m.ideal.roots))
-    m.inversion_set(), m.ideal.root_set(), rs.highest_root.is_positive
+    rs.highest_root.is_positive
+    assert m._mask and not hasattr(fresh, "_mask")
     assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
     s = orthogonal_subsets(rs, m.inversions)[-1]
     copy = OrthogonalSet(s.roots)
-    assert s.root_set() == frozenset(s.roots)
     assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
     assert Root(rs.highest_root.coeffs) == rs.highest_root
 

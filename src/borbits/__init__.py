@@ -25,8 +25,8 @@ _HOMES = {
         "AbelianIdeal", "MinusculeElement", "enumerate_abelian_ideals", "enumerate_minuscule",
         "ideal_to_element", "is_minuscule",
     ),
-    "orbits": ("OrbitPoset", "build_orbit_poset", "closure_leq", "export_poset"),
-    "roots": ("CartanDatum", "Root", "RootSystem", "build_root_system", "cartan_datum"),
+    "orbits": ("OrbitPoset", "build_orbit_poset", "export_poset"),
+    "roots": ("Root", "RootSystem", "build_root_system"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import add, itemgetter, mul
-import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .roots import Root, RootSystem, _Value, _bits
@@ -120,22 +119,6 @@ class AffineRoot(_Value):
         return f"{self.finite}{sign}{abs(self.level)}d"
 
 
-_AFFINE_RE = re.compile(r"^(?P<finite>[0-9,\-]+?)(?:(?P<sign>[+-])(?P<mult>\d*)d)?$")
-
-
-def parse_affine_root(rs: RootSystem, text: str) -> AffineRoot:
-    """Parse the grammar ``coeffs(+-kd)``, e.g. ``1,1-1d``."""
-    m = _AFFINE_RE.match(text.strip().replace(" ", ""))
-    if not m:
-        raise ValueError(f"bad affine root {text!r}")
-    finite = rs.parse_root(m.group("finite"))
-    level = 0
-    if m.group("sign"):
-        mult = int(m.group("mult")) if m.group("mult") else 1
-        level = mult if m.group("sign") == "+" else -mult
-    return AffineRoot(finite, level)
-
-
 class AffineWeylElement:
     """``t_lambda * w`` as the root tables of the group that made it:
     ``perm[i]`` is the index of ``w(gamma_i)`` and ``shift[i]`` is
@@ -162,10 +145,6 @@ class AffineWeylElement:
 
     def __repr__(self) -> str:
         return f"AffineWeylElement(perm={self.perm!r}, shift={self.shift!r})"
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm))) and not any(self.shift)
 
 
 class AffineWeylGroup:
@@ -383,7 +362,9 @@ class AffineWeylGroup:
         return AffineWeylElement(take(x.perm), tuple(map(add, y.shift, take(x.shift))))
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
-        """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta."""
+        """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta.
+        Nothing in the package calls it; the name stays for the benchmark
+        tracer (perfbench/tracer.py), which spans it."""
         perm, shift = x.perm, x.shift
         inv = [0] * len(perm)
         inv_shift = [0] * len(perm)
@@ -457,7 +438,8 @@ class AffineWeylGroup:
         gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so for
         each g the levels form the interval
         shift[g] + [perm[g] < 0] <= n < [g < 0].  The tests compare it with
-        a brute-force scan over a window of levels."""
+        a brute-force scan over a window of levels.  Nothing in the package
+        calls it; the name stays for the benchmark tracer, which spans it."""
         perm, shift = x.perm, x.shift
         negative = self._negative
         roots = self._roots

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, parse_affine_root
+from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from .minuscule import MinusculeElement, weak_order_leq
 from .roots import RootSystem, _Value, _bits
 
@@ -85,9 +85,6 @@ class OrthogonalSet(_Value):
     def size(self) -> int:
         return len(self.roots)
 
-    def to_json_dict(self) -> dict:
-        return {"roots": [str(a) for a in self.roots]}
-
     def __str__(self) -> str:
         return "{" + ",".join(str(a) for a in self.roots) + "}"
 
@@ -99,10 +96,6 @@ def make_orthogonal_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> Orthogon
             if rs.pairing(a.finite, b.finite) != 0:
                 raise ValueError(f"{a} and {b} are not orthogonal")
     return OrthogonalSet(tuple(rset))
-
-
-def orthogonal_set_from_json_dict(rs: RootSystem, data: dict) -> OrthogonalSet:
-    return make_orthogonal_set(rs, [parse_affine_root(rs, t) for t in data["roots"]])
 
 
 def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[OrthogonalSet]:

@@ -19,7 +19,7 @@ it against the root system's `ideal_masks` and builds the ideal from it;
 the inversions are the group's shared ``r - delta``.  Each element keeps
 that mask, and the weak order is mask inclusion; the other modules read
 gaps and supports as masks over the same positive roots.  The tests keep
-`inversions_from_negative` with the root-list `make_abelian_ideal` as its
+`inversions_from_negative` with a root-list `make_abelian_ideal` as its
 oracle; the ideal walk keeps its own dominance-upper lists, so it stays an
 oracle too.
 """
@@ -35,15 +35,12 @@ __all__ = [
     "enumerate_abelian_ideals",
     "enumerate_minuscule",
     "ideal_to_element",
-    "ideal_from_json_dict",
     "ideal_from_mask",
     "is_minuscule",
-    "make_abelian_ideal",
     "minuscule_from_element",
     "normalizer_simple_roots",
     "normalizer_by_ideal_stability",
     "weak_order_leq",
-    "is_minimal_coset_rep",
 ]
 
 
@@ -60,9 +57,6 @@ class AbelianIdeal(_Value):
     def size(self) -> int:
         return len(self.roots)
 
-    def to_json_dict(self) -> dict:
-        return {"roots": [str(r) for r in self.roots]}
-
 
 def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
     """The abelian ideal {r_i : bit i of mask set}, validated against
@@ -77,23 +71,6 @@ def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
         raise ValueError("ideal is not sum-free")
     pos = rs.positive_roots
     return AbelianIdeal(tuple(pos[i] for i in members))
-
-
-def make_abelian_ideal(rs: RootSystem, roots) -> AbelianIdeal:
-    """Validate and canonically order an abelian ideal given as roots: the
-    parser's entry, and with `inversions_from_negative` the oracle of the
-    minuscule walk in the tests."""
-    mask = 0
-    for r in set(roots):
-        i = rs._pos_index.get(r)
-        if i is None:
-            raise ValueError(f"{r} is not a positive root")
-        mask |= 1 << i
-    return ideal_from_mask(rs, mask)
-
-
-def ideal_from_json_dict(rs: RootSystem, data: dict) -> AbelianIdeal:
-    return make_abelian_ideal(rs, [rs.parse_root(t) for t in data["roots"]])
 
 
 def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
@@ -264,9 +241,3 @@ def normalizer_by_ideal_stability(rs: RootSystem, ideal: AbelianIdeal) -> tuple[
         if ok:
             out.append(alpha)
     return tuple(out)
-
-
-def is_minimal_coset_rep(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
-    """Minimal length in its coset modulo the finite Weyl group: all finite
-    simple roots are kept positive, so only s_0 can be a right descent."""
-    return group.descents(x) <= {0}

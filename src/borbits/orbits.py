@@ -30,7 +30,6 @@ from .affine import (
     word_to_text,
 )
 from .involutions import (
-    AdmissiblePair,
     Involution,
     OrthogonalSet,
     Report,
@@ -52,7 +51,6 @@ __all__ = [
     "OrbitPoset",
     "PosetContext",
     "build_orbit_poset",
-    "closure_leq",
     "export_poset",
     "node_row",
     "verify_strong_form",
@@ -133,7 +131,7 @@ def build_orbit_poset(
             covers &= ~below[k]
         hasse.extend((i, j) for i in _bits(covers))
     ctx = PosetContext(
-        group.rs.datum.type_letter,
+        group.rs.type_letter,
         group.rank,
         group.minuscule_ids[w.element],
         group.reduced_word(v.element),
@@ -141,14 +139,6 @@ def build_orbit_poset(
         v,
     )
     return OrbitPoset(ctx, tuple(nodes), leq, tuple(sorted(hasse)))
-
-
-def closure_leq(group: AffineWeylGroup, p: AdmissiblePair, q: AdmissiblePair) -> bool:
-    """Closure comparison of two orbits over the same v: Bruhat order of the
-    associated involutions."""
-    if p.v.element != q.v.element:
-        raise ValueError("closure comparison needs a common v")
-    return group.bruhat_leq(p.sigma.element, q.sigma.element)
 
 
 def node_row(node: OrbitNode) -> dict:

@@ -1,16 +1,16 @@
 """Finite irreducible root systems of types A-G in simple-root coordinates.
 
-A root is stored as its integer coefficient vector over the simple roots, so
-everything in this module is exact: the pairing between roots and coroots is
-derived from the Cartan matrix through its minimal integer symmetrizers,
-reflections and dominance tests are integer vector arithmetic, and the
-conversion to the classical epsilon coordinates of types A-D is an exact
-linear solve.  No floating point is used anywhere.
+A root system is fixed by its type letter and rank, and everything else is
+read off the Bourbaki simple-root vectors: the Cartan matrix, and the
+symmetrizers, which are the squared norms of those vectors over their gcd.
+A root is stored as its integer coefficient vector over the simple roots,
+so everything in this module is exact: the pairing between roots and
+coroots, reflections and dominance tests are integer vector arithmetic, and
+the epsilon coordinates of types A-D are read off the same vectors and
+turned back into roots by lookup.  No floating point is used anywhere.
 
-The Cartan matrices follow the Bourbaki numbering and are derived from the
-Bourbaki simple-root vectors rather than typed in by hand.  The convention
-for the matrix is ``C[i][j] = <alpha_j, alpha_i^vee>`` (indices 0-based
-internally, 1-based in the public simple-root API).
+The convention for the Cartan matrix is ``C[i][j] = <alpha_j, alpha_i^vee>``
+(indices 0-based internally, 1-based in the public simple-root API).
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from math import gcd
 from operator import add, le, mul
 import re
 
-__all__ = [
-    "CartanDatum",
-    "Root",
-    "RootSystem",
-    "cartan_datum",
-    "build_root_system",
-]
+__all__ = ["Root", "RootSystem", "build_root_system"]
 
 CLASSICAL_TYPES = "ABCD"
 # the ranks each type admits
@@ -96,18 +90,22 @@ def _doubled_simple_vectors(letter: str, rank: int) -> list[tuple[int, ...]]:
     return [tuple(v) for v in vecs]
 
 
-def _bourbaki_cartan(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    vecs = _doubled_simple_vectors(letter, rank)
+def _bourbaki_cartan(vecs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """C[i][j] = 2 (v_i, v_j) / (v_i, v_i) on the simple-root vectors,
+    checked integral, 2 on the diagonal and <= 0 off it."""
     rows = []
-    for i in range(rank):
-        nii = sum(x * x for x in vecs[i])
+    for i, vi in enumerate(vecs):
+        nii = sum(map(mul, vi, vi))
         row = []
-        for j in range(rank):
-            dot = sum(x * y for x, y in zip(vecs[i], vecs[j]))
-            num = 2 * dot
+        for j, vj in enumerate(vecs):
+            num = 2 * sum(map(mul, vi, vj))
             if num % nii:
                 raise AssertionError("non-integral Cartan entry")
+            if i != j and num > 0:
+                raise AssertionError("off-diagonal Cartan entries must be <= 0")
             row.append(num // nii)
+        if row[i] != 2:
+            raise AssertionError("Cartan diagonal must be 2")
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -133,29 +131,6 @@ class _Value:
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
         return f"{self.__class__.__name__}({args})"
-
-
-class CartanDatum(_Value):
-    """Cartan matrix of an irreducible type, Bourbaki numbering."""
-
-    __slots__ = ("type_letter", "rank", "cartan_matrix")
-
-    def __init__(self, type_letter: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]):
-        self.type_letter, self.rank, self.cartan_matrix = type_letter, rank, cartan_matrix
-        _check_type(type_letter, rank)
-        if cartan_matrix != _bourbaki_cartan(type_letter, rank):
-            raise ValueError("Cartan matrix does not match the Bourbaki one")
-        for i in range(rank):
-            if cartan_matrix[i][i] != 2:
-                raise ValueError("Cartan diagonal must be 2")
-            for j in range(rank):
-                if i != j and cartan_matrix[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
-
-
-def cartan_datum(type_letter: str, rank: int) -> CartanDatum:
-    _check_type(type_letter, rank)
-    return CartanDatum(type_letter, rank, _bourbaki_cartan(type_letter, rank))
 
 
 class Root(_Value):
@@ -208,29 +183,6 @@ class Root(_Value):
         return ",".join(str(c) for c in self.coeffs)
 
 
-def _symmetrizers(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i C_ij = d_j C_ji (the matrix is
-    irreducible, so a breadth-first walk over the Dynkin graph fixes all
-    ratios).  Reaching j from i sets d_j = d_i * -C_ij and scales every
-    earlier value by -C_ji, so all stay integers."""
-    rank = len(cartan)
-    d = [0] * rank
-    d[0] = 1
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] != 0 and not d[j]:
-                dj = d[i] * -cartan[i][j]
-                d = [x * -cartan[j][i] for x in d]
-                d[j] = dj
-                queue.append(j)
-    if not all(d):
-        raise AssertionError("Dynkin diagram is not connected")
-    g = gcd(*d)
-    return tuple(x // g for x in d)
-
-
 class RootSystem:
     """A finite irreducible root system with exact pairing and reflections.
 
@@ -240,11 +192,15 @@ class RootSystem:
     coefficients) so every enumeration downstream is deterministic.
     """
 
-    def __init__(self, datum: CartanDatum):
-        self.datum = datum
-        self.rank = datum.rank
-        self.cartan = datum.cartan_matrix
-        self.symmetrizers = _symmetrizers(self.cartan)
+    def __init__(self, type_letter: str, rank: int):
+        _check_type(type_letter, rank)
+        self.type_letter, self.rank = type_letter, rank
+        self._eps = _doubled_simple_vectors(type_letter, rank)
+        self.cartan = _bourbaki_cartan(self._eps)
+        # d_i C_ij = 2 (v_i, v_j) / g is symmetric for d_i = |v_i|^2 / g
+        norms = [sum(map(mul, v, v)) for v in self._eps]
+        g = gcd(*norms)
+        self.symmetrizers = tuple(n // g for n in norms)
         # symmetric bilinear form on the root lattice, B_ij = d_i C_ij
         self._form = tuple(
             tuple(self.symmetrizers[i] * self.cartan[i][j] for j in range(self.rank))
@@ -269,7 +225,6 @@ class RootSystem:
         self.highest_root = self._find_highest()
         self.marks: tuple[int, ...] = self.highest_root.coeffs
         self._coroot = {r.coeffs: self._coroot_coords(r) for r in self.roots}
-        self._eps = _doubled_simple_vectors(datum.type_letter, datum.rank)
 
     # -- construction helpers -------------------------------------------
 
@@ -342,7 +297,9 @@ class RootSystem:
         return num // den
 
     def pairing_with_simple_coroot(self, coeffs: tuple[int, ...], k: int) -> int:
-        """<vector, alpha_k^vee> for a root-lattice vector, k 1-based."""
+        """<vector, alpha_k^vee> for a root-lattice vector, k 1-based.
+        Nothing in the package calls it; the name stays for the benchmark
+        tracer (perfbench/tracer.py), which counts its calls."""
         return sum(map(mul, coeffs, self.cartan[k - 1]))
 
     def coroot_coords(self, gamma: Root) -> tuple[int, ...]:
@@ -383,19 +340,10 @@ class RootSystem:
         form = self._form_vec
         return tuple(sum(1 << j for j, q in enumerate(pos) if not sum(map(mul, r, form[q]))) for r in pos)
 
-    # -- text and epsilon coordinates ------------------------------------
-
-    def parse_root(self, text: str) -> Root:
-        text = text.strip()
-        if "e" in text:
-            return self.epsilon_to_root(text)
-        coeffs = tuple(int(p) for p in text.split(","))
-        if len(coeffs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients in {text!r}")
-        return self.root(coeffs)
+    # -- epsilon coordinates ---------------------------------------------
 
     def _epsilon_dim(self) -> int:
-        if self.datum.type_letter not in CLASSICAL_TYPES:
+        if self.type_letter not in CLASSICAL_TYPES:
             raise ValueError("epsilon coordinates only for classical types")
         return len(self._eps[0])
 
@@ -410,9 +358,13 @@ class RootSystem:
             out.append(doubled // 2)
         return tuple(out)
 
+    @cached_property
+    def _root_of_epsilon(self) -> dict[tuple[int, ...], Root]:
+        return {self.root_to_epsilon(r): r for r in self.roots}
+
     def epsilon_to_root(self, expr: str | tuple[int, ...]) -> Root:
         """Parse an epsilon expression like ``e1+e3`` or ``e2-e4`` (also a
-        bare coordinate vector); classical types only."""
+        bare coordinate vector) and look up its root; classical types only."""
         dim = self._epsilon_dim()
         if isinstance(expr, str):
             vec = [0] * dim
@@ -423,57 +375,17 @@ class RootSystem:
                 if not 1 <= k <= dim:
                     raise ValueError(f"epsilon index {k} out of range in {expr!r}")
                 vec[k - 1] += s * m
-            target = tuple(vec)
-        else:
-            target = tuple(expr)
-            if len(target) != dim:
-                raise ValueError("epsilon vector has wrong dimension")
-        coeffs = self._solve_epsilon(target)
-        return self.root(coeffs)
-
-    def _solve_epsilon(self, target: tuple[int, ...]) -> tuple[int, ...]:
-        # imported here, so that loading the module does not load fractions
-        from fractions import Fraction
-
-        dim = self._epsilon_dim()
-        rows = [
-            [Fraction(self._eps[i][p], 2) for i in range(self.rank)]
-            + [Fraction(target[p])]
-            for p in range(dim)
-        ]
-        pivots = []
-        r = 0
-        for col in range(self.rank):
-            piv = next((k for k in range(r, dim) if rows[k][col] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][col]
-            rows[r] = [x / inv for x in rows[r]]
-            for k in range(dim):
-                if k != r and rows[k][col] != 0:
-                    f = rows[k][col]
-                    rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-            pivots.append(col)
-            r += 1
-        sol = [Fraction(0)] * self.rank
-        for k, col in enumerate(pivots):
-            sol[col] = rows[k][-1]
-        for k in range(r, dim):
-            if rows[k][-1] != 0:
-                raise ValueError("epsilon vector is not in the root lattice")
-        out = []
-        for x in sol:
-            if x.denominator != 1:
-                raise ValueError("epsilon vector is not in the root lattice")
-            out.append(int(x))
-        return tuple(out)
+            expr = vec
+        root = self._root_of_epsilon.get(tuple(expr))
+        if root is None:
+            raise ValueError(f"epsilon vector {tuple(expr)} is not a root")
+        return root
 
     def __repr__(self) -> str:
-        return f"RootSystem({self.datum.type_letter}{self.rank})"
+        return f"RootSystem({self.type_letter}{self.rank})"
 
 
-def build_root_system(type_letter: str | CartanDatum, rank: int | None = None) -> RootSystem:
+def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the root system of the given type.
 
     >>> rs = build_root_system("G", 2)
@@ -482,8 +394,4 @@ def build_root_system(type_letter: str | CartanDatum, rank: int | None = None) -
     >>> rs.pairing(rs.simple_root(2), rs.simple_root(1))
     -3
     """
-    if isinstance(type_letter, CartanDatum):
-        return RootSystem(type_letter)
-    if rank is None:
-        raise ValueError("rank is required")
-    return RootSystem(cartan_datum(type_letter, rank))
+    return RootSystem(type_letter, rank)

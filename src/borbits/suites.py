@@ -291,7 +291,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                 bad.append(f"descent move did not drop L at index {i}")
     reports.append(Report("pair-descent-moves", checks, tuple(bad)))
 
-    if (rs.datum.type_letter, rs.rank) == ("D", 4):
+    if (rs.type_letter, rs.rank) == ("D", 4):
         checks, bad = 0, []
         first = make_orthogonal_set(
             rs,

@@ -38,7 +38,6 @@ __all__ = [
     "make_context",
     "ideal_positions",
     "enumerate_orbits",
-    "estimate_dimensions",
     "oracle_report",
     "ELEMENT_CAP",
 ]
@@ -271,44 +270,20 @@ def _e_s_vector(ctx: MatrixIdealContext, subset: tuple[Position, ...]) -> tuple[
     return tuple(1 if p in chosen else 0 for p in ctx.positions)
 
 
-def estimate_dimensions(
-    n: int, positions: tuple[Position, ...], q_list: tuple[int, ...]
-) -> dict:
-    """Log-ratio dimension estimates for every orthogonal subset.
-
-    For each consecutive prime pair the estimate is
-    round(log(size2/size1) / log(q2/q1)); the reported figure is the one
-    from the largest pair, which is the least biased by the (q - 1) factors
-    that orbit sizes carry at small primes.
-    """
-    if len(q_list) < 2:
-        raise ValueError("dimension estimation needs at least two primes")
-    partitions = {
-        q: enumerate_orbits(make_context(n, q, positions)) for q in q_list
-    }
-    return _estimates(partitions, q_list, _ideal_subsets(n, positions))
-
-
 def _estimates(partitions: dict, q_list: tuple[int, ...], subsets) -> dict:
+    """The log-ratio dimension estimate of every orthogonal subset,
+    round(log(size2/size1) / log(q2/q1)) over the last two primes given;
+    the largest primes are the least biased by the (q - 1) factors that
+    orbit sizes carry at small primes."""
+    q1, q2 = q_list[-2:]
     out = {}
-    for subset, big_l in subsets:
-        sizes = {}
-        for q, part in partitions.items():
-            vec = _e_s_vector(part.context, subset)
-            sizes[q] = part.sizes[part.class_of(vec)]
-        pair_estimates = []
-        for q1, q2 in zip(q_list, q_list[1:]):
-            if sizes[q1] == sizes[q2]:
-                est = 0.0
-            else:
-                est = math.log(sizes[q2] / sizes[q1]) / math.log(q2 / q1)
-            pair_estimates.append(round(est))
-        out[_subset_key(subset)] = {
-            "sizes": sizes,
-            "pair_estimates": pair_estimates,
-            "estimate": pair_estimates[-1],
-            "expected_L": big_l,
-        }
+    for subset, _ in subsets:
+        size1, size2 = (
+            part.sizes[part.class_of(_e_s_vector(part.context, subset))]
+            for part in (partitions[q1], partitions[q2])
+        )
+        est = 0.0 if size1 == size2 else math.log(size2 / size1) / math.log(q2 / q1)
+        out[_subset_key(subset)] = round(est)
     return out
 
 
@@ -324,10 +299,7 @@ def oracle_report(n: int, ideal_id: int, q_list) -> list[dict]:
     partitions = {
         q: enumerate_orbits(make_context(n, q, positions)) for q in q_list
     }
-    dims = None
-    if len(q_list) >= 2:
-        details = _estimates(partitions, q_list, subsets)
-        dims = {key: info["estimate"] for key, info in details.items()}
+    dims = _estimates(partitions, q_list, subsets) if len(q_list) >= 2 else None
     expected = {_subset_key(pos): big_l for pos, big_l in subsets}
     reports = []
     for q in q_list:

@@ -1,6 +1,9 @@
-"""`make_abelian_ideal` validates against the root system's `ideal_masks`.
+"""`ideal_from_mask` validates against the root system's `ideal_masks`.
 
-The three validation loops it ran before the masks (positivity, upward
+`make_abelian_ideal` (in `oracles.py`) turns a list of roots into a mask
+and hands it to `ideal_from_mask`.
+
+The three validation loops that ran before the masks (positivity, upward
 closure by `dominance_leq`, sum-freeness by `Root.__add__`) are kept here as
 the oracle.  The mask validator must give the same answer and the same
 error message on every ideal, on every ideal with one positive root added or
@@ -14,10 +17,11 @@ import random
 import pytest
 
 from borbits.affine import AffineWeylGroup
-from borbits.minuscule import AbelianIdeal, enumerate_abelian_ideals, make_abelian_ideal
+from borbits.minuscule import AbelianIdeal, enumerate_abelian_ideals
 from borbits.roots import Root, build_root_system
 
 from conftest import get_system
+from oracles import make_abelian_ideal
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 RANDOM_SYSTEMS = [("B", 4, 1101), ("F", 4, 1102), ("E", 6, 1103)]

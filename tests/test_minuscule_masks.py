@@ -19,12 +19,12 @@ from borbits.affine import AffineWeylGroup
 from borbits.minuscule import (
     ideal_from_mask,
     is_minuscule,
-    make_abelian_ideal,
     minuscule_from_element,
 )
 from borbits.roots import build_root_system
 
 from conftest import get_system
+from oracles import make_abelian_ideal
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
 RANDOM_SYSTEMS = [

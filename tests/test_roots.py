@@ -2,7 +2,7 @@
 
 import pytest
 
-from borbits.roots import Root, build_root_system, cartan_datum
+from borbits.roots import Root, build_root_system
 
 TEST_MATRIX = [
     ("A", 1, 1),
@@ -141,43 +141,33 @@ def test_orthogonality_is_symmetric():
 
 
 def test_invalid_types():
-    for letter, rank in [("H", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("B", 1), ("D", 2)]:
+    for letter, rank in [("H", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("B", 1), ("D", 2), ("A", 0)]:
         with pytest.raises(ValueError):
             build_root_system(letter, rank)
-    with pytest.raises(ValueError):
-        cartan_datum("A", 0)
-
-
-def test_cartan_datum_rejects_wrong_matrix():
-    from borbits.roots import CartanDatum
-
-    good = cartan_datum("A", 2)
-    with pytest.raises(ValueError):
-        CartanDatum("A", 2, ((2, 0), (0, 2)))
-    assert good.cartan_matrix == ((2, -1), (-1, 2))
 
 
 def test_root_text_round_trip():
     rs = build_root_system("D", 4)
     for r in rs.roots:
-        assert rs.parse_root(str(r)) == r
+        assert rs.root(tuple(int(c) for c in str(r).split(","))) == r
 
 
 def test_epsilon_conversion_d4():
     rs = build_root_system("D", 4)
     r = rs.epsilon_to_root("e1+e3")
-    assert r == rs.parse_root("1,1,1,1")
+    assert r == rs.root((1, 1, 1, 1))
     assert rs.root_to_epsilon(r) == (1, 0, 1, 0)
-    assert rs.epsilon_to_root("e2-e4") == rs.parse_root("0,1,1,0")
-    with pytest.raises(ValueError):
-        rs.epsilon_to_root("e1")  # not in the D4 root lattice... not a root
+    assert rs.epsilon_to_root("e2-e4") == rs.root((0, 1, 1, 0))
+    for bad in ("e1", "e5", "e0+e1", (1, 1, 0), (1, 1, 0, 0, 0)):
+        with pytest.raises(ValueError):  # not a root, or not a D4 vector
+            rs.epsilon_to_root(bad)
     for r in rs.roots:
         assert rs.epsilon_to_root(rs.root_to_epsilon(r)) == r
 
 
 def test_epsilon_conversion_classical_only():
     rs = build_root_system("B", 3)
-    assert rs.epsilon_to_root("e1") == rs.parse_root("1,1,1")
+    assert rs.epsilon_to_root("e1") == rs.root((1, 1, 1))
     assert rs.epsilon_to_root("e1+e2") == rs.highest_root
     c3 = build_root_system("C", 3)
     assert c3.epsilon_to_root("2e1") == c3.highest_root
@@ -186,6 +176,8 @@ def test_epsilon_conversion_classical_only():
     g2 = build_root_system("G", 2)
     with pytest.raises(ValueError):
         g2.root_to_epsilon(g2.highest_root)
+    with pytest.raises(ValueError, match="classical types"):
+        g2.epsilon_to_root("e1-e2")
 
 
 def test_coroot_coords_integral():

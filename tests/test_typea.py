@@ -5,7 +5,6 @@ import pytest
 from borbits.typea import (
     ELEMENT_CAP,
     enumerate_orbits,
-    estimate_dimensions,
     ideal_positions,
     make_context,
     oracle_report,
@@ -64,12 +63,10 @@ def test_zero_is_a_fixed_point():
 
 
 def test_estimate_single_slot():
-    est = estimate_dimensions(2, ((1, 2),), (2, 3, 5))
-    assert est["{}"]["estimate"] == 0
-    assert est["{(1,2)}"]["estimate"] == 1
-    assert est["{(1,2)}"]["expected_L"] == 1
-    with pytest.raises(ValueError):
-        estimate_dimensions(2, ((1, 2),), (3,))
+    assert ideal_positions(2, 1) == ((1, 2),)
+    (report, *_) = oracle_report(2, 1, (2, 3, 5))
+    assert report["dims"] == {"{}": 0, "{(1,2)}": 1}
+    assert report["expected_L"]["{(1,2)}"] == 1
 
 
 def test_estimates_match_l_for_n3():
@@ -77,9 +74,8 @@ def test_estimates_match_l_for_n3():
         positions = ideal_positions(3, ideal_id)
         if not positions:
             continue
-        est = estimate_dimensions(3, positions, (2, 3, 5))
-        for key, info in est.items():
-            assert info["estimate"] == info["expected_L"], (ideal_id, key, info)
+        (report, *_) = oracle_report(3, ideal_id, (2, 3, 5))
+        assert report["dims"] == report["expected_L"], (ideal_id, report)
 
 
 def test_oracle_report_n3():

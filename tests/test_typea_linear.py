@@ -10,7 +10,6 @@ import borbits.typea as typea
 from borbits.orbits import _UnionFind
 from borbits.typea import (
     enumerate_orbits,
-    estimate_dimensions,
     ideal_positions,
     make_context,
     oracle_report,
@@ -90,14 +89,3 @@ def test_oracle_report_partitions_each_prime_once(monkeypatch):
     monkeypatch.setattr(typea, "enumerate_orbits", counted)
     oracle_report(4, 4, (2, 3, 5))
     assert calls == 3
-
-
-def test_report_dims_match_estimate_dimensions():
-    for ideal_id in range(4):
-        positions = ideal_positions(3, ideal_id)
-        (report, *_) = oracle_report(3, ideal_id, (2, 3, 5))
-        details = estimate_dimensions(3, positions, (2, 3, 5))
-        assert report["dims"] == {k: v["estimate"] for k, v in details.items()}
-        assert report["expected_L"] == {
-            k: v["expected_L"] for k, v in details.items()
-        }

@@ -1,10 +1,10 @@
 """The value classes keep the value semantics of the frozen dataclasses they
 replaced: the same fields, equality, hash and repr.
 
-`CartanDatum`, `Root`, `AffineRoot`, `AbelianIdeal`, `MinusculeElement`,
-`Report`, `OrthogonalSet`, `Involution`, `AdmissiblePair`,
-`DescentClassification`, `OrbitNode`, `PosetContext`, `OrbitPoset`,
-`MatrixIdealContext` and `OrbitPartition` are `__slots__` classes.  A frozen
+`Root`, `AffineRoot`, `AbelianIdeal`, `MinusculeElement`, `Report`,
+`OrthogonalSet`, `Involution`, `AdmissiblePair`, `DescentClassification`,
+`OrbitNode`, `PosetContext`, `OrbitPoset`, `MatrixIdealContext` and
+`OrbitPartition` are `__slots__` classes.  A frozen
 dataclass compares its fields as a tuple when the classes match, hashes that
 tuple and prints ``Name(field=value, ...)``; the references below are such
 dataclasses with the same fields, and every instance is checked against its
@@ -28,7 +28,7 @@ from borbits.involutions import (
 )
 from borbits.minuscule import AbelianIdeal, MinusculeElement
 from borbits.orbits import build_orbit_poset
-from borbits.roots import CartanDatum, Root, cartan_datum
+from borbits.roots import Root, build_root_system
 from borbits.suites import _admissible_sweep
 from borbits.typea import enumerate_orbits, ideal_positions, make_context
 
@@ -60,7 +60,6 @@ def _check(value, names, blind=()):
 @pytest.mark.parametrize("letter,rank", SYSTEMS)
 def test_values_match_their_dataclass_references(letter, rank):
     rs, group = get_system(letter, rank)
-    _check(rs.datum, ["type_letter", "rank", "cartan_matrix"])
     for r in rs.roots:
         _check(r, ["coeffs"])
         _check(AffineRoot(r, -2), ["finite", "level"])
@@ -113,7 +112,6 @@ def test_equality_reads_every_field():
     m, n = group.minuscule[1], group.minuscule[2]
     assert MinusculeElement(m.element, m.inversions, n.ideal) != m
     assert AbelianIdeal(m.ideal.roots) != n.ideal
-    assert cartan_datum("A", 3) == rs.datum != cartan_datum("A", 2)
 
 
 def test_caches_stay_out_of_the_value():
@@ -131,12 +129,13 @@ def test_caches_stay_out_of_the_value():
 
 
 def test_cartan_datum_still_validates():
-    with pytest.raises(ValueError, match="does not match the Bourbaki one"):
-        CartanDatum("A", 2, ((2, 0), (0, 2)))
+    """A root system is its type and rank; the Cartan matrix is read off the
+    Bourbaki simple-root vectors, never passed in."""
+    assert build_root_system("A", 2).cartan == ((2, -1), (-1, 2))
     with pytest.raises(ValueError, match="unknown type letter"):
-        CartanDatum("H", 2, ((2, -1), (-1, 2)))
+        build_root_system("H", 2)
     with pytest.raises(ValueError, match="does not admit rank 9"):
-        cartan_datum("E", 9)
+        build_root_system("E", 9)
 
 
 def test_simple_roots_are_built_once():

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .roots import Root, RootSystem, _Value, _bits
 
 if TYPE_CHECKING:
-    from .involutions import Involution, OrthogonalSet
+    from .involutions import OrthogonalSet
     from .minuscule import MinusculeElement
 
 __all__ = [
@@ -214,7 +214,7 @@ class AffineWeylGroup:
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
         # sigma by orthogonal set, (rank(id - x), length) and reduced word by
         # element; the first two are filled by the involutions module.
-        self._sigmas: dict[OrthogonalSet, Involution] = {}
+        self._sigmas: dict[OrthogonalSet, AffineWeylElement] = {}
         self._ranks: dict[AffineWeylElement, tuple[int, int]] = {}
         self._words: dict[AffineWeylElement, ReducedWord] = {}
         self._bruhat: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
@@ -381,13 +381,9 @@ class AffineWeylGroup:
 
     # -- lengths, descents, words -------------------------------------------
 
-    def descents(self, x: AffineWeylElement, side: str = "right") -> frozenset[int]:
-        """Simple indices i with x(a_i) negative (right) or x^{-1}(a_i)
-        negative (left)."""
-        if side == "left":
-            return frozenset(self._table_descents(self._left_table(x)))
-        if side != "right":
-            raise ValueError("side must be 'left' or 'right'")
+    def descents(self, x: AffineWeylElement) -> frozenset[int]:
+        """The right descents: simple indices i with x(a_i) negative.  The
+        left descents of x are the right descents of its inverse."""
         perm, shift = x.perm, x.shift
         negative = self._negative
         return frozenset(
@@ -529,7 +525,7 @@ class AffineWeylGroup:
 
         buckets: dict[AffineWeylElement, list[OrthogonalSet]] = {}
         for sub in orthogonal_subsets(self.rs, self._shifted):
-            buckets.setdefault(reflection_product(self, sub).element, []).append(sub)
+            buckets.setdefault(reflection_product(self, sub), []).append(sub)
         return buckets
 
     # -- alcove geometry --------------------------------------------------------

@@ -32,9 +32,7 @@ from .roots import RootSystem, _Value, _bits
 __all__ = [
     "Report",
     "OrthogonalSet",
-    "Involution",
     "AdmissiblePair",
-    "DescentClassification",
     "make_orthogonal_set",
     "orthogonal_subsets",
     "reflection_product",
@@ -119,29 +117,19 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     return out
 
 
-class Involution(_Value):
-    """An involutive affine Weyl element, with its orthogonal support when it
-    was built as a product of commuting reflections."""
-
-    __slots__ = ("element", "support", "__weakref__")
-
-    def __init__(self, element: AffineWeylElement, support: Optional[OrthogonalSet] = None):
-        self.element, self.support = element, support
-
-
-def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> Involution:
+def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> AffineWeylElement:
     """The product of the reflections of an orthogonal set (the order does
     not matter; the result is checked to square to the identity).  The group
     keeps each set's product, so it is built and checked once."""
-    inv = group._sigmas.get(s)
-    if inv is None:
-        el = group.identity
+    sigma = group._sigmas.get(s)
+    if sigma is None:
+        sigma = group.identity
         for a in s.roots:
-            el = group.multiply(el, group.reflection(a))
-        if group.multiply(el, el) != group.identity:
+            sigma = group.multiply(sigma, group.reflection(a))
+        if group.multiply(sigma, sigma) != group.identity:
             raise AssertionError("reflection product is not an involution")
-        inv = group._sigmas[s] = Involution(el, s)
-    return inv
+        group._sigmas[s] = sigma
+    return sigma
 
 
 def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
@@ -179,35 +167,32 @@ def _int_matrix_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def involution_length(group: AffineWeylGroup, inv: Involution) -> int:
+def involution_length(group: AffineWeylGroup, sigma: AffineWeylElement) -> int:
     """(coxeter length + rank of id - sigma) / 2; an integer because the two
-    terms have equal parity.  When the support is known its size must agree
-    with the matrix rank; both facts are asserted on every call, against the
+    terms have equal parity, which is asserted on every call against the
     rank and length the group keeps."""
-    rk = rank_id_minus(group, inv.element)
-    ell = group._ranks[inv.element][1]
-    if inv.support is not None and rk != inv.support.size:
-        raise AssertionError("rank of id - sigma differs from the support size")
+    rk = rank_id_minus(group, sigma)
+    ell = group._ranks[sigma][1]
     if (ell + rk) % 2:
         raise AssertionError("length and rank of id - sigma have different parity")
     return (ell + rk) // 2
 
 
-def twisted_conjugate(group: AffineWeylGroup, i: int, inv: Involution) -> Involution:
+def twisted_conjugate(group: AffineWeylGroup, i: int, sigma: AffineWeylElement) -> AffineWeylElement:
     """s_i . sigma: s_i sigma when the two commute, s_i sigma s_i otherwise.
     Self-inverse on involutions."""
     s = group.simple_reflection(i)
-    left = group.multiply(s, inv.element)
-    if left == group.multiply(inv.element, s):
-        return Involution(left)
-    return Involution(group.multiply(left, s))
+    left = group.multiply(s, sigma)
+    if left == group.multiply(sigma, s):
+        return left
+    return group.multiply(left, s)
 
 
-def descent_classify(group: AffineWeylGroup, inv: Involution, i: int) -> str:
+def descent_classify(group: AffineWeylGroup, sigma: AffineWeylElement, i: int) -> str:
     """'none' if sigma(alpha_i) is positive, 'real' if it equals -alpha_i,
     'complex' otherwise."""
     alpha = group.simple_affine_root(i)
-    image = group.act(inv.element, alpha)
+    image = group.act(sigma, alpha)
     if image.is_positive:
         return "none"
     if image == -alpha:
@@ -219,13 +204,13 @@ class AdmissiblePair(_Value):
     """A minuscule v together with an orthogonal S inside the inversion gap
     to a witness minuscule element above v.  The pair carries its involution
     sigma, the product of the reflections in v(S), built once by
-    `make_admissible_pair`; equality and hashing stay on (v, S, witness)."""
+    `make_admissible_pair`, which asserts that rank(id - sigma) is |S|;
+    equality and hashing stay on (v, S, witness)."""
 
     __slots__ = ("v", "s", "witness", "sigma")
 
-    def __init__(
-        self, v: MinusculeElement, s: OrthogonalSet, witness: MinusculeElement, sigma: Involution
-    ):
+    def __init__(self, v: MinusculeElement, s: OrthogonalSet, witness: MinusculeElement,
+                 sigma: AffineWeylElement):
         self.v, self.s, self.witness, self.sigma = v, s, witness, sigma
 
     def _fields(self) -> tuple:
@@ -244,6 +229,8 @@ def make_admissible_pair(
     if support is None or support & (v._mask | ~witness._mask):
         raise ValueError("invalid pair: S is not inside the inversion gap")
     sigma = reflection_product(group, transform_set(group, v.element, s))
+    if rank_id_minus(group, sigma) != s.size:
+        raise AssertionError("rank of id - sigma differs from the support size")
     return AdmissiblePair(v, s, witness, sigma)
 
 
@@ -255,23 +242,19 @@ def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet
     return OrthogonalSet(tuple(images))
 
 
-def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> Involution:
+def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> AffineWeylElement:
     """The stored involution of the pair.  Nothing in the package calls it;
     the name stays because the benchmark tracer (perfbench/tracer.py) spans
     it and fails to install without it."""
     return pair.sigma
 
 
-class DescentClassification(_Value):
-    __slots__ = ("kind", "locus")
-
-    def __init__(self, kind: str, locus: Optional[str] = None):
-        self.kind = kind    # none | real | complex
-        self.locus = locus  # finite | affine, present iff kind != none
-
-
-def pair_descents(group: AffineWeylGroup, pair: AdmissiblePair) -> dict[int, DescentClassification]:
-    """Classify every simple index against the involution of the pair.
+def pair_descents(
+    group: AffineWeylGroup, pair: AdmissiblePair
+) -> dict[int, tuple[str, Optional[str]]]:
+    """Classify every simple index against the involution of the pair, as
+    (kind, locus): kind is none, real or complex, and locus is finite or
+    affine, None exactly when kind is none.
 
     For each descent, the pulled-back root v^{-1}(alpha) must be positive and
     lie either in the finite simple roots (finite locus) or in the negated
@@ -285,7 +268,7 @@ def pair_descents(group: AffineWeylGroup, pair: AdmissiblePair) -> dict[int, Des
 
 def _classify_descents(
     group: AffineWeylGroup, pair: AdmissiblePair, indices: Iterable[int]
-) -> dict[int, tuple[DescentClassification, AffineRoot]]:
+) -> dict[int, tuple[tuple[str, Optional[str]], AffineRoot]]:
     """The body of `pair_descents` for the given indices; each classification
     comes with its pulled-back root beta = v^{-1}(alpha_i).  The witness's
     inversions and S are read as masks: -beta is in them when its bit k is."""
@@ -293,7 +276,7 @@ def _classify_descents(
     witness, support = pair.witness._mask, group.shifted_mask(pair.s.roots)
     ortho = group.rs.orthogonal_masks
     sigma_s = None
-    out: dict[int, tuple[DescentClassification, AffineRoot]] = {}
+    out: dict[int, tuple[tuple[str, Optional[str]], AffineRoot]] = {}
     for i in indices:
         kind = descent_classify(group, sigma, i)
         beta = group.pull_back(pair.v.element, i)
@@ -306,7 +289,7 @@ def _classify_descents(
             if (kind == "real") != bool(support >> k & 1):
                 raise AssertionError("real affine descent criterion mismatch")
         if kind == "none":
-            out[i] = (DescentClassification("none"), beta)
+            out[i] = (("none", None), beta)
             continue
         if not beta.is_positive:
             raise AssertionError("descent pulled back to a negative root")
@@ -315,11 +298,11 @@ def _classify_descents(
                 sigma_s = reflection_product(group, pair.s)
             if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
                 raise AssertionError("finite descent does not descend the support involution")
-            if (group.act(sigma_s.element, beta) == -beta) != (kind == "real"):
+            if (group.act(sigma_s, beta) == -beta) != (kind == "real"):
                 raise AssertionError("real finite descent criterion mismatch")
-            out[i] = (DescentClassification(kind, "finite"), beta)
+            out[i] = ((kind, "finite"), beta)
         elif affine:
-            out[i] = (DescentClassification(kind, "affine"), beta)
+            out[i] = ((kind, "affine"), beta)
         else:
             raise AssertionError("descent is neither finite nor affine")
     return out
@@ -332,15 +315,15 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
     twisted conjugate of the input's; both facts are asserted.  An affine
     move takes its new v from the group's minuscule elements."""
     s_i = group.simple_reflection(i)
-    cls, beta = _classify_descents(group, pair, (i,))[i]
-    if cls.kind == "none":
+    (kind, locus), beta = _classify_descents(group, pair, (i,))[i]
+    if kind == "none":
         raise ValueError(f"index {i} is not a descent for the pair")
     rs = group.rs
-    if cls.locus == "affine":
+    if locus == "affine":
         k = group.minuscule_ids.get(group.multiply(s_i, pair.v.element))
         if k is None:
             raise ValueError("element is not minuscule")
-        if cls.kind == "complex":
+        if kind == "complex":
             new_s = pair.s
         else:
             # dropping -beta from a canonical tuple keeps it canonical
@@ -348,7 +331,7 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
             new_s = OrthogonalSet(tuple(a for a in pair.s.roots if a != gone))
         result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
     else:
-        if cls.kind == "complex":
+        if kind == "complex":
             reflected = [
                 AffineRoot(rs.reflect(beta.finite, a.finite), a.level)
                 for a in pair.s.roots
@@ -357,7 +340,7 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
         else:
             new_s = _real_finite_replacement(rs, pair.s, beta)
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
-    if result.sigma.element != twisted_conjugate(group, i, pair.sigma).element:
+    if result.sigma != twisted_conjugate(group, i, pair.sigma):
         raise AssertionError("descent move does not match twisted conjugation")
     return result
 
@@ -413,7 +396,7 @@ def negated_root_report(
                     halves.setdefault((fin, lev), set()).add((sb, sbp))
     checks = 0
     violations = []
-    for a in group.negated_roots(sigma.element):
+    for a in group.negated_roots(sigma):
         checks += 1
         gamma, n = a.finite, a.level
         key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
@@ -433,8 +416,7 @@ def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bo
     Phi^+ - delta shares its involution."""
     buckets = group.shifted_orthogonal_index
     for sub in orthogonal_subsets(group.rs, m.inversions):
-        el = reflection_product(group, sub).element
-        mates = buckets.get(el, [])
+        mates = buckets.get(reflection_product(group, sub), [])
         if len(mates) != 1 or mates[0] != sub:
             return False
     return True

@@ -30,7 +30,6 @@ from .affine import (
     word_to_text,
 )
 from .involutions import (
-    Involution,
     OrthogonalSet,
     Report,
     descent_move,
@@ -67,7 +66,7 @@ class OrbitNode(_Value):
     # dim: orbit dimension, length(v) + big_l
     __slots__ = ("s", "sigma", "sigma_word", "length", "big_l", "dim")
 
-    def __init__(self, s: OrthogonalSet, sigma: Involution, sigma_word: ReducedWord,
+    def __init__(self, s: OrthogonalSet, sigma: AffineWeylElement, sigma_word: ReducedWord,
                  length: int, big_l: int, dim: int):
         self.s, self.sigma, self.sigma_word = s, sigma, sigma_word
         self.length, self.big_l, self.dim = length, big_l, dim
@@ -103,11 +102,11 @@ def build_orbit_poset(
     nodes = []
     for s in subsets:
         sigma = make_admissible_pair(group, v, s, w).sigma
-        ell = group.length(sigma.element)
+        ell = group.length(sigma)
         big_l = involution_length(group, sigma)
-        nodes.append(OrbitNode(s, sigma, group.reduced_word(sigma.element), ell, big_l, ell_v + big_l))
+        nodes.append(OrbitNode(s, sigma, group.reduced_word(sigma), ell, big_l, ell_v + big_l))
     n = len(nodes)
-    if len({node.sigma.element for node in nodes}) != n:
+    if len({node.sigma for node in nodes}) != n:
         raise AssertionError("closure order is not antisymmetric")
     # Bruhat order: u < w forces length(u) < length(w), and everything below
     # u is below w.  So only strictly shorter nodes not yet known to be below
@@ -116,9 +115,9 @@ def build_orbit_poset(
     lengths = [nodes[k].length for k in order]
     below = [0] * n  # bit i of below[j]: node i is strictly below node j
     for j in order:
-        x, known = nodes[j].sigma.element, 0
+        x, known = nodes[j].sigma, 0
         for i in reversed(order[: bisect_left(lengths, nodes[j].length)]):
-            if not known >> i & 1 and group.bruhat_leq(nodes[i].sigma.element, x):
+            if not known >> i & 1 and group.bruhat_leq(nodes[i].sigma, x):
                 known |= 1 << i | below[i]
         below[j] = known
     columns = [format(below[j] | 1 << j, f"0{n}b")[::-1] for j in range(n)]
@@ -195,7 +194,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     checks = 0
     violations = []
     for s, holders in contexts.items():
-        sigma_s = reflection_product(group, s).element
+        sigma_s = reflection_product(group, s)
         len_s = group.length(sigma_s)
         below = []
         for r, r_mask, el, len_r in all_subsets:
@@ -258,23 +257,23 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
             l_v2 = involution_length(group, sig_v2)
             support = group.shifted_mask(s.roots)
             if support & ~ortho[k]:
-                if sig_v2.element != twisted_conjugate(group, i, sig_v).element:
+                if sig_v2 != twisted_conjugate(group, i, sig_v):
                     fail(v, i, s, "twisted conjugate mismatch")
                 if l_v2 != l_v - 1:
                     fail(v, i, s, "L did not drop by one")
-                if not group.bruhat_leq(sig_v2.element, sig_v.element):
+                if not group.bruhat_leq(sig_v2, sig_v):
                     fail(v, i, s, "no Bruhat drop")
             else:
                 big = OrthogonalSet(group.shifted_roots(support | 1 << k))
                 sig_big = make_admissible_pair(group, v, big, w).sigma
                 l_big = involution_length(group, sig_big)
-                if sig_v2.element != sig_v.element:
+                if sig_v2 != sig_v:
                     fail(v, i, s, "involutions differ in the split case")
                 if not (l_v2 == l_v == l_big - 1):
                     fail(v, i, s, "L bookkeeping failed in the split case")
-                if sig_v.element != twisted_conjugate(group, i, sig_big).element:
+                if sig_v != twisted_conjugate(group, i, sig_big):
                     fail(v, i, s, "enlarged set is not the twisted conjugate")
-                if not group.bruhat_leq(sig_v.element, sig_big.element):
+                if not group.bruhat_leq(sig_v, sig_big):
                     fail(v, i, s, "no Bruhat drop from the enlarged set")
     return Report("branch-recursion", checks, tuple(violations))
 
@@ -366,8 +365,8 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
             continue
         vid = ids[m.element]
         pair = make_admissible_pair(group, m, s, w)
-        for i, cls in pair_descents(group, pair).items():
-            if cls.kind == "none" or cls.locus != "finite":
+        for i, (_, locus) in pair_descents(group, pair).items():
+            if locus != "finite":
                 continue
             moved = descent_move(group, pair, i)
             k2 = node_id[(vid, group.shifted_mask(moved.s.roots))]
@@ -399,7 +398,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     checks = 0
     violations = []
     nodes0 = [(s, of[k]) for k, (m, s, _) in enumerate(node_pairs) if ids[m.element] == 0]
-    level0 = [(s, reflection_product(group, s).element, k) for s, k in nodes0]
+    level0 = [(s, reflection_product(group, s), k) for s, k in nodes0]
     for s1, x1, k1 in level0:
         for s2, x2, k2 in level0:
             checks += 1
@@ -481,11 +480,11 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
     affine_sigmas = []
     for s in subsets:
         moved = transform_set(group, w_p, s)
-        sig_fin = reflection_product(group, moved).element
+        sig_fin = reflection_product(group, moved)
         shifted = make_orthogonal_set(
             rs, [AffineRoot(a.finite, -1) for a in s.roots]
         )
-        sig_aff = reflection_product(group, shifted).element
+        sig_aff = reflection_product(group, shifted)
         checks += 1
         if phi_apply(group, phi, sig_fin) != sig_aff:
             violations.append(f"phi mismatch for S={s}")

@@ -83,16 +83,15 @@ def _doubled_simple_vectors(letter: str, rank: int) -> list[tuple[int, ...]]:
             vecs.append(v)
     elif letter == "F":
         vecs = [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
-    elif letter == "G":
+    else:  # G: the caller has checked the type
         vecs = [[2, -2, 0], [-4, 2, 2]]
-    else:
-        raise ValueError(f"unknown type {letter!r}")
     return [tuple(v) for v in vecs]
 
 
 def _bourbaki_cartan(vecs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """C[i][j] = 2 (v_i, v_j) / (v_i, v_i) on the simple-root vectors,
-    checked integral, 2 on the diagonal and <= 0 off it."""
+    checked integral and <= 0 off the diagonal (the diagonal is 2 by
+    definition)."""
     rows = []
     for i, vi in enumerate(vecs):
         nii = sum(map(mul, vi, vi))
@@ -104,8 +103,6 @@ def _bourbaki_cartan(vecs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
             if i != j and num > 0:
                 raise AssertionError("off-diagonal Cartan entries must be <= 0")
             row.append(num // nii)
-        if row[i] != 2:
-            raise AssertionError("Cartan diagonal must be 2")
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -15,7 +15,6 @@ import random
 from . import SUITE_NAMES
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import (
-    Involution,
     Report,
     descent_classify,
     descent_move,
@@ -187,7 +186,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     checks, bad = 0, []
     for m in mins:
         for s in orthogonal_subsets(rs, m.inversions):
-            base = reflection_product(group, s).element
+            base = reflection_product(group, s)
             order = list(s.roots)
             for _ in range(2):
                 rng.shuffle(order)
@@ -204,28 +203,45 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
         for s in orthogonal_subsets(rs, m.inversions):
             sigma = reflection_product(group, s)
             checks += 1
-            if rank_id_minus(group, sigma.element) != s.size:
+            if rank_id_minus(group, sigma) != s.size:
                 bad.append(f"rank of id - sigma is not |S| for {s}")
-            ell = group.length(sigma.element)
+            ell = group.length(sigma)
             if involution_length(group, sigma) * 2 != ell + s.size:
                 bad.append(f"L formula fails for {s}")
     reports.append(Report("rank-and-length", checks, tuple(bad)))
 
+    # the one sweep of the admissible pairs collects their distinct
+    # involutions, in order of appearance, and runs the pair-descent-moves
+    # checks, whose report keeps its place further down
     sigma_pool: dict = {}
+    moves, moves_bad = 0, []
     for pair in _admissible_sweep(group):
-        sigma_pool.setdefault(pair.sigma.element, pair.sigma)
+        sigma_pool[pair.sigma] = None
+        try:
+            desc = pair_descents(group, pair)
+        except AssertionError as exc:
+            moves_bad.append(f"descent classification failed: {exc}")
+            continue
+        big_l = involution_length(group, pair.sigma)
+        for i, (kind, _) in desc.items():
+            moves += 1
+            if kind == "none":
+                continue
+            if involution_length(group, descent_move(group, pair, i).sigma) != big_l - 1:
+                moves_bad.append(f"descent move did not drop L at index {i}")
+
     checks, bad = 0, []
-    for el, sigma in sigma_pool.items():
-        big_l = involution_length(group, sigma)
+    for el in sigma_pool:
+        big_l = involution_length(group, el)
         ell = group.length(el)
         for i in group.simple_indices:
             checks += 1
-            kind = descent_classify(group, sigma, i)
+            kind = descent_classify(group, el, i)
             s_i = group.simple_reflection(i)
             drop_left = group.length(group.multiply(s_i, el)) < ell
             drop_right = group.length(group.multiply(el, s_i)) < ell
-            conj = twisted_conjugate(group, i, sigma)
-            drop_conj = group.bruhat_leq(conj.element, el) and conj.element != el
+            conj = twisted_conjugate(group, i, el)
+            drop_conj = group.bruhat_leq(conj, el) and conj != el
             drop_l = involution_length(group, conj) == big_l - 1
             is_descent = kind != "none"
             if not (is_descent == drop_left == drop_right == drop_conj == drop_l):
@@ -234,7 +250,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             if is_descent and (kind == "real") != commutes:
                 bad.append(f"real descent vs commutation fails at index {i}")
             back = twisted_conjugate(group, i, conj)
-            if back.element != el:
+            if back != el:
                 bad.append(f"twisted conjugation is not self inverse at index {i}")
     reports.append(Report("descent-equivalences", checks, tuple(bad)))
 
@@ -274,22 +290,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     bad.append(f"fixed-support iff real fails for {s} at {i}")
     reports.append(Report("support-reflection", checks, tuple(bad)))
 
-    checks, bad = 0, []
-    for pair in _admissible_sweep(group):
-        try:
-            desc = pair_descents(group, pair)
-        except AssertionError as exc:
-            bad.append(f"descent classification failed: {exc}")
-            continue
-        big_l = involution_length(group, pair.sigma)
-        for i, cls in desc.items():
-            checks += 1
-            if cls.kind == "none":
-                continue
-            moved = descent_move(group, pair, i)
-            if involution_length(group, moved.sigma) != big_l - 1:
-                bad.append(f"descent move did not drop L at index {i}")
-    reports.append(Report("pair-descent-moves", checks, tuple(bad)))
+    reports.append(Report("pair-descent-moves", moves, tuple(moves_bad)))
 
     if (rs.type_letter, rs.rank) == ("D", 4):
         checks, bad = 0, []
@@ -302,7 +303,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             [AffineRoot(rs.epsilon_to_root(t), -1) for t in ("e1+e4", "e1-e4", "e2+e3", "e2-e3")],
         )
         checks += 3
-        if reflection_product(group, first).element != reflection_product(group, second).element:
+        if reflection_product(group, first) != reflection_product(group, second):
             bad.append("the two crossing quadruples should share an involution")
         if negated_root_report(group, first).ok:
             bad.append("the half-sum check should fail outside every inversion set")
@@ -320,8 +321,8 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     continue
                 for i in group.simple_indices:
                     checks += 1
-                    ca = twisted_conjugate(group, i, Involution(a)).element
-                    cb = twisted_conjugate(group, i, Involution(b)).element
+                    ca = twisted_conjugate(group, i, a)
+                    cb = twisted_conjugate(group, i, b)
                     up_a = not group.bruhat_leq(ca, a) or ca == a
                     up_b = not group.bruhat_leq(cb, b) or cb == b
                     if ca == a or cb == b:
@@ -340,41 +341,34 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
 
 
 def suite_poset(group: AffineWeylGroup) -> list[Report]:
-    rs = group.rs
-    reports = []
     mins = group.minuscule
     ident = mins[0]
 
+    # each (w, v) poset is built once, here: dimension-formula reads those
+    # with v the identity, and node-count-monotonicity reads their sizes
+    dim_checks, dim_bad = 0, []
+    sizes: list[dict] = []  # per w, the node count of each v below it
     checks, bad = 0, []
     for w in mins:
-        poset = build_orbit_poset(group, w, ident)
-        dims = [n.dim for n in poset.nodes]
-        for node in poset.nodes:
-            checks += 1
-            if node.dim != node.big_l or 2 * node.big_l != node.length + node.s.size:
-                bad.append(f"dimension formula fails at {node.s}")
-        if max(dims) != w.length or min(dims) != 0:
-            bad.append(f"dimension range wrong for ideal of {w.inversions}")
-    reports.append(Report("dimension-formula", checks, tuple(bad)))
-
-    checks, bad = 0, []
-    for w in mins:
-        rep = verify_branch_recursion(group, w)
-        checks += rep.checks
-        bad.extend(rep.violations)
-    reports.append(Report("branch-recursion", checks, tuple(bad)))
-
-    checks, bad = 0, []
-    for w in mins:
+        counts = {}
+        sizes.append(counts)
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
             poset = build_orbit_poset(group, w, v)
-            n = len(poset.nodes)
+            n = counts[v.element] = len(poset.nodes)
+            if v is ident:
+                for node in poset.nodes:
+                    dim_checks += 1
+                    if node.dim != node.big_l or 2 * node.big_l != node.length + node.s.size:
+                        dim_bad.append(f"dimension formula fails at {node.s}")
+                dims = [node.dim for node in poset.nodes]
+                if max(dims) != w.length or min(dims) != 0:
+                    dim_bad.append(f"dimension range wrong for ideal of {w.inversions}")
             # the pairwise comparison is the oracle of the inferred order, and
             # the order checks run on it, where transitivity is not built in;
             # bit j of row i is set iff node i is below node j
-            sigmas = [node.sigma.element for node in poset.nodes]
+            sigmas = [node.sigma for node in poset.nodes]
             rows = [sum(group.bruhat_leq(a, b) << j for j, b in enumerate(sigmas)) for a in sigmas]
             checks += 1
             if poset.leq != tuple(tuple(bool(r >> j & 1) for j in range(n)) for r in rows):
@@ -400,14 +394,18 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
                 edges[i] |= 1 << j
             for i, r in enumerate(_transitive_closure(edges)):
                 bad += ["hasse closure mismatch"] * (r ^ (rows[i] & ~(1 << i))).bit_count()
+    reports = [Report("dimension-formula", dim_checks, tuple(dim_bad))]
+
+    branch, branch_bad = 0, []
+    for w in mins:
+        rep = verify_branch_recursion(group, w)
+        branch += rep.checks
+        branch_bad.extend(rep.violations)
+    reports.append(Report("branch-recursion", branch, tuple(branch_bad)))
     reports.append(Report("poset-invariants", checks, tuple(bad)))
 
     checks, bad = 0, []
-    for w in mins:
-        counts = {}
-        for v in mins:
-            if weak_order_leq(v, w):
-                counts[v.element] = len(orthogonal_subsets(rs, group.shifted_roots(w._mask & ~v._mask)))
+    for counts in sizes:
         for v1 in mins:
             for v2 in mins:
                 if (

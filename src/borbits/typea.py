@@ -28,7 +28,7 @@ from itertools import product
 from operator import mul
 
 from .affine import AffineRoot, AffineWeylGroup
-from .involutions import involution_length, orthogonal_subsets, reflection_product
+from .involutions import involution_length, orthogonal_subsets, rank_id_minus, reflection_product
 from .minuscule import enumerate_abelian_ideals
 from .roots import Root, RootSystem, _Value, build_root_system
 
@@ -260,8 +260,10 @@ def _ideal_subsets(n: int, positions: tuple[Position, ...]):
     out = []
     for s in subsets:
         pos = tuple(sorted(root_to_position(a.finite) for a in s.roots))
-        big_l = involution_length(group, reflection_product(group, s))
-        out.append((pos, big_l))
+        sigma = reflection_product(group, s)
+        if rank_id_minus(group, sigma) != s.size:
+            raise AssertionError("rank of id - sigma differs from the support size")
+        out.append((pos, involution_length(group, sigma)))
     return out
 
 

@@ -113,8 +113,8 @@ def test_criterion_04_d4_counterexamples():
 
         first = s("e1+e3", "e1-e3", "e2+e4", "e2-e4")
         second = s("e1+e4", "e1-e4", "e2+e3", "e2-e3")
-        sig1 = reflection_product(W, first).element
-        sig2 = reflection_product(W, second).element
+        sig1 = reflection_product(W, first)
+        sig2 = reflection_product(W, second)
         assert sig1 == sig2
         alpha = AffineRoot(rs.epsilon_to_root("e1+e2"), -2)
         assert W.act(sig1, alpha) == -alpha

@@ -114,16 +114,16 @@ def test_length_equals_inversion_count(letter, rank, radius):
 
 
 def test_descents(system):
+    """Right descents directly; the left descents of x as the right descents
+    of its inverse."""
     rs, W = system("A", 2)
-    assert W.descents(W.identity, "left") == frozenset()
-    assert W.descents(W.identity, "right") == frozenset()
+    assert W.descents(W.identity) == frozenset()
     s0 = W.simple_reflection(0)
-    assert W.descents(s0, "left") == {0}
-    assert W.descents(s0, "right") == {0}
+    assert W.descents(s0) == {0}
+    assert W.descents(W.inverse(s0)) == {0}
     s1s0 = W.evaluate_word((1, 0))
-    assert W.descents(s1s0, "left") == {1}
-    with pytest.raises(ValueError):
-        W.descents(s0, "up")
+    assert W.descents(s1s0) == {0}
+    assert W.descents(W.inverse(s1s0)) == {1}
 
 
 def test_reduced_word_round_trip(system):

@@ -215,8 +215,8 @@ def agreement_violations(group, seed, elements=8, max_len=12):
     def check(k, x, ref):
         same_action(f"x{k}", x, ref)
         same_action(f"x{k}^-1", group.inverse(x), matrix_inverse(rs, ref))
-        for side in ("left", "right"):
-            if group.descents(x, side) != matrix_descents(group, ref, side):
+        for side, y in (("left", group.inverse(x)), ("right", x)):
+            if group.descents(y) != matrix_descents(group, ref, side):
                 bad.append(f"x{k}: {side} descents")
         ell = group.length(x)
         if ell != matrix_length(rs, ref) or ell != count_inversions(group, x):

@@ -39,7 +39,7 @@ def poset_entries(letter, rank):
     entries = []
     for w in group.minuscule:
         poset = build_orbit_poset(group, w, v)
-        els = [node.sigma.element for node in poset.nodes]
+        els = [node.sigma for node in poset.nodes]
         for i, u in enumerate(els):
             for j, x in enumerate(els):
                 entries.append((u, x, poset.leq[i][j]))
@@ -124,7 +124,7 @@ def test_comparisons_register_nothing(monkeypatch):
     u not the identity, and keep words of the compared elements only."""
     group = _fresh_group("D", 4)
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
-    els = [node.sigma.element for node in poset.nodes]
+    els = [node.sigma for node in poset.nodes]
     fresh = _fresh_group("D", 4)
     calls = []
     original = AffineWeylGroup.multiply

@@ -18,6 +18,7 @@ PINNED = {
     ("D", 4): {"minuscule": 812, "involutions": 2551, "poset": 1558, "strong-form": 744, "phi": 330},
     ("G", 2): {"minuscule": 47, "involutions": 174, "poset": 80, "strong-form": 31, "phi": 0},
     ("B", 4): {"minuscule": 1062, "involutions": 3239, "poset": 2041, "strong-form": 869, "phi": 132},
+    ("F", 4): {"minuscule": 1751, "involutions": 4681, "poset": 3141, "strong-form": 1219, "phi": 0},
 }
 
 

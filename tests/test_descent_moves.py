@@ -16,7 +16,6 @@ from borbits.affine import AffineRoot, AffineWeylGroup
 from borbits.cli import main
 from borbits.involutions import (
     AdmissiblePair,
-    DescentClassification,
     Report,
     descent_classify,
     descent_move,
@@ -25,6 +24,7 @@ from borbits.involutions import (
     negated_root_report,
     orthogonal_subsets,
     pair_descents,
+    rank_id_minus,
     reflection_product,
     transform_set,
     twisted_conjugate,
@@ -79,35 +79,35 @@ def _oracle_pair_descents(group, pair):
             assert (kind != "none") == not_orth
             assert (kind == "real") == (-beta in set(pair.s.roots))
         if kind == "none":
-            out[i] = DescentClassification("none")
+            out[i] = ("none", None)
             continue
         assert beta.is_positive
         if beta.level == 0 and beta.finite.height == 1:
             j = next(k for k in range(1, group.rank + 1) if rs.simple_root(k) == beta.finite)
             assert descent_classify(group, sigma_s, j) != "none"
-            assert (group.act(sigma_s.element, beta) == -beta) == (kind == "real")
-            out[i] = DescentClassification(kind, "finite")
+            assert (group.act(sigma_s, beta) == -beta) == (kind == "real")
+            out[i] = (kind, "finite")
         else:
             assert beta in witness_neg
-            out[i] = DescentClassification(kind, "affine")
+            out[i] = (kind, "affine")
     return out
 
 
 def _oracle_descent_move(group, pair, i):
-    cls = _oracle_pair_descents(group, pair)[i]
-    assert cls.kind != "none"
+    kind, locus = _oracle_pair_descents(group, pair)[i]
+    assert kind != "none"
     rs = group.rs
     beta = group.act(group.inverse(pair.v.element), group.simple_affine_root(i))
-    if cls.locus == "affine":
+    if locus == "affine":
         new_v = minuscule_from_element(
             group, group.multiply(group.simple_reflection(i), pair.v.element)
         )
         new_s = pair.s
-        if cls.kind == "real":
+        if kind == "real":
             new_s = make_orthogonal_set(rs, set(pair.s.roots) - {-beta})
         result = make_admissible_pair(group, new_v, new_s, pair.witness)
     else:
-        if cls.kind == "complex":
+        if kind == "complex":
             new_s = make_orthogonal_set(
                 rs,
                 [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s.roots],
@@ -126,7 +126,7 @@ def _oracle_descent_move(group, pair, i):
             )
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
     expected = twisted_conjugate(group, i, _sigma_from_scratch(group, pair))
-    assert _sigma_from_scratch(group, result).element == expected.element
+    assert _sigma_from_scratch(group, result) == expected
     return result
 
 
@@ -145,12 +145,12 @@ def test_moves_agree_with_the_rederiving_oracle(letter, rank):
                 desc = pair_descents(W, pair)
                 assert desc == _oracle_pair_descents(W, pair)
                 for i, cls in desc.items():
-                    if cls.kind == "none":
+                    if cls[0] == "none":
                         continue
                     moved = descent_move(W, pair, i)
                     assert moved == _oracle_descent_move(W, pair, i)
                     moves += 1
-                    kinds.add((cls.kind, cls.locus))
+                    kinds.add(cls)
     assert moves > 0
     assert {("complex", "affine"), ("real", "affine"), ("complex", "finite")} <= kinds
 
@@ -178,7 +178,7 @@ def _a3_real_affine_pair(group):
     mins = group.minuscule
     theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
     pair = make_admissible_pair(group, mins[0], theta, mins[1])
-    assert pair_descents(group, pair)[0] == DescentClassification("real", "affine")
+    assert pair_descents(group, pair)[0] == ("real", "affine")
     return pair
 
 
@@ -206,20 +206,21 @@ def test_missing_map_entry_is_caught():
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_stored_sigma_agrees_with_the_product(letter, rank):
-    """The stored involution is the from-scratch product, element and
-    support, and every descent move stores the twisted conjugate."""
+    """The stored involution is the from-scratch product, with rank of
+    id - sigma equal to |S|, and every descent move stores the twisted
+    conjugate."""
     _, W = get_system(letter, rank)
     pairs = moves = 0
     for pair in _admissible_sweep(W):
         pairs += 1
         scratch = _sigma_from_scratch(W, pair)
-        assert pair.sigma.element == scratch.element
-        assert pair.sigma.support == scratch.support
-        for i, cls in pair_descents(W, pair).items():
-            if cls.kind != "none":
+        assert pair.sigma == scratch
+        assert rank_id_minus(W, pair.sigma) == pair.s.size
+        for i, (kind, _) in pair_descents(W, pair).items():
+            if kind != "none":
                 moves += 1
                 moved = descent_move(W, pair, i)
-                assert moved.sigma.element == twisted_conjugate(W, i, pair.sigma).element
+                assert moved.sigma == twisted_conjugate(W, i, pair.sigma)
     assert pairs > 0 and moves > 0
 
 
@@ -256,7 +257,7 @@ def test_a_foreign_sigma_is_caught():
     )
     witness = next(m for m in group.minuscule if set(other_s.roots) <= set(m.inversions))
     other = make_admissible_pair(group, pair.v, other_s, witness)
-    assert descent_move(group, pair, 0).sigma.element == twisted_conjugate(group, 0, pair.sigma).element
+    assert descent_move(group, pair, 0).sigma == twisted_conjugate(group, 0, pair.sigma)
     sabotaged = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
     assert sabotaged == pair
     with pytest.raises(AssertionError, match="descent move does not match twisted conjugation"):
@@ -270,11 +271,11 @@ def test_every_foreign_sigma_is_refused():
     pairs = list(_admissible_sweep(group))
     refused = 0
     for pair in pairs:
-        for i, cls in pair_descents(group, pair).items():
-            if cls.kind == "none":
+        for i, (kind, _) in pair_descents(group, pair).items():
+            if kind == "none":
                 continue
             for other in pairs:
-                if other.sigma.element == pair.sigma.element:
+                if other.sigma == pair.sigma:
                     continue
                 with pytest.raises((AssertionError, ValueError)):
                     descent_move(group, AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma), i)
@@ -381,7 +382,7 @@ def _oracle_negated_root_report(group, s):
 
     halves = sums(1, 1) | sums(1, -1) | sums(-1, 1) | sums(-1, -1)
     checks, violations = 0, []
-    for a in _window_scan(group, sigma.element, s):
+    for a in _window_scan(group, sigma, s):
         gamma, n = a.finite, a.level
         checks += 1
         key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
@@ -404,7 +405,7 @@ def test_negated_root_report_matches_the_oracle(letter, rank):
     pool += [AffineRoot(-g, -1) for g in rs.positive_roots]
     violations = 0
     for s in orthogonal_subsets(rs, pool):
-        x = reflection_product(W, s).element
+        x = reflection_product(W, s)
         assert W.negated_roots(x) == _window_scan(W, x, s)
         rep = negated_root_report(W, s)
         assert rep == _oracle_negated_root_report(W, s)
@@ -418,7 +419,7 @@ def test_negated_roots_match_the_window_scan(letter, rank):
     supports = {s for m in W.minuscule for s in orthogonal_subsets(rs, m.inversions)}
     found = 0
     for s in supports:
-        x = reflection_product(W, s).element
+        x = reflection_product(W, s)
         negated = W.negated_roots(x)
         assert negated == _window_scan(W, x, s)
         found += len(negated)

@@ -20,7 +20,6 @@ import pytest
 from borbits import involutions
 from borbits.affine import AffineRoot, AffineWeylGroup
 from borbits.involutions import (
-    Involution,
     _int_matrix_rank,
     descent_move,
     involution_length,
@@ -89,16 +88,14 @@ def test_stored_values_agree_with_scratch(letter, rank):
         _check_rank_and_word(group, m.element)
         for s in orthogonal_subsets(group.rs, m.inversions):
             sigma = reflection_product(group, s)
-            assert sigma.element == _product_from_scratch(group, s)
-            assert sigma.support == s
+            assert sigma == _product_from_scratch(group, s)
             assert reflection_product(group, s) is sigma
-            _check_rank_and_word(group, sigma.element)
-            assert rank_id_minus(group, sigma.element) == s.size
+            _check_rank_and_word(group, sigma)
+            assert rank_id_minus(group, sigma) == s.size
             sets += 1
             for i in group.simple_indices:
                 conj = twisted_conjugate(group, i, sigma)
-                assert conj.support is None
-                _check_rank_and_word(group, conj.element)
+                _check_rank_and_word(group, conj)
                 conjugates += 1
     assert sets > 0 and conjugates > 0
 
@@ -109,7 +106,8 @@ def test_suites_compute_each_value_once(monkeypatch):
     distinct set."""
     ranked: set = set()
     multiplied: set = set()
-    eliminations = products = 0
+    stored: list = []
+    eliminations = 0
 
     def counted_rank_id_minus(group, x):
         ranked.add(x)
@@ -124,29 +122,28 @@ def test_suites_compute_each_value_once(monkeypatch):
         eliminations += 1
         return _int_matrix_rank(rows)
 
-    def counted_involution(element, support=None):
-        nonlocal products
-        if support is not None:
-            products += 1
-        return Involution(element, support)
+    class StoreCountingTable(dict):
+        def __setitem__(self, s, sigma):
+            stored.append(s)
+            super().__setitem__(s, sigma)
 
     _rebind(monkeypatch, rank_id_minus, counted_rank_id_minus)
     _rebind(monkeypatch, reflection_product, counted_reflection_product)
     monkeypatch.setattr(involutions, "_int_matrix_rank", counted_matrix_rank)
-    monkeypatch.setattr(involutions, "Involution", counted_involution)
     group = _fresh_group("B", 3)
+    group._sigmas = StoreCountingTable()
     for name in ("involutions", "poset"):
         assert all(r.ok for r in run_suite(group, name))
     assert ranked and multiplied
     assert eliminations == len(ranked)
-    assert products == len(multiplied)
+    assert len(stored) == len(multiplied)
 
 
 def _greedy_strip(group, x):
     """The smallest left descent, stripped off until the identity is left."""
     letters = []
     while True:
-        left = group.descents(x, "left")
+        left = group.descents(group.inverse(x))
         if not left:
             return tuple(letters)
         i = min(left)
@@ -196,71 +193,90 @@ def test_tables_die_with_their_group():
     s = orthogonal_subsets(group.rs, top.inversions)[-1]
     sigma = reflection_product(group, s)
     assert involution_length(group, sigma) > 0
-    assert group.reduced_word(sigma.element)
+    assert group.reduced_word(sigma)
     assert group._sigmas and group._ranks and group._words
-    refs = [weakref.ref(group), weakref.ref(sigma)]
+    ref = weakref.ref(group)
     del group, top, s, sigma
     gc.collect()
-    assert all(r() is None for r in refs)
+    assert ref() is None
 
 
 # -- the checks still fire --------------------------------------------------------
 
 
-def _supported_sigma(group, size):
-    """A stored involution whose support has the given size."""
-    for m in group.minuscule:
-        for s in orthogonal_subsets(group.rs, m.inversions):
-            if s.size == size:
-                return reflection_product(group, s)
+def _support(group, size):
+    """An orthogonal subset of the given size inside the largest inversion
+    set, with that minuscule element."""
+    top = group.minuscule[-1]
+    for s in orthogonal_subsets(group.rs, top.inversions):
+        if s.size == size:
+            return s, top
     raise LookupError(size)
 
 
+def _supported_sigma(group, size):
+    """A stored involution whose support has the given size."""
+    return reflection_product(group, _support(group, size)[0])
+
+
 def test_a_wrong_support_size_is_caught_after_the_rank_is_stored():
+    """Every pair's sigma is ranked against |S| when the pair is built: a
+    stored sigma of a one-root set under a two-root set is refused."""
     group = _fresh_group("A", 3)
-    sigma = _supported_sigma(group, 2)
-    assert involution_length(group, sigma) > 0
-    assert sigma.element in group._ranks
-    other = _supported_sigma(group, 1).support
+    ident = group.minuscule[0]
+    s, top = _support(group, 2)
+    assert make_admissible_pair(group, ident, s, top).sigma in group._ranks
+    group._sigmas[s] = _supported_sigma(group, 1)
     with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
-        involution_length(group, Involution(sigma.element, other))
+        make_admissible_pair(group, ident, s, top)
 
 
 def test_a_corrupted_sigma_is_caught_by_the_move():
-    """The move's new involution comes from the table; when it is corrupted,
-    the twisted-conjugation check refuses the move."""
+    """The move's new involution comes from the table; when it is corrupted
+    with another involution of the same rank, which the pair's support-size
+    check lets through, the twisted-conjugation check refuses the move."""
     rs = build_root_system("A", 3)
     clean = AffineWeylGroup(rs)
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
-    pair = make_admissible_pair(clean, clean.minuscule[0], theta, clean.minuscule[1])
-    i = next(i for i, cls in pair_descents(clean, pair).items() if cls.kind != "none")
+    ident = clean.minuscule[0]
+    pair, i = next(
+        (pair, i)
+        for w in clean.minuscule
+        for s in orthogonal_subsets(rs, w.inversions)
+        if s.size == 1
+        for pair in [make_admissible_pair(clean, ident, s, w)]
+        for i, cls in pair_descents(clean, pair).items()
+        if cls == ("complex", "affine")
+    )
     moved = descent_move(clean, pair, i)
     key = transform_set(clean, moved.v.element, moved.s)
+    foreign = next(x for s, x in clean._sigmas.items() if s.size == 1 and x != moved.sigma)
 
     group = AffineWeylGroup(rs)
-    pair = make_admissible_pair(group, group.minuscule[0], theta, group.minuscule[1])
-    assert key != transform_set(group, pair.v.element, pair.s)
-    group._sigmas[key] = Involution(pair.sigma.element, key)
+    pair = make_admissible_pair(group, group.minuscule[0], pair.s, pair.witness)
+    group._sigmas[key] = foreign
     with pytest.raises(AssertionError, match="descent move does not match twisted conjugation"):
         descent_move(group, pair, i)
 
 
 def test_a_corrupted_rank_is_caught_by_involution_length():
+    """A stored rank of 3 for a two-root support: the pair refuses it on the
+    support size, and involution_length on the parity."""
     group = _fresh_group("A", 3)
-    sigma = _supported_sigma(group, 2)
-    group._ranks[sigma.element] = (3, group.length(sigma.element))
+    s, top = _support(group, 2)
+    sigma = reflection_product(group, s)
+    group._ranks[sigma] = (3, group.length(sigma))
     with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
-        involution_length(group, sigma)
+        make_admissible_pair(group, group.minuscule[0], s, top)
     with pytest.raises(AssertionError, match="different parity"):
-        involution_length(group, Involution(sigma.element))
+        involution_length(group, sigma)
 
 
 def test_a_corrupted_length_is_caught_by_involution_length():
     group = _fresh_group("A", 3)
     sigma = _supported_sigma(group, 2)
-    ell = group.length(sigma.element)
+    ell = group.length(sigma)
     assert involution_length(group, sigma) == (ell + 2) // 2
-    group._ranks[sigma.element] = (2, ell + 1)
+    group._ranks[sigma] = (2, ell + 1)
     with pytest.raises(AssertionError, match="different parity"):
         involution_length(group, sigma)
 
@@ -273,6 +289,6 @@ def test_involution_length_counts_each_length_once(monkeypatch):
     length = group.length
     monkeypatch.setattr(group, "length", lambda x: counted.append(x) or length(x))
     values = {involution_length(group, sigma) for _ in range(5)}
-    assert values == {(length(sigma.element) + 2) // 2}
-    assert counted == [sigma.element]
-    assert group._ranks[sigma.element] == (2, length(sigma.element))
+    assert values == {(length(sigma) + 2) // 2}
+    assert counted == [sigma]
+    assert group._ranks[sigma] == (2, length(sigma))

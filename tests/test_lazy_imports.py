@@ -152,7 +152,7 @@ def test_public_names_resolve_to_their_modules():
             missing,
         ]))
     """)
-    assert count == 24
+    assert count == 23
     assert own
     assert unbound == []
     assert missing

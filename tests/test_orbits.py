@@ -83,7 +83,7 @@ def test_closure_leq_examples(system):
     def closure_leq(p, q):
         """Closure comparison over a common v: the Bruhat order of the
         involutions."""
-        return W.bruhat_leq(p.sigma.element, q.sigma.element)
+        return W.bruhat_leq(p.sigma, q.sigma)
 
     assert closure_leq(p_theta, p_theta)
     assert closure_leq(p_empty, p_theta)

@@ -21,7 +21,7 @@ from conftest import get_system
 
 
 def pairwise_leq(group, poset):
-    sigmas = [node.sigma.element for node in poset.nodes]
+    sigmas = [node.sigma for node in poset.nodes]
     return tuple(tuple(group.bruhat_leq(a, b) for b in sigmas) for a in sigmas)
 
 
@@ -76,7 +76,7 @@ def test_inference_compares_few_pairs(monkeypatch):
 
     monkeypatch.setattr(AffineWeylGroup, "bruhat_leq", counted)
     poset = build_orbit_poset(group, group.minuscule[60], group.minuscule[0])
-    lengths = {node.sigma.element: node.length for node in poset.nodes}
+    lengths = {node.sigma: node.length for node in poset.nodes}
     assert len(poset.nodes) == 51
     assert len(calls) == 340
     assert all(lengths[u] < lengths[w] for u, w in calls)
@@ -152,7 +152,7 @@ def test_poset_suite_catches_an_intransitive_order(monkeypatch):
         for k in range(n)
         if len({i, j, k}) == 3 and poset.leq[i][j] and poset.leq[j][k]
     )
-    lost = (poset.nodes[a].sigma.element, poset.nodes[c].sigma.element)
+    lost = (poset.nodes[a].sigma, poset.nodes[c].sigma)
     real = group.bruhat_leq
     monkeypatch.setattr(group, "bruhat_leq", lambda u, w: (u, w) != lost and real(u, w))
     found = _violations(group)

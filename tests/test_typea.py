@@ -2,6 +2,8 @@
 
 import pytest
 
+import borbits.typea as typea
+from borbits.involutions import rank_id_minus
 from borbits.typea import (
     ELEMENT_CAP,
     enumerate_orbits,
@@ -111,3 +113,11 @@ def test_element_counts_stay_under_cap():
         for k in range(2 ** (n - 1)):
             ctx = make_context(n, 7, ideal_positions(n, k))
             assert ctx.element_count <= 7 ** 4 <= ELEMENT_CAP
+
+
+def test_a_wrong_rank_is_caught_before_l_is_read(monkeypatch):
+    """The oracle measures L on the bare involution of each orthogonal
+    subset, after checking that the rank of id - sigma is |S|."""
+    monkeypatch.setattr(typea, "rank_id_minus", lambda group, x: rank_id_minus(group, x) + 1)
+    with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
+        oracle_report(3, 1, (2,))

@@ -2,9 +2,9 @@
 replaced: the same fields, equality, hash and repr.
 
 `Root`, `AffineRoot`, `AbelianIdeal`, `MinusculeElement`, `Report`,
-`OrthogonalSet`, `Involution`, `AdmissiblePair`, `DescentClassification`,
-`OrbitNode`, `PosetContext`, `OrbitPoset`, `MatrixIdealContext` and
-`OrbitPartition` are `__slots__` classes.  A frozen
+`OrthogonalSet`, `AdmissiblePair`, `OrbitNode`, `PosetContext`,
+`OrbitPoset`, `MatrixIdealContext` and `OrbitPartition` are `__slots__`
+classes.  A frozen
 dataclass compares its fields as a tuple when the classes match, hashes that
 tuple and prints ``Name(field=value, ...)``; the references below are such
 dataclasses with the same fields, and every instance is checked against its
@@ -19,12 +19,10 @@ import pytest
 from borbits.affine import AffineRoot
 from borbits.involutions import (
     AdmissiblePair,
-    Involution,
     OrthogonalSet,
     Report,
     orthogonal_subsets,
     pair_descents,
-    reflection_product,
 )
 from borbits.minuscule import AbelianIdeal, MinusculeElement
 from borbits.orbits import build_orbit_poset
@@ -68,17 +66,15 @@ def test_values_match_their_dataclass_references(letter, rank):
         _check(m, ["element", "inversions", "ideal"])
         for s in orthogonal_subsets(rs, m.inversions):
             _check(s, ["roots"])
-            _check(reflection_product(group, s), ["element", "support"])
     for pair in _admissible_sweep(group):
         _check(pair, ["v", "s", "witness", "sigma"], blind=("sigma",))
-        for cls in pair_descents(group, pair).values():
-            _check(cls, ["kind", "locus"])
+        for kind, locus in pair_descents(group, pair).values():
+            assert (locus is None) == (kind == "none")
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
     _check(poset, ["context", "nodes", "leq", "hasse"])
     _check(poset.context, ["type_letter", "rank", "ideal_id", "v_word", "w", "v"])
     for node in poset.nodes:
         _check(node, ["s", "sigma", "sigma_word", "length", "big_l", "dim"])
-        _check(Involution(node.sigma.element), ["element", "support"])
 
 
 def test_reports_and_typea_values_match_their_dataclass_references():
@@ -95,7 +91,7 @@ def test_admissible_pairs_ignore_sigma():
     _, group = get_system("B", 3)
     pairs = list(_admissible_sweep(group))
     pair = pairs[-1]
-    other = next(p for p in pairs if p.sigma.element != pair.sigma.element)
+    other = next(p for p in pairs if p.sigma != pair.sigma)
     swapped = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
     assert swapped == pair and hash(swapped) == hash(pair)
     assert repr(swapped) != repr(pair) and repr(other.sigma) in repr(swapped)

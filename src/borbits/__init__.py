@@ -22,8 +22,8 @@ _HOMES = {
         "make_admissible_pair", "make_orthogonal_set", "orthogonal_subsets", "reflection_product",
     ),
     "minuscule": (
-        "AbelianIdeal", "MinusculeElement", "enumerate_abelian_ideals", "enumerate_minuscule",
-        "ideal_to_element", "is_minuscule",
+        "MinusculeElement", "enumerate_abelian_ideals", "enumerate_minuscule", "ideal_to_element",
+        "is_minuscule",
     ),
     "orbits": ("OrbitPoset", "build_orbit_poset", "export_poset"),
     "roots": ("Root", "RootSystem", "build_root_system"),

@@ -9,7 +9,7 @@ import sys
 
 from . import SUITE_NAMES
 from .affine import AffineWeylGroup, text_to_word, word_to_text
-from .minuscule import normalizer_simple_roots, weak_order_leq
+from .minuscule import _check_cap, normalizer_simple_roots, weak_order_leq
 from .roots import build_root_system
 
 # orbits, suites and typea are imported inside the commands that run them,
@@ -64,6 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_context(args):
+    # ideals, orbits and poset walk the minuscule elements, so a walk past the
+    # cap is refused before the build, which is slow at high rank; verify
+    # leaves it to the walk, since the phi suite does not walk
+    _check_cap(args.rank)
     rs = build_root_system(args.type_letter, args.rank)
     return rs, AffineWeylGroup(rs)
 
@@ -102,7 +106,7 @@ def _cmd_ideals(args) -> int:
         rows.append(
             {
                 "ideal_id": k,
-                "roots": [text[r.coeffs] for r in m.ideal.roots],
+                "roots": [text[r.coeffs] for r in m.ideal],
                 "word": word_to_text(words[-1]),
                 "length": m.length,
                 "normalizer": [number[r.coeffs] for r in normalizer_simple_roots(group, m)],

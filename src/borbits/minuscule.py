@@ -2,10 +2,12 @@
 
 A combinatorial abelian ideal is a subset of the positive roots that is
 upward closed in the dominance order and sum-free (the sum of two members is
-never a root).  These sets biject with the minuscule elements of the affine
-Weyl group: the elements whose inversion set, read on the negative side,
-sits inside ``Phi^+ - delta``.  The ideal attached to a minuscule element is
-its inversion set shifted back by delta.
+never a root); it is held as the tuple of its roots in positive-index
+order, the canonical order.  These sets biject with the minuscule elements
+of the affine Weyl group: the elements whose inversion set, read on the
+negative side, sits inside ``Phi^+ - delta``.  The ideal attached to a
+minuscule element is its inversion set shifted back by delta.  There are
+2^rank of them, and a walk past `MINUSCULE_CAP` is refused.
 
 Both sides of the bijection are enumerated independently here: ideals by a
 depth-first walk over upward-closed subsets with sum-freeness pruning, and
@@ -30,7 +32,7 @@ from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from .roots import Root, RootSystem, _Value, _bits
 
 __all__ = [
-    "AbelianIdeal",
+    "MINUSCULE_CAP",
     "MinusculeElement",
     "enumerate_abelian_ideals",
     "enumerate_minuscule",
@@ -43,22 +45,17 @@ __all__ = [
     "weak_order_leq",
 ]
 
-
-class AbelianIdeal(_Value):
-    """An upward-closed, sum-free subset of the positive roots, canonically
-    ordered."""
-
-    __slots__ = ("roots",)
-
-    def __init__(self, roots: tuple[Root, ...]):
-        self.roots = roots
-
-    @property
-    def size(self) -> int:
-        return len(self.roots)
+# the most minuscule elements the walk may visit; there are 2^rank of them
+MINUSCULE_CAP = 2**18
 
 
-def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
+def _check_cap(rank: int) -> None:
+    """Refuse a rank whose 2^rank minuscule elements exceed `MINUSCULE_CAP`."""
+    if 2**rank > MINUSCULE_CAP:
+        raise ValueError(f"2^{rank} minuscule elements exceed the enumeration cap")
+
+
+def ideal_from_mask(rs: RootSystem, mask: int) -> tuple[Root, ...]:
     """The abelian ideal {r_i : bit i of mask set}, validated against
     `rs.ideal_masks`: no member may have a dominance-upper outside the set
     or a sum partner inside it.  The members come out in index order, which
@@ -70,11 +67,12 @@ def ideal_from_mask(rs: RootSystem, mask: int) -> AbelianIdeal:
     if any(partners[i] & mask for i in members):
         raise ValueError("ideal is not sum-free")
     pos = rs.positive_roots
-    return AbelianIdeal(tuple(pos[i] for i in members))
+    return tuple(pos[i] for i in members)
 
 
-def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
-    """All abelian ideals, in order (size, lexicographic root indices).
+def enumerate_abelian_ideals(rs: RootSystem) -> list[tuple[Root, ...]]:
+    """All abelian ideals as canonical root tuples, in order (size,
+    lexicographic positive indices).
 
     The walk goes through the positive roots by decreasing height, so the
     dominance-uppers of a root are always decided first: a root may join only
@@ -82,7 +80,7 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
     a root.
 
     >>> from .roots import build_root_system
-    >>> [[str(r) for r in I.roots] for I in enumerate_abelian_ideals(build_root_system("A", 2))]
+    >>> [[str(r) for r in I] for I in enumerate_abelian_ideals(build_root_system("A", 2))]
     [[], ['1,1'], ['0,1', '1,1'], ['1,0', '1,1']]
     """
     order = sorted(rs.positive_roots, key=lambda r: r.sort_key, reverse=True)
@@ -106,11 +104,9 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[AbelianIdeal]:
             chosen.remove(beta)
 
     walk(0, set())
-    ideals = [
-        AbelianIdeal(tuple(sorted(s, key=lambda r: r.sort_key))) for s in found
-    ]
-    ideals.sort(key=lambda I: (I.size, tuple(rs.positive_index(r) for r in I.roots)))
-    return ideals
+    keyed = sorted((len(s), sorted(map(rs.positive_index, s))) for s in found)
+    pos = rs.positive_roots
+    return [tuple(pos[i] for i in indices) for _, indices in keyed]
 
 
 class MinusculeElement(_Value):
@@ -122,7 +118,7 @@ class MinusculeElement(_Value):
     __slots__ = ("element", "inversions", "ideal", "_mask")
 
     def __init__(
-        self, element: AffineWeylElement, inversions: tuple[AffineRoot, ...], ideal: AbelianIdeal
+        self, element: AffineWeylElement, inversions: tuple[AffineRoot, ...], ideal: tuple[Root, ...]
     ):
         self.element, self.inversions, self.ideal = element, inversions, ideal
 
@@ -160,7 +156,11 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
     left descent i of a minuscule x leads to the minuscule s_i x one level
     down, whose up steps yield i, so the smallest i over the edges into x
     is its lowest left descent, and (i,) + word(s_i x) is the greedy word
-    of `AffineWeylGroup.reduced_word`."""
+    of `AffineWeylGroup.reduced_word`.
+
+    A system with more than `MINUSCULE_CAP` minuscule elements is refused
+    before the walk starts."""
+    _check_cap(group.rank)
     words = group._words
     words[group.identity] = ()
     seen = [group.identity]
@@ -178,19 +178,17 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
         frontier = list(new)
         seen += frontier
     out = [minuscule_from_element(group, x) for x in seen]
-    # root indices order the positive roots as positive indices do
-    index = group._index
-    out.sort(key=lambda m: (m.length, tuple([index[r.coeffs] for r in m.ideal.roots])))
+    out.sort(key=lambda m: (m.length, _bits(m._mask)))
     return out
 
 
-def ideal_to_element(group: AffineWeylGroup, ideal: AbelianIdeal) -> MinusculeElement:
+def ideal_to_element(group: AffineWeylGroup, ideal: tuple[Root, ...]) -> MinusculeElement:
     """Constructive inverse of the bijection: repeatedly pick the lowest
     dominance maximal missing inversion beta (nothing else missing lies
     above it in `ideal_masks`); its image under the current element is the
     negative of a simple root, and that reflection extends the element."""
     above = group.rs.ideal_masks[0]
-    target = sum(1 << group.rs.positive_index(r) for r in ideal.roots)
+    target = sum(1 << group.rs.positive_index(r) for r in ideal)
     cur, have = group.identity, 0
     while have != target:
         missing = target & ~have
@@ -220,13 +218,13 @@ def normalizer_simple_roots(group: AffineWeylGroup, m: MinusculeElement) -> tupl
     return tuple(simple[i - 1] for i in group.normalizer_indices(m.element))
 
 
-def normalizer_by_ideal_stability(rs: RootSystem, ideal: AbelianIdeal) -> tuple[Root, ...]:
+def normalizer_by_ideal_stability(rs: RootSystem, ideal: tuple[Root, ...]) -> tuple[Root, ...]:
     """Independent criterion: alpha qualifies iff lowering any ideal member
     by alpha stays inside the ideal.  Lowering alpha itself lands in the
     Cartan part, so a simple root lying in the ideal never qualifies; a
     simple root is not a sum of two positive roots, so no lowering can land
     in a negative root space and these are the only cases."""
-    members = set(ideal.roots)
+    members = set(ideal)
     out = []
     for i in range(1, rs.rank + 1):
         alpha = rs.simple_root(i)

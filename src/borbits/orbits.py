@@ -5,8 +5,8 @@ orthogonal subsets of the inversion gap between w and v.  Each node carries
 the involution of the pair, its invariant L, and the orbit dimension
 ``length(v) + L``; for v equal to the identity the dimension is just L of
 the support involution.  The closure order is defined computationally as
-the Bruhat comparison of the attached involutions, and the Hasse diagram is
-its transitive reduction.
+the Bruhat comparison of the attached involutions, kept as bit rows, and
+the Hasse diagram is its transitive reduction.
 
 The module also ships the verification sweeps that tie the order to its
 independent justifications: the one-step branch recursion along weak-order
@@ -73,19 +73,18 @@ class OrbitNode(_Value):
 
 
 class PosetContext(_Value):
-    __slots__ = ("type_letter", "rank", "ideal_id", "v_word", "w", "v")
+    __slots__ = ("type_letter", "rank", "ideal_id", "v_word")
 
-    def __init__(self, type_letter: str, rank: int, ideal_id: int, v_word: ReducedWord,
-                 w: MinusculeElement, v: MinusculeElement):
-        self.type_letter, self.rank, self.ideal_id = type_letter, rank, ideal_id
-        self.v_word, self.w, self.v = v_word, w, v
+    def __init__(self, type_letter: str, rank: int, ideal_id: int, v_word: ReducedWord):
+        self.type_letter, self.rank, self.ideal_id, self.v_word = type_letter, rank, ideal_id, v_word
 
 
 class OrbitPoset(_Value):
+    # leq: bit j of leq[i] is set iff node i is below node j (or i == j)
     __slots__ = ("context", "nodes", "leq", "hasse")
 
     def __init__(self, context: PosetContext, nodes: tuple[OrbitNode, ...],
-                 leq: tuple[tuple[bool, ...], ...], hasse: tuple[tuple[int, int], ...]):
+                 leq: tuple[int, ...], hasse: tuple[tuple[int, int], ...]):
         self.context, self.nodes, self.leq, self.hasse = context, nodes, leq, hasse
 
 
@@ -120,8 +119,10 @@ def build_orbit_poset(
             if not known >> i & 1 and group.bruhat_leq(nodes[i].sigma, x):
                 known |= 1 << i | below[i]
         below[j] = known
-    columns = [format(below[j] | 1 << j, f"0{n}b")[::-1] for j in range(n)]
-    leq = tuple(tuple(c == "1" for c in row) for row in zip(*columns))
+    leq = [1 << i for i in range(n)]
+    for j in range(n):
+        for i in _bits(below[j]):
+            leq[i] |= 1 << j
     hasse = []
     for j in range(n):
         # the covers of j: below j, and below nothing that is below j
@@ -134,10 +135,8 @@ def build_orbit_poset(
         group.rank,
         group.minuscule_ids[w.element],
         group.reduced_word(v.element),
-        w,
-        v,
     )
-    return OrbitPoset(ctx, tuple(nodes), leq, tuple(sorted(hasse)))
+    return OrbitPoset(ctx, tuple(nodes), tuple(leq), tuple(sorted(hasse)))
 
 
 def node_row(node: OrbitNode) -> dict:

@@ -114,7 +114,7 @@ def ideal_positions(n: int, ideal_id: int) -> tuple[Position, ...]:
     ideals = enumerate_abelian_ideals(_typea_system(n))
     if not 0 <= ideal_id < len(ideals):
         raise ValueError(f"ideal id {ideal_id} out of range (0..{len(ideals) - 1})")
-    return tuple(sorted(root_to_position(r) for r in ideals[ideal_id].roots))
+    return tuple(sorted(root_to_position(r) for r in ideals[ideal_id]))
 
 
 class OrbitPartition(_Value):

@@ -70,7 +70,7 @@ def test_criterion_01_enumeration_and_bijection():
             mins = enumerate_minuscule(group)
             assert len(ideals) == len(mins)
             for ideal, m in zip(ideals, mins):
-                assert set(m.ideal.roots) == set(ideal.roots)
+                assert set(m.ideal) == set(ideal)
                 assert ideal_to_element(group, ideal).element == m.element
         assert time.monotonic() - start < 10.0
 
@@ -167,8 +167,8 @@ def test_criterion_07_involutions_suite():
             mins = enumerate_minuscule(W)
             if (letter, rank) == ("G", 2):
                 for m in mins:
-                    for a in m.ideal.roots:
-                        for b in m.ideal.roots:
+                    for a in m.ideal:
+                        for b in m.ideal:
                             if a != b:
                                 assert rs.pairing(a, b) != 0
             for m in mins:

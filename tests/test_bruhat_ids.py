@@ -42,7 +42,7 @@ def poset_entries(letter, rank):
         els = [node.sigma for node in poset.nodes]
         for i, u in enumerate(els):
             for j, x in enumerate(els):
-                entries.append((u, x, poset.leq[i][j]))
+                entries.append((u, x, bool(poset.leq[i] >> j & 1)))
     return group, entries
 
 

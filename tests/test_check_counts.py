@@ -19,6 +19,8 @@ PINNED = {
     ("G", 2): {"minuscule": 47, "involutions": 174, "poset": 80, "strong-form": 31, "phi": 0},
     ("B", 4): {"minuscule": 1062, "involutions": 3239, "poset": 2041, "strong-form": 869, "phi": 132},
     ("F", 4): {"minuscule": 1751, "involutions": 4681, "poset": 3141, "strong-form": 1219, "phi": 0},
+    ("C", 4): {"minuscule": 2398, "involutions": 6250, "poset": 6236, "strong-form": 3244, "phi": 1892},
+    ("D", 5): {"minuscule": 5262, "involutions": 15592, "poset": 10478, "strong-form": 4997, "phi": 1586},
 }
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from borbits.cli import main
 
 
@@ -114,6 +116,39 @@ def test_usage_errors(capsys):
     assert run(capsys, "poset", "--type", "A", "--rank", "2", "--ideal-id", "0", "--format", "pdf")[0] == 2
     assert run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "0", "--q", "4")[0] == 2
     assert run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "9", "--q", "2")[0] == 2
+
+
+def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
+    """A19 has 2^19 minuscule elements and A64 has 2^64, both past
+    MINUSCULE_CAP: the walk refuses before it takes a step, `ideals` exits 2
+    with one line before it builds the root system, and `verify` exits 2
+    at its first walking suite, while its phi suite, which does not walk,
+    still runs on B19."""
+    from borbits import cli
+    from borbits.affine import AffineWeylGroup
+    from borbits.minuscule import MINUSCULE_CAP, enumerate_minuscule
+    from borbits.roots import build_root_system
+
+    assert 2**18 <= MINUSCULE_CAP < 2**19
+    group = AffineWeylGroup(build_root_system("A", 19))
+    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+        enumerate_minuscule(group)
+    assert not group._words
+
+    refusal = "error: 2^19 minuscule elements exceed the enumeration cap\n"
+    assert run(capsys, "verify", "--type", "A", "--rank", "19", "--suite", "all") == (2, "", refusal)
+    assert run(capsys, "verify", "--type", "B", "--rank", "19", "--suite", "phi")[:2] == (
+        0, "SUITE phi: pass (3192 checks)\n"
+    )
+
+    def unbuilt(*args):
+        raise AssertionError("the root system was built")
+
+    monkeypatch.setattr(cli, "build_root_system", unbuilt)
+    for rank in ("19", "64"):
+        code, out, err = run(capsys, "ideals", "--type", "A", "--rank", rank)
+        assert (code, out) == (2, "")
+        assert err == f"error: 2^{rank} minuscule elements exceed the enumeration cap\n"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

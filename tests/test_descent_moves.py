@@ -344,7 +344,7 @@ def test_ideals_command_does_not_rerun_the_ideal_walk(monkeypatch, capsys):
     def refused(rs):
         raise AssertionError("the ideals command re-ran enumerate_abelian_ideals")
 
-    expected = [[str(r) for r in I.roots] for I in enumerate_abelian_ideals(build_root_system("D", 4))]
+    expected = [[str(r) for r in I] for I in enumerate_abelian_ideals(build_root_system("D", 4))]
     _rebind(monkeypatch, enumerate_abelian_ideals, refused)
     assert main(["ideals", "--type", "D", "--rank", "4", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)

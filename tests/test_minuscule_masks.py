@@ -59,7 +59,7 @@ def test_mask_walk_matches_the_object_oracle(letter, rank):
         assert _oracle(group, m.element) == (m.inversions, m.ideal)
         mask = group.inversion_mask(m.element)
         assert mask == sum(1 << rs.positive_index(a.finite) for a in m.inversions)
-        assert [a.finite for a in m.inversions] == list(m.ideal.roots)
+        assert [a.finite for a in m.inversions] == list(m.ideal)
         # the inversions are the group's shared r - delta
         assert all(a is group._shifted[rs.positive_index(a.finite)] for a in m.inversions)
 
@@ -115,7 +115,7 @@ def test_a_mask_with_a_sum_pair_is_refused():
         ideal_from_mask(rs, pair | upper)
     # the walk refuses an element whose mask gained alpha_1, alpha_2 and every
     # root of height >= 2: upward closed, but alpha_1 + alpha_2 is a root
-    m = next(m for m in group.minuscule if set(m.ideal.roots) == {rs.highest_root})
+    m = next(m for m in group.minuscule if set(m.ideal) == {rs.highest_root})
     real = group.inversion_mask
     group.inversion_mask = lambda x: real(x) | pair | upper
     with pytest.raises(ValueError, match="ideal is not sum-free"):

@@ -33,8 +33,8 @@ def test_a2_chain_poset(system):
     assert [str(n.s) for n in poset.nodes] == ["{}", "{0,1-1d}", "{1,1-1d}"]
     assert sorted(n.dim for n in poset.nodes) == [0, 1, 2]
     assert poset.hasse == ((0, 2), (2, 1))
-    total = sum(1 for i in range(3) for j in range(3) if poset.leq[i][j])
-    assert total == 6  # a three chain
+    # bit j of leq[i]: node i is below node j; the chain is 0 < 2 < 1
+    assert poset.leq == (0b111, 0b010, 0b110)
 
 
 def test_point_poset(system):
@@ -59,7 +59,7 @@ def test_a3_five_node_example(system):
         rs.root((0, 1, 1)),
         rs.root((1, 1, 1)),
     }
-    w = next(m for m in enumerate_minuscule(W) if set(m.ideal.roots) == target)
+    w = next(m for m in enumerate_minuscule(W) if set(m.ideal) == target)
     poset = build_orbit_poset(W, w, by_word(W, ()))
     assert len(poset.nodes) == 5
     sizes = sorted(n.s.size for n in poset.nodes)
@@ -72,7 +72,7 @@ def test_closure_leq_examples(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
     ident, s0 = mins[0], mins[1]
-    w20 = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
+    w20 = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
     empty = make_orthogonal_set(rs, [])
     theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
     alpha2 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(2), -1)])
@@ -101,20 +101,20 @@ def test_poset_invariants(system):
             n = len(poset.nodes)
             leq = poset.leq
             for i in range(n):
-                assert leq[i][i]
+                assert leq[i] >> i & 1
                 for j in range(n):
-                    if i != j and leq[i][j]:
-                        assert not leq[j][i]
+                    if i != j and leq[i] >> j & 1:
+                        assert not leq[j] >> i & 1
                         assert poset.nodes[i].big_l < poset.nodes[j].big_l
                     if set(poset.nodes[i].s.roots) <= set(poset.nodes[j].s.roots):
-                        assert leq[i][j]
+                        assert leq[i] >> j & 1
                     for k in range(n):
-                        if leq[i][j] and leq[j][k]:
-                            assert leq[i][k]
+                        if leq[i] >> j & 1 and leq[j] >> k & 1:
+                            assert leq[i] >> k & 1
             assert min(node.dim for node in poset.nodes) == 0
             assert max(node.dim for node in poset.nodes) == w.length
-            maxima = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-            minima = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+            maxima = [i for i in range(n) if all(leq[j] >> i & 1 for j in range(n))]
+            minima = [i for i in range(n) if all(leq[i] >> j & 1 for j in range(n))]
             assert len(maxima) == 1 and len(minima) == 1
 
 
@@ -137,10 +137,10 @@ def test_hasse_is_transitive_reduction(system):
                     changed = True
     for i in range(n):
         for j in range(n):
-            assert (j in reach[i]) == (poset.leq[i][j] and i != j)
+            assert (j in reach[i]) == (bool(poset.leq[i] >> j & 1) and i != j)
     for i, j in poset.hasse:
         assert not any(
-            k != i and k != j and poset.leq[i][k] and poset.leq[k][j] for k in range(n)
+            k != i and k != j and poset.leq[i] >> k & 1 and poset.leq[k] >> j & 1 for k in range(n)
         )
 
 
@@ -259,7 +259,7 @@ def test_phi_gr24_case(system):
 def test_export_dot(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
+    w = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
     poset = build_orbit_poset(W, w, mins[0])
     dot = export_poset(poset, "dot")
     assert dot.startswith("digraph {\n  rankdir=BT;\n")
@@ -273,7 +273,7 @@ def test_export_dot(system):
 def test_export_json_schema_and_determinism(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if set(m.ideal.roots) == {rs.simple_root(2), rs.highest_root})
+    w = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
     poset = build_orbit_poset(W, w, mins[0])
     text = export_poset(poset, "json")
     assert text == export_poset(build_orbit_poset(W, w, mins[0]), "json")

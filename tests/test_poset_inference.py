@@ -22,7 +22,7 @@ from conftest import get_system
 
 def pairwise_leq(group, poset):
     sigmas = [node.sigma for node in poset.nodes]
-    return tuple(tuple(group.bruhat_leq(a, b) for b in sigmas) for a in sigmas)
+    return tuple(sum(group.bruhat_leq(a, b) << j for j, b in enumerate(sigmas)) for a in sigmas)
 
 
 def transitive_reduction(leq):
@@ -32,9 +32,9 @@ def transitive_reduction(leq):
     edges = []
     for i in range(n):
         for j in range(n):
-            if i == j or not leq[i][j]:
+            if i == j or not leq[i] >> j & 1:
                 continue
-            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
+            if any(k != i and k != j and leq[i] >> k & 1 and leq[k] >> j & 1 for k in range(n)):
                 continue
             edges.append((i, j))
     return tuple(sorted(edges))
@@ -108,13 +108,13 @@ def test_poset_suite_catches_a_dropped_relation(monkeypatch):
 
     def dropping(group, w, v):
         poset = real(group, w, v)
-        leq = [list(row) for row in poset.leq]
-        strict = [(i, j) for i, row in enumerate(leq) for j, x in enumerate(row) if x and i != j]
+        leq = list(poset.leq)
+        strict = [(i, j) for i, row in enumerate(leq) for j in range(len(leq)) if row >> j & 1 and i != j]
         if strict:
             i, j = strict[0]
-            leq[i][j] = False
+            leq[i] &= ~(1 << j)
             dropped.append((i, j))
-        return OrbitPoset(poset.context, poset.nodes, tuple(map(tuple, leq)), poset.hasse)
+        return OrbitPoset(poset.context, poset.nodes, tuple(leq), poset.hasse)
 
     monkeypatch.setattr(suites, "build_orbit_poset", dropping)
     found = _violations(group)
@@ -150,7 +150,7 @@ def test_poset_suite_catches_an_intransitive_order(monkeypatch):
         for i in range(n)
         for j in range(n)
         for k in range(n)
-        if len({i, j, k}) == 3 and poset.leq[i][j] and poset.leq[j][k]
+        if len({i, j, k}) == 3 and poset.leq[i] >> j & 1 and poset.leq[j] >> k & 1
     )
     lost = (poset.nodes[a].sigma, poset.nodes[c].sigma)
     real = group.bruhat_leq

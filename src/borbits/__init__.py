@@ -18,7 +18,7 @@ SUITE_NAMES = ("minuscule", "involutions", "poset", "strong-form", "phi")
 _HOMES = {
     "affine": ("AffineRoot", "AffineWeylElement", "AffineWeylGroup"),
     "involutions": (
-        "AdmissiblePair", "OrthogonalSet", "Report", "involution_length",
+        "AdmissiblePair", "Report", "involution_length",
         "make_admissible_pair", "make_orthogonal_set", "orthogonal_subsets", "reflection_product",
     ),
     "minuscule": (

@@ -126,6 +126,7 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    from .involutions import set_text
     from .orbits import build_orbit_poset, node_row
 
     rs, group = _resolve_context(args)
@@ -137,7 +138,7 @@ def _cmd_orbits(args) -> int:
     else:
         for node in poset.nodes:
             print(
-                f"S={node.s}  sigma={_styled_word(node.sigma_word)}"
+                f"S={set_text(node.s)}  sigma={_styled_word(node.sigma_word)}"
                 f"  length={node.length}  L={node.big_l}  dim={node.dim}"
             )
     return 0

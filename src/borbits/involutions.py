@@ -1,12 +1,14 @@
 """Involutions attached to orthogonal sets of real affine roots.
 
 An orthogonal set S of real roots determines the involution given by the
-product of its (commuting) reflections.  This module computes those
-involutions, their length-like invariant ``(coxeter length + rank of
-id - sigma) / 2``, the twisted conjugation ``s . sigma`` by a simple
-reflection, the classification of descents of admissible pairs into
-real/complex and finite/affine kinds, and the four-case descent move that
-lowers an admissible pair along a descent.
+product of its (commuting) reflections.  S is held as the tuple of its roots
+in `sort_key` order (the `OrthogonalSet` alias), the form that
+`make_orthogonal_set` and `orthogonal_subsets` return and `set_text` prints.
+This module computes those involutions, their length-like invariant
+``(coxeter length + rank of id - sigma) / 2``, the twisted conjugation
+``s . sigma`` by a simple reflection, the classification of descents of
+admissible pairs into real/complex and finite/affine kinds, and the
+four-case descent move that lowers an admissible pair along a descent.
 
 The inversion gap of a pair and its support S lie in ``Phi^+ - delta``, so
 they are read as bitmasks over the positive roots (bit j for r_j - delta),
@@ -33,6 +35,7 @@ __all__ = [
     "Report",
     "OrthogonalSet",
     "AdmissiblePair",
+    "set_text",
     "make_orthogonal_set",
     "orthogonal_subsets",
     "reflection_product",
@@ -61,30 +64,13 @@ class Report(_Value):
         return not self.violations
 
 
-class OrthogonalSet(_Value):
-    """A canonically ordered set of pairwise orthogonal real affine roots."""
+# pairwise orthogonal real affine roots in `sort_key` order
+OrthogonalSet = tuple[AffineRoot, ...]
 
-    __slots__ = ("roots",)
 
-    def __init__(self, roots: tuple[AffineRoot, ...]):
-        self.roots = roots
-
-    # the value methods on the one field, spelled out for speed: the group
-    # keeps each set's involution in a dict keyed on the set
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.roots == other.roots
-
-    def __hash__(self) -> int:
-        return hash((self.roots,))
-
-    @property
-    def size(self) -> int:
-        return len(self.roots)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(a) for a in self.roots) + "}"
+def set_text(s: OrthogonalSet) -> str:
+    """S as the outputs print it: its roots in order, inside braces."""
+    return "{" + ",".join(map(str, s)) + "}"
 
 
 def make_orthogonal_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> OrthogonalSet:
@@ -93,7 +79,7 @@ def make_orthogonal_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> Orthogon
         for b in rset[i + 1 :]:
             if rs.pairing(a.finite, b.finite) != 0:
                 raise ValueError(f"{a} and {b} are not orthogonal")
-    return OrthogonalSet(tuple(rset))
+    return tuple(rset)
 
 
 def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[OrthogonalSet]:
@@ -112,7 +98,7 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     out: list[OrthogonalSet] = []
     level = [((), (1 << len(pool)) - 1)]
     while level:
-        out += [OrthogonalSet(chosen) for chosen, _ in level]
+        out += [chosen for chosen, _ in level]
         level = [(chosen + (pool[j],), free & later[j]) for chosen, free in level for j in _bits(free)]
     return out
 
@@ -124,7 +110,7 @@ def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> AffineWeylEl
     sigma = group._sigmas.get(s)
     if sigma is None:
         sigma = group.identity
-        for a in s.roots:
+        for a in s:
             sigma = group.multiply(sigma, group.reflection(a))
         if group.multiply(sigma, sigma) != group.identity:
             raise AssertionError("reflection product is not an involution")
@@ -225,11 +211,11 @@ def make_admissible_pair(
 ) -> AdmissiblePair:
     if not weak_order_leq(v, witness):
         raise ValueError("invalid pair: v is not below the witness")
-    support = group.shifted_mask(s.roots)
+    support = group.shifted_mask(s)
     if support is None or support & (v._mask | ~witness._mask):
         raise ValueError("invalid pair: S is not inside the inversion gap")
     sigma = reflection_product(group, transform_set(group, v.element, s))
-    if rank_id_minus(group, sigma) != s.size:
+    if rank_id_minus(group, sigma) != len(s):
         raise AssertionError("rank of id - sigma differs from the support size")
     return AdmissiblePair(v, s, witness, sigma)
 
@@ -238,8 +224,7 @@ def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet
     """x(S), canonically ordered.  x preserves the pairing and is injective,
     so the images are distinct and pairwise orthogonal and are not checked
     again; `make_orthogonal_set` is for outside input."""
-    images = sorted((group.act(x, a) for a in s.roots), key=lambda a: a.sort_key)
-    return OrthogonalSet(tuple(images))
+    return tuple(sorted((group.act(x, a) for a in s), key=lambda a: a.sort_key))
 
 
 def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> AffineWeylElement:
@@ -273,7 +258,7 @@ def _classify_descents(
     comes with its pulled-back root beta = v^{-1}(alpha_i).  The witness's
     inversions and S are read as masks: -beta is in them when its bit k is."""
     sigma = pair.sigma
-    witness, support = pair.witness._mask, group.shifted_mask(pair.s.roots)
+    witness, support = pair.witness._mask, group.shifted_mask(pair.s)
     ortho = group.rs.orthogonal_masks
     sigma_s = None
     out: dict[int, tuple[tuple[str, Optional[str]], AffineRoot]] = {}
@@ -328,15 +313,13 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
         else:
             # dropping -beta from a canonical tuple keeps it canonical
             gone = -beta
-            new_s = OrthogonalSet(tuple(a for a in pair.s.roots if a != gone))
+            new_s = tuple(a for a in pair.s if a != gone)
         result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
     else:
         if kind == "complex":
-            reflected = [
-                AffineRoot(rs.reflect(beta.finite, a.finite), a.level)
-                for a in pair.s.roots
-            ]
-            new_s = make_orthogonal_set(rs, reflected)
+            new_s = make_orthogonal_set(
+                rs, [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s]
+            )
         else:
             new_s = _real_finite_replacement(rs, pair.s, beta)
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
@@ -352,15 +335,15 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
     twice = tuple(2 * c for c in beta.finite.coeffs)
     candidates = [
         (g1, g2)
-        for g1 in s.roots
-        for g2 in s.roots
+        for g1 in s
+        for g2 in s
         if g1 != g2 and g1.level == g2.level and (g1.finite - g2.finite).coeffs == twice
     ]
     if not candidates:
         raise AssertionError("real finite descent without a half-difference pair")
     results = set()
     for g1, g2 in candidates:
-        kept = [a for a in s.roots if a not in (g1, g2)]
+        kept = [a for a in s if a not in (g1, g2)]
         results.add(make_orthogonal_set(rs, kept + [AffineRoot(beta.finite + g2.finite, g2.level)]))
     if len(results) != 1:
         raise AssertionError("ambiguous real finite descent replacement")
@@ -378,14 +361,14 @@ def negated_root_report(
     level -1 with positive finite part must use the plus-plus form, finite
     roots the mixed form."""
     if inside is not None:
-        support = group.shifted_mask(s.roots)
+        support = group.shifted_mask(s)
         if support is None or support & ~inside._mask:
             raise ValueError("S is not inside the inversion set of the given element")
     sigma = reflection_product(group, s)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
     halves: dict[tuple, set[tuple[int, int]]] = {}
-    for b in s.roots:
-        for bp in s.roots:
+    for b in s:
+        for bp in s:
             for sb in (1, -1):
                 for sbp in (1, -1):
                     fin = tuple(

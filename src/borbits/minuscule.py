@@ -51,7 +51,7 @@ MINUSCULE_CAP = 2**18
 
 def _check_cap(rank: int) -> None:
     """Refuse a rank whose 2^rank minuscule elements exceed `MINUSCULE_CAP`."""
-    if 2**rank > MINUSCULE_CAP:
+    if rank >= MINUSCULE_CAP.bit_length():
         raise ValueError(f"2^{rank} minuscule elements exceed the enumeration cap")
 
 

@@ -39,6 +39,7 @@ from .involutions import (
     orthogonal_subsets,
     pair_descents,
     reflection_product,
+    set_text,
     transform_set,
     twisted_conjugate,
 )
@@ -142,7 +143,7 @@ def build_orbit_poset(
 def node_row(node: OrbitNode) -> dict:
     """A node as the JSON outputs print it; the poset export adds its id."""
     return {
-        "S": [str(a) for a in node.s.roots],
+        "S": [str(a) for a in node.s],
         "sigma_word": word_to_text(node.sigma_word),
         "length": node.length,
         "L": node.big_l,
@@ -154,7 +155,7 @@ def export_poset(poset: OrbitPoset, fmt: str) -> str:
     if fmt == "dot":
         lines = ["digraph {", "  rankdir=BT;"]
         for k, node in enumerate(poset.nodes):
-            lines.append(f'  n{k} [label="{node.s} / {node.dim}"];')
+            lines.append(f'  n{k} [label="{set_text(node.s)} / {node.dim}"];')
         for i, j in poset.hasse:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -183,7 +184,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     involution of S lies inside the inversion set of w as well."""
     buckets = group.shifted_orthogonal_index
     all_subsets = [
-        (s, group.shifted_mask(s.roots), el, group.length(el)) for el, subs in buckets.items() for s in subs
+        (s, group.shifted_mask(s), el, group.length(el)) for el, subs in buckets.items() for s in subs
     ]
     mins = group.minuscule
     contexts: dict[OrthogonalSet, list[int]] = {}
@@ -207,9 +208,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
             for r, r_mask in below:
                 checks += 1
                 if r_mask & ~inv:
-                    violations.append(
-                        f"{r} is below {set(map(str, s.roots))} but escapes ideal {k}"
-                    )
+                    violations.append(f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}")
     return Report("strong-form", checks, tuple(violations))
 
 
@@ -243,7 +242,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
         # the words are computed only for a violation
         violations.append(
             f"w={word_to_text(group.reduced_word(w.element))} "
-            f"v={word_to_text(group.reduced_word(v.element))} i={i} S={s}: {what}"
+            f"v={word_to_text(group.reduced_word(v.element))} i={i} S={set_text(s)}: {what}"
         )
 
     ortho = group.rs.orthogonal_masks
@@ -254,7 +253,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
             sig_v2 = make_admissible_pair(group, v2, s, w).sigma
             l_v = involution_length(group, sig_v)
             l_v2 = involution_length(group, sig_v2)
-            support = group.shifted_mask(s.roots)
+            support = group.shifted_mask(s)
             if support & ~ortho[k]:
                 if sig_v2 != twisted_conjugate(group, i, sig_v):
                     fail(v, i, s, "twisted conjugate mismatch")
@@ -263,7 +262,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
                 if not group.bruhat_leq(sig_v2, sig_v):
                     fail(v, i, s, "no Bruhat drop")
             else:
-                big = OrthogonalSet(group.shifted_roots(support | 1 << k))
+                big = group.shifted_roots(support | 1 << k)
                 sig_big = make_admissible_pair(group, v, big, w).sigma
                 l_big = involution_length(group, sig_big)
                 if sig_v2 != sig_v:
@@ -332,7 +331,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
         vid = ids[m.element]
         masks = supports[vid] = []
         for s in orthogonal_subsets(rs, group.shifted_roots(w._mask & ~m._mask)):
-            mask = group.shifted_mask(s.roots)
+            mask = group.shifted_mask(s)
             node_id[(vid, mask)] = len(node_pairs)
             node_pairs.append((m, s, mask))
             masks.append(mask)
@@ -360,7 +359,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     # finite descent moves, recorded per (v, i) for the transport rule
     finite_moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k, (m, s, _) in enumerate(node_pairs):
-        if s.size == 0:
+        if not s:
             continue
         vid = ids[m.element]
         pair = make_admissible_pair(group, m, s, w)
@@ -368,7 +367,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
             if locus != "finite":
                 continue
             moved = descent_move(group, pair, i)
-            k2 = node_id[(vid, group.shifted_mask(moved.s.roots))]
+            k2 = node_id[(vid, group.shifted_mask(moved.s))]
             edges.add((k2, k))
             finite_moves.setdefault((vid, i), []).append((k, k2))
 
@@ -405,7 +404,8 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
             expected = group.bruhat_leq(x1, x2)
             if derived != expected:
                 violations.append(
-                    f"{s1} vs {s2}: moves say {derived}, involutions say {expected}"
+                    f"{set_text(s1)} vs {set_text(s2)}: "
+                    f"moves say {derived}, involutions say {expected}"
                 )
     return Report("moves-vs-order", checks, tuple(violations))
 
@@ -480,15 +480,13 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
     for s in subsets:
         moved = transform_set(group, w_p, s)
         sig_fin = reflection_product(group, moved)
-        shifted = make_orthogonal_set(
-            rs, [AffineRoot(a.finite, -1) for a in s.roots]
-        )
+        shifted = make_orthogonal_set(rs, [AffineRoot(a.finite, -1) for a in s])
         sig_aff = reflection_product(group, shifted)
         checks += 1
         if phi_apply(group, phi, sig_fin) != sig_aff:
-            violations.append(f"phi mismatch for S={s}")
+            violations.append(f"phi mismatch for S={set_text(s)}")
         if group.length(sig_fin) != group.length(sig_aff):
-            violations.append(f"length mismatch for S={s}")
+            violations.append(f"length mismatch for S={set_text(s)}")
         finite_sigmas.append(sig_fin)
         affine_sigmas.append(sig_aff)
     for a in range(len(subsets)):
@@ -498,6 +496,6 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
                 affine_sigmas[a], affine_sigmas[b]
             ):
                 violations.append(
-                    f"poset mismatch between {subsets[a]} and {subsets[b]}"
+                    f"poset mismatch between {set_text(subsets[a])} and {set_text(subsets[b])}"
                 )
     return Report("phi-equivalence", checks, tuple(violations))

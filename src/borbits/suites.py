@@ -26,6 +26,7 @@ from .involutions import (
     pair_descents,
     rank_id_minus,
     reflection_product,
+    set_text,
     support_injectivity_check,
     twisted_conjugate,
 )
@@ -155,15 +156,13 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
     checks, bad = 0, []
     for m in mins:
         for s in orthogonal_subsets(rs, m.inversions):
-            if s.size < 2:
+            if len(s) < 2:
                 continue
             for gamma in rs.positive_roots:
                 checks += 1
-                extendable = [
-                    a for a in s.roots if rs.is_root((a.finite + gamma).coeffs)
-                ]
+                extendable = [a for a in s if rs.is_root((a.finite + gamma).coeffs)]
                 if len(extendable) > 1:
-                    bad.append(f"{gamma} extends two roots of {s}")
+                    bad.append(f"{gamma} extends two roots of {set_text(s)}")
     reports.append(Report("one-root-extension", checks, tuple(bad)))
 
     checks, bad = 0, []
@@ -183,32 +182,50 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     mins = group.minuscule
     rng = random.Random(2024)
 
-    checks, bad = 0, []
+    # one walk of each inversion set's orthogonal subsets runs four sweeps,
+    # whose reports keep their places below
+    order_checks, order_bad = 0, []
+    rank_checks, rank_bad = 0, []
+    half_checks, half_bad = 0, []
+    reflect_checks, reflect_bad = 0, []
     for m in mins:
         for s in orthogonal_subsets(rs, m.inversions):
-            base = reflection_product(group, s)
-            order = list(s.roots)
+            sigma = reflection_product(group, s)
+            order = list(s)
             for _ in range(2):
                 rng.shuffle(order)
                 el = group.identity
                 for a in order:
                     el = group.multiply(el, group.reflection(a))
-                checks += 1
-                if el != base:
-                    bad.append(f"order dependence for {s}")
-    reports.append(Report("product-order-independence", checks, tuple(bad)))
-
-    checks, bad = 0, []
-    for m in mins:
-        for s in orthogonal_subsets(rs, m.inversions):
-            sigma = reflection_product(group, s)
-            checks += 1
-            if rank_id_minus(group, sigma) != s.size:
-                bad.append(f"rank of id - sigma is not |S| for {s}")
-            ell = group.length(sigma)
-            if involution_length(group, sigma) * 2 != ell + s.size:
-                bad.append(f"L formula fails for {s}")
-    reports.append(Report("rank-and-length", checks, tuple(bad)))
+                order_checks += 1
+                if el != sigma:
+                    order_bad.append(f"order dependence for {set_text(s)}")
+            rank_checks += 1
+            if rank_id_minus(group, sigma) != len(s):
+                rank_bad.append(f"rank of id - sigma is not |S| for {set_text(s)}")
+            if involution_length(group, sigma) * 2 != group.length(sigma) + len(s):
+                rank_bad.append(f"L formula fails for {set_text(s)}")
+            rep = negated_root_report(group, s, m)
+            half_checks += rep.checks
+            half_bad.extend(rep.violations)
+            if not s:
+                continue
+            support = group.shifted_mask(s)
+            for i in range(1, rs.rank + 1):
+                kind = descent_classify(group, sigma, i)
+                if kind == "none":
+                    continue
+                reflect_checks += 1
+                beta = rs.simple_root(i)
+                moved = group.shifted_mask(
+                    AffineRoot(rs.reflect(beta, a.finite), a.level) for a in s
+                )
+                if moved is None or moved & ~m._mask:
+                    reflect_bad.append(f"reflected support escapes the ideal for {set_text(s)} at {i}")
+                if (moved == support) != (kind == "real"):
+                    reflect_bad.append(f"fixed-support iff real fails for {set_text(s)} at {i}")
+    reports.append(Report("product-order-independence", order_checks, tuple(order_bad)))
+    reports.append(Report("rank-and-length", rank_checks, tuple(rank_bad)))
 
     # the one sweep of the admissible pairs collects their distinct
     # involutions, in order of appearance, and runs the pair-descent-moves
@@ -254,13 +271,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                 bad.append(f"twisted conjugation is not self inverse at index {i}")
     reports.append(Report("descent-equivalences", checks, tuple(bad)))
 
-    checks, bad = 0, []
-    for m in mins:
-        for s in orthogonal_subsets(rs, m.inversions):
-            rep = negated_root_report(group, s, m)
-            checks += rep.checks
-            bad.extend(rep.violations)
-    reports.append(Report("negated-roots-halfsum", checks, tuple(bad)))
+    reports.append(Report("negated-roots-halfsum", half_checks, tuple(half_bad)))
 
     checks, bad = 0, []
     for m in mins:
@@ -269,27 +280,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             bad.append(f"involution does not determine the subset inside ideal {m.ideal}")
     reports.append(Report("support-injectivity", checks, tuple(bad)))
 
-    checks, bad = 0, []
-    for m in mins:
-        for s in orthogonal_subsets(rs, m.inversions):
-            if s.size == 0:
-                continue
-            sigma = reflection_product(group, s)
-            for i in range(1, rs.rank + 1):
-                kind = descent_classify(group, sigma, i)
-                if kind == "none":
-                    continue
-                checks += 1
-                beta = rs.simple_root(i)
-                moved = group.shifted_mask(
-                    AffineRoot(rs.reflect(beta, a.finite), a.level) for a in s.roots
-                )
-                if moved is None or moved & ~m._mask:
-                    bad.append(f"reflected support escapes the ideal for {s} at {i}")
-                if (moved == group.shifted_mask(s.roots)) != (kind == "real"):
-                    bad.append(f"fixed-support iff real fails for {s} at {i}")
-    reports.append(Report("support-reflection", checks, tuple(bad)))
-
+    reports.append(Report("support-reflection", reflect_checks, tuple(reflect_bad)))
     reports.append(Report("pair-descent-moves", moves, tuple(moves_bad)))
 
     if (rs.type_letter, rs.rank) == ("D", 4):
@@ -307,7 +298,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             bad.append("the two crossing quadruples should share an involution")
         if negated_root_report(group, first).ok:
             bad.append("the half-sum check should fail outside every inversion set")
-        masks = group.shifted_mask(first.roots), group.shifted_mask(second.roots)
+        masks = group.shifted_mask(first), group.shifted_mask(second)
         if any(not mask & ~m._mask for m in mins for mask in masks):
             bad.append("the crossing quadruples should fit inside no inversion set")
         reports.append(Report("counterexample-sets", checks, tuple(bad)))
@@ -360,8 +351,8 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
             if v is ident:
                 for node in poset.nodes:
                     dim_checks += 1
-                    if node.dim != node.big_l or 2 * node.big_l != node.length + node.s.size:
-                        dim_bad.append(f"dimension formula fails at {node.s}")
+                    if node.dim != node.big_l or 2 * node.big_l != node.length + len(node.s):
+                        dim_bad.append(f"dimension formula fails at {set_text(node.s)}")
                 dims = [node.dim for node in poset.nodes]
                 if max(dims) != w.length or min(dims) != 0:
                     dim_bad.append(f"dimension range wrong for ideal of {w.inversions}")
@@ -373,7 +364,7 @@ def suite_poset(group: AffineWeylGroup) -> list[Report]:
             checks += 1
             if poset.leq != tuple(rows):
                 bad.append("inferred order differs from pairwise Bruhat comparison")
-            supports = [group.shifted_mask(node.s.roots) for node in poset.nodes]
+            supports = [group.shifted_mask(node.s) for node in poset.nodes]
             for i in range(n):
                 if not rows[i] >> i & 1:
                     bad.append("order is not reflexive")

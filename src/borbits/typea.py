@@ -259,9 +259,9 @@ def _ideal_subsets(n: int, positions: tuple[Position, ...]):
     subsets = orthogonal_subsets(rs, [AffineRoot(r, -1) for r in roots])
     out = []
     for s in subsets:
-        pos = tuple(sorted(root_to_position(a.finite) for a in s.roots))
+        pos = tuple(sorted(root_to_position(a.finite) for a in s))
         sigma = reflection_product(group, s)
-        if rank_id_minus(group, sigma) != s.size:
+        if rank_id_minus(group, sigma) != len(s):
             raise AssertionError("rank of id - sigma differs from the support size")
         out.append((pos, involution_length(group, sigma)))
     return out

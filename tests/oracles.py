@@ -23,7 +23,6 @@ what the package computes another way:
 from fractions import Fraction
 from math import gcd
 
-from borbits.involutions import OrthogonalSet
 from borbits.minuscule import ideal_from_mask
 
 
@@ -64,7 +63,7 @@ def orthogonal_subsets_oracle(rs, roots):
 
     extend(0, [])
     out.sort(key=lambda idxs: (len(idxs), idxs))
-    return [OrthogonalSet(tuple(pool[i] for i in idxs)) for idxs in out]
+    return [tuple(pool[i] for i in idxs) for idxs in out]
 
 
 def make_abelian_ideal(rs, roots):

@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -123,13 +124,15 @@ def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
     MINUSCULE_CAP: the walk refuses before it takes a step, `ideals` exits 2
     with one line before it builds the root system, and `verify` exits 2
     at its first walking suite, while its phi suite, which does not walk,
-    still runs on B19."""
+    still runs on B19.  The cap test never computes 2^rank, so a rank of
+    10^9 is refused as fast as A19."""
     from borbits import cli
     from borbits.affine import AffineWeylGroup
-    from borbits.minuscule import MINUSCULE_CAP, enumerate_minuscule
+    from borbits.minuscule import MINUSCULE_CAP, _check_cap, enumerate_minuscule
     from borbits.roots import build_root_system
 
     assert 2**18 <= MINUSCULE_CAP < 2**19
+    _check_cap(18)
     group = AffineWeylGroup(build_root_system("A", 19))
     with pytest.raises(ValueError, match="exceed the enumeration cap"):
         enumerate_minuscule(group)
@@ -145,8 +148,10 @@ def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
         raise AssertionError("the root system was built")
 
     monkeypatch.setattr(cli, "build_root_system", unbuilt)
-    for rank in ("19", "64"):
+    for rank in ("19", "64", str(10**9)):
+        start = time.perf_counter()
         code, out, err = run(capsys, "ideals", "--type", "A", "--rank", rank)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == f"error: 2^{rank} minuscule elements exceed the enumeration cap\n"
 

@@ -60,7 +60,7 @@ def _rebind(monkeypatch, original, replacement):
 
 def _sigma_from_scratch(group, pair):
     """The involution of the pair, rebuilt without the stored field."""
-    moved = make_orthogonal_set(group.rs, [group.act(pair.v.element, a) for a in pair.s.roots])
+    moved = make_orthogonal_set(group.rs, [group.act(pair.v.element, a) for a in pair.s])
     return reflection_product(group, moved)
 
 
@@ -75,9 +75,9 @@ def _oracle_pair_descents(group, pair):
         kind = descent_classify(group, sigma, i)
         beta = group.act(vinv, group.simple_affine_root(i))
         if beta in witness_neg:
-            not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s.roots)
+            not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s)
             assert (kind != "none") == not_orth
-            assert (kind == "real") == (-beta in set(pair.s.roots))
+            assert (kind == "real") == (-beta in set(pair.s))
         if kind == "none":
             out[i] = ("none", None)
             continue
@@ -104,25 +104,25 @@ def _oracle_descent_move(group, pair, i):
         )
         new_s = pair.s
         if kind == "real":
-            new_s = make_orthogonal_set(rs, set(pair.s.roots) - {-beta})
+            new_s = make_orthogonal_set(rs, set(pair.s) - {-beta})
         result = make_admissible_pair(group, new_v, new_s, pair.witness)
     else:
         if kind == "complex":
             new_s = make_orthogonal_set(
                 rs,
-                [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s.roots],
+                [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s],
             )
         else:
             (g1, g2), *_ = [
                 (g1, g2)
-                for g1 in pair.s.roots
-                for g2 in pair.s.roots
+                for g1 in pair.s
+                for g2 in pair.s
                 if g1 != g2
                 and g1.level == g2.level
                 and (g1.finite - g2.finite).coeffs == tuple(2 * c for c in beta.finite.coeffs)
             ]
             new_s = make_orthogonal_set(
-                rs, set(pair.s.roots) - {g1, g2} | {AffineRoot(beta.finite + g2.finite, g2.level)}
+                rs, set(pair.s) - {g1, g2} | {AffineRoot(beta.finite + g2.finite, g2.level)}
             )
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
     expected = twisted_conjugate(group, i, _sigma_from_scratch(group, pair))
@@ -215,7 +215,7 @@ def test_stored_sigma_agrees_with_the_product(letter, rank):
         pairs += 1
         scratch = _sigma_from_scratch(W, pair)
         assert pair.sigma == scratch
-        assert rank_id_minus(W, pair.sigma) == pair.s.size
+        assert rank_id_minus(W, pair.sigma) == len(pair.s)
         for i, (kind, _) in pair_descents(W, pair).items():
             if kind != "none":
                 moves += 1
@@ -255,7 +255,7 @@ def test_a_foreign_sigma_is_caught():
     other_s = make_orthogonal_set(
         rs, [AffineRoot(rs.simple_root(2), -1), AffineRoot(rs.highest_root, -1)]
     )
-    witness = next(m for m in group.minuscule if set(other_s.roots) <= set(m.inversions))
+    witness = next(m for m in group.minuscule if set(other_s) <= set(m.inversions))
     other = make_admissible_pair(group, pair.v, other_s, witness)
     assert descent_move(group, pair, 0).sigma == twisted_conjugate(group, 0, pair.sigma)
     sabotaged = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
@@ -357,7 +357,7 @@ def test_ideals_command_does_not_rerun_the_ideal_walk(monkeypatch, capsys):
 def _window_scan(group, x, s):
     """The roots negated by x, found by acting on every root in the level
     window |level| <= 1 + sum of |levels of S| (enough for the involution of S)."""
-    window = 1 + sum(abs(a.level) for a in s.roots)
+    window = 1 + sum(abs(a.level) for a in s)
     return [
         a
         for gamma in group.rs.roots
@@ -376,8 +376,8 @@ def _oracle_negated_root_report(group, s):
                 tuple(sb * x + sbp * y for x, y in zip(b.finite.coeffs, bp.finite.coeffs)),
                 sb * b.level + sbp * bp.level,
             )
-            for b in s.roots
-            for bp in s.roots
+            for b in s
+            for bp in s
         }
 
     halves = sums(1, 1) | sums(1, -1) | sums(-1, 1) | sums(-1, -1)

@@ -56,7 +56,7 @@ def _rebind(monkeypatch, original, replacement):
 
 def _product_from_scratch(group, s):
     el = group.identity
-    for a in s.roots:
+    for a in s:
         el = group.multiply(el, group.reflection(a))
     return el
 
@@ -91,7 +91,7 @@ def test_stored_values_agree_with_scratch(letter, rank):
             assert sigma == _product_from_scratch(group, s)
             assert reflection_product(group, s) is sigma
             _check_rank_and_word(group, sigma)
-            assert rank_id_minus(group, sigma) == s.size
+            assert rank_id_minus(group, sigma) == len(s)
             sets += 1
             for i in group.simple_indices:
                 conj = twisted_conjugate(group, i, sigma)
@@ -184,7 +184,7 @@ def test_transform_set_agrees_with_make_orthogonal_set(monkeypatch, letter, rank
         assert all(r.ok for r in run_suite(group, name))
     assert moved
     for x, s, out in moved:
-        assert out == make_orthogonal_set(group.rs, [group.act(x, a) for a in s.roots])
+        assert out == make_orthogonal_set(group.rs, [group.act(x, a) for a in s])
 
 
 def test_tables_die_with_their_group():
@@ -209,7 +209,7 @@ def _support(group, size):
     set, with that minuscule element."""
     top = group.minuscule[-1]
     for s in orthogonal_subsets(group.rs, top.inversions):
-        if s.size == size:
+        if len(s) == size:
             return s, top
     raise LookupError(size)
 
@@ -242,14 +242,14 @@ def test_a_corrupted_sigma_is_caught_by_the_move():
         (pair, i)
         for w in clean.minuscule
         for s in orthogonal_subsets(rs, w.inversions)
-        if s.size == 1
+        if len(s) == 1
         for pair in [make_admissible_pair(clean, ident, s, w)]
         for i, cls in pair_descents(clean, pair).items()
         if cls == ("complex", "affine")
     )
     moved = descent_move(clean, pair, i)
     key = transform_set(clean, moved.v.element, moved.s)
-    foreign = next(x for s, x in clean._sigmas.items() if s.size == 1 and x != moved.sigma)
+    foreign = next(x for s, x in clean._sigmas.items() if len(s) == 1 and x != moved.sigma)
 
     group = AffineWeylGroup(rs)
     pair = make_admissible_pair(group, group.minuscule[0], pair.s, pair.witness)

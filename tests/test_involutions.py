@@ -56,7 +56,7 @@ def test_reflection_product_order_independent(system):
     for m in enumerate_minuscule(W):
         for s in orthogonal_subsets(rs, m.inversions):
             base = reflection_product(W, s)
-            order = list(s.roots)
+            order = list(s)
             for _ in range(3):
                 rng.shuffle(order)
                 el = W.identity
@@ -79,8 +79,8 @@ def test_rank_equals_support_size(system):
         for m in enumerate_minuscule(W):
             for s in orthogonal_subsets(rs, m.inversions):
                 sigma = reflection_product(W, s)
-                assert rank_id_minus(W, sigma) == s.size
-                assert 2 * involution_length(W, sigma) == W.length(sigma) + s.size
+                assert rank_id_minus(W, sigma) == len(s)
+                assert 2 * involution_length(W, sigma) == W.length(sigma) + len(s)
 
 
 def test_twisted_conjugate_examples(system):
@@ -142,12 +142,12 @@ def test_descent_move_affine_cases(system):
     theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
     moved = descent_move(W, make_admissible_pair(W, ident, theta, s0), 0)
     assert moved.v.element == W.simple_reflection(0)
-    assert moved.s.size == 0
+    assert len(moved.s) == 0
     w20 = next(m for m in mins if W.reduced_word(m.element) == (2, 0))
     alpha1 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(1), -1)])
     moved = descent_move(W, make_admissible_pair(W, ident, alpha1, w20), 0)
     assert moved.v.element == W.simple_reflection(0)
-    assert set(moved.s.roots) == set(alpha1.roots)
+    assert set(moved.s) == set(alpha1)
     with pytest.raises(ValueError):
         descent_move(W, make_admissible_pair(W, ident, alpha1, w20), 1)
 
@@ -161,7 +161,7 @@ def test_descent_move_real_finite_c3(system):
     hits = 0
     for w in mins:
         for s in orthogonal_subsets(rs, w.inversions):
-            if s.size == 0:
+            if len(s) == 0:
                 continue
             pair = make_admissible_pair(W, ident, s, w)
             for i, cls in pair_descents(W, pair).items():
@@ -170,7 +170,7 @@ def test_descent_move_real_finite_c3(system):
                 hits += 1
                 moved = descent_move(W, pair, i)
                 assert moved.v.element == ident.element
-                assert moved.s.size == s.size - 1
+                assert len(moved.s) == len(s) - 1
                 assert moved.sigma == W.multiply(W.simple_reflection(i), pair.sigma)
     assert hits > 0
 
@@ -238,8 +238,8 @@ def test_d4_counterexample_sets(system):
     assert not report.ok
     assert any("-2d" in v or "2d" in v for v in report.violations)
     for m in enumerate_minuscule(W):
-        assert not set(s.roots) <= set(m.inversions)
-        assert not set(sp.roots) <= set(m.inversions)
+        assert not set(s) <= set(m.inversions)
+        assert not set(sp) <= set(m.inversions)
 
 
 
@@ -286,7 +286,7 @@ def test_support_reflection_prop(system):
         rs, W = get_system(letter, rank)
         for m in enumerate_minuscule(W):
             for s in orthogonal_subsets(rs, m.inversions):
-                if s.size == 0:
+                if len(s) == 0:
                     continue
                 sigma = reflection_product(W, s)
                 for i in range(1, rs.rank + 1):
@@ -296,7 +296,7 @@ def test_support_reflection_prop(system):
                     beta = rs.simple_root(i)
                     moved = {
                         AffineRoot(rs.reflect(beta, a.finite), a.level)
-                        for a in s.roots
+                        for a in s
                     }
                     assert moved <= set(m.inversions)
-                    assert (moved == set(s.roots)) == (kind == "real")
+                    assert (moved == set(s)) == (kind == "real")

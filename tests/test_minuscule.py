@@ -255,7 +255,7 @@ def test_at_most_one_root_extends(system):
     for m in enumerate_minuscule(W):
         for s in orthogonal_subsets(rs, m.inversions):
             for gamma in rs.positive_roots:
-                hits = [a for a in s.roots if rs.is_root((a.finite + gamma).coeffs)]
+                hits = [a for a in s if rs.is_root((a.finite + gamma).coeffs)]
                 assert len(hits) <= 1
 
 

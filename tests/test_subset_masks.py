@@ -64,7 +64,7 @@ def test_masks_agree_with_the_frozensets_on_every_pair(letter, rank):
             assert frozenset(group.shifted_roots(w._mask & ~v._mask)) == gap
             subsets = orthogonal_subsets(rs, gap)
             assert subsets == orthogonal_subsets_oracle(rs, gap)
-            assert all(group.shifted_mask(s.roots) & ~(w._mask & ~v._mask) == 0 for s in subsets)
+            assert all(group.shifted_mask(s) & ~(w._mask & ~v._mask) == 0 for s in subsets)
     assert pairs > len(mins)
 
 
@@ -74,7 +74,7 @@ def test_a_mixed_level_pool_agrees_with_the_oracle(letter, rank):
     pool = _mixed_pool(rs)
     subsets = orthogonal_subsets(rs, pool)
     assert subsets == orthogonal_subsets_oracle(rs, pool)
-    assert any(len({a.level for a in s.roots}) > 1 for s in subsets)
+    assert any(len({a.level for a in s}) > 1 for s in subsets)
 
 
 def test_a_wrong_orthogonality_bit_is_caught():

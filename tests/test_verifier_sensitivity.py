@@ -44,6 +44,8 @@ def test_strong_form_detects_always_true_bruhat(monkeypatch):
     monkeypatch.setattr(AffineWeylGroup, "bruhat_leq", lambda self, u, x: True)
     rep = verify_strong_form(group)
     assert not rep.ok
+    # both sets print in their canonical order, whatever the hash seed
+    assert "{0,0,1-1d} is below {0,1,0-1d,1,1,1-1d} but escapes ideal 7" in rep.violations
 
 
 def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
@@ -57,6 +59,7 @@ def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
     )
     rep = verify_branch_recursion(group, w)
     assert not rep.ok
+    assert all("S={" in v for v in rep.violations)
 
 
 def _criteria_report(group):

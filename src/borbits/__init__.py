@@ -26,7 +26,7 @@ _HOMES = {
         "is_minuscule",
     ),
     "orbits": ("OrbitPoset", "build_orbit_poset", "export_poset"),
-    "roots": ("Root", "RootSystem", "build_root_system"),
+    "roots": ("RootSystem", "build_root_system"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -1,9 +1,9 @@
 """The affine Weyl group acting on real affine roots, with exact arithmetic.
 
-A real affine root ``gamma + n*delta`` is a finite root plus an integer
-level.  An affine Weyl group element is written ``x = t_lambda * w`` with
-``w`` a finite Weyl element and ``lambda`` an integer vector over the simple
-coroots, and acts by
+A real affine root ``gamma + n*delta`` is a finite root, the tuple of its
+simple-root coefficients, plus an integer level.  An affine Weyl group
+element is written ``x = t_lambda * w`` with ``w`` a finite Weyl element and
+``lambda`` an integer vector over the simple coroots, and acts by
 
     x(gamma + n*delta) = w(gamma) + (n - <w(gamma), lambda>) * delta.
 
@@ -47,10 +47,10 @@ vertices off the tables; there are no tolerances anywhere.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .roots import Root, RootSystem, _Value, _bits
+from .roots import Root, RootSystem, _Value, _bits, root_text
 
 if TYPE_CHECKING:
     from .involutions import OrthogonalSet
@@ -86,7 +86,7 @@ class AffineRoot(_Value):
     __slots__ = ("finite", "level")
 
     def __init__(self, finite: Root, level: int):
-        if not any(finite.coeffs):
+        if not any(finite):
             raise ValueError("affine roots must have a nonzero finite part")
         self.finite, self.level = finite, level
 
@@ -103,20 +103,20 @@ class AffineRoot(_Value):
     def is_positive(self) -> bool:
         if self.level != 0:
             return self.level > 0
-        return self.finite.is_positive
+        return max(self.finite) > 0
 
     @property
     def sort_key(self) -> tuple:
-        return (self.level, self.finite.sort_key)
+        return (self.level, sum(self.finite), self.finite)
 
     def __neg__(self) -> "AffineRoot":
-        return AffineRoot(-self.finite, -self.level)
+        return AffineRoot(tuple(map(neg, self.finite)), -self.level)
 
     def __str__(self) -> str:
         if self.level == 0:
-            return str(self.finite)
+            return root_text(self.finite)
         sign = "+" if self.level > 0 else "-"
-        return f"{self.finite}{sign}{abs(self.level)}d"
+        return f"{root_text(self.finite)}{sign}{abs(self.level)}d"
 
 
 class AffineWeylElement:
@@ -177,27 +177,26 @@ class AffineWeylGroup:
         # Root index i is the position in rs.roots, which is sorted by height:
         # the negative roots come first, the positive ones from _pos_start on.
         self._roots: tuple[Root, ...] = rs.roots
-        self._coeffs = tuple(g.coeffs for g in rs.roots)
-        self._index = {c: i for i, c in enumerate(self._coeffs)}
-        self._negative = tuple(0 if g.is_positive else 1 for g in rs.roots)
-        self._negation = tuple(self._index[tuple(-c for c in g)] for g in self._coeffs)
+        self._index = {g: i for i, g in enumerate(rs.roots)}
+        self._negative = tuple(int(min(g) < 0) for g in rs.roots)
+        self._negation = tuple(self._index[tuple(map(neg, g))] for g in rs.roots)
         self._coroots = tuple(rs.coroot_coords(g) for g in rs.roots)
         self._pos_start = len(rs.roots) - len(rs.positive_roots)
         if rs.roots[self._pos_start:] != rs.positive_roots:
             raise AssertionError("positive roots are not the tail of the root order")
-        self._affine_simple = (AffineRoot(-rs.highest_root, 1),) + tuple(
+        self._affine_simple = (AffineRoot(tuple(map(neg, rs.highest_root)), 1),) + tuple(
             AffineRoot(g, 0) for g in rs.simple_roots
         )
         # r_j - delta for each positive root r_j, shared by every inversion
         # set of a minuscule element
         self._shifted = tuple(AffineRoot(g, -1) for g in rs.positive_roots)
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
-        self._simple_at = tuple((self._index[a.finite.coeffs], a.level) for a in self._affine_simple)
+        self._simple_at = tuple((self._index[a.finite], a.level) for a in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
         # (root index, level) of the walls alpha_1..alpha_r and 2*delta - theta
         # of the doubled alcove, for alcove_image_check
         self._walls = self._simple_at[1:] + ((self._simple_at[0][0], 2),)
-        n = len(self._coeffs)
+        n = len(rs.roots)
         self.identity = AffineWeylElement(tuple(range(n)), (0,) * n)
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         # For the tables of _left_table: per simple index, (root index, twice
@@ -234,14 +233,14 @@ class AffineWeylGroup:
         <s_gamma(beta), -level * gamma^vee> = level * <beta, gamma^vee>."""
         rank = self.rank
         cart = self.rs.cartan
-        gamma = self._coeffs[g]
+        gamma = self._roots[g]
         cov = self._coroots[g]
         # <alpha_j, gamma^vee> for every simple root alpha_j
         pair = tuple(sum(cov[k] * cart[k][j] for k in range(rank)) for j in range(rank))
         index = self._index
         perm = []
         shift = []
-        for beta in self._coeffs:
+        for beta in self._roots:
             p = sum(map(mul, beta, pair))
             perm.append(index[tuple([b - p * c for b, c in zip(beta, gamma)])])
             shift.append(level * p)
@@ -285,28 +284,24 @@ class AffineWeylGroup:
         """The reflection s_a, as t_{-n * gamma^vee} s_gamma for a = gamma + n*delta."""
         cached = self._reflections.get(a)
         if cached is None:
-            cached = self._reflections[a] = self._reflection_at(
-                self._root_index(a.finite.coeffs), a.level
-            )
+            cached = self._reflections[a] = self._reflection_at(self._root_index(a.finite), a.level)
         return cached
 
     def simple_index(self, a: AffineRoot) -> int:
         """The index i with a = a_i, 0 for the affine node."""
-        i = self._simple_index.get((self._index.get(a.finite.coeffs), a.level))
+        i = self._simple_index.get((self._index.get(a.finite), a.level))
         if i is None:
             raise ValueError(f"{a} is not a simple affine root")
         return i
 
     def is_simple_affine(self, a: AffineRoot) -> bool:
-        if a.level == 0:
-            return a.finite.height == 1 and a.finite.is_positive
-        return a.level == 1 and a.finite == -self.rs.highest_root
+        return (self._index.get(a.finite), a.level) in self._simple_index
 
     # -- group operations ----------------------------------------------------
 
     def act(self, x: AffineWeylElement, a: AffineRoot) -> AffineRoot:
         perm, shift = x.perm, x.shift
-        i = self._root_index(a.finite.coeffs)
+        i = self._root_index(a.finite)
         return AffineRoot(self._roots[perm[i]], a.level - shift[i])
 
     def pull_back(self, x: AffineWeylElement, i: int) -> AffineRoot:
@@ -332,7 +327,7 @@ class AffineWeylGroup:
 
     def negated_position(self, a: AffineRoot) -> int | None:
         """The k with -a = r_k - delta, None if -a is not in Phi^+ - delta."""
-        g = self._index[a.finite.coeffs]
+        g = self._index[a.finite]
         return self._negation[g] - self._pos_start if a.level == 1 and self._negative[g] else None
 
     def normalizer_indices(self, x: AffineWeylElement) -> list[int]:
@@ -540,9 +535,9 @@ class AffineWeylGroup:
         (beta_k + n*m_k) / m_k at the vertex omega_k^vee / m_k, m_k the mark
         of alpha_k in theta: integer tests on the tables of x."""
         perm, shift = x.perm, x.shift
-        coeffs, marks = self._coeffs, self.rs.marks
+        roots, marks = self._roots, self.rs.marks
         for g, level in self._walls:
             n = level - shift[g]
-            if n < 0 or any(b + n * m < 0 for b, m in zip(coeffs[perm[g]], marks)):
+            if n < 0 or any(b + n * m < 0 for b, m in zip(roots[perm[g]], marks)):
                 return False
         return True

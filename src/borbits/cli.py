@@ -10,7 +10,7 @@ import sys
 from . import SUITE_NAMES
 from .affine import AffineWeylGroup, text_to_word, word_to_text
 from .minuscule import _check_cap, normalizer_simple_roots, weak_order_leq
-from .roots import build_root_system
+from .roots import build_root_system, root_text
 
 # orbits, suites and typea are imported inside the commands that run them,
 # so `ideals` neither compiles nor loads them.
@@ -97,8 +97,8 @@ def _cmd_ideals(args) -> int:
     rs, group = _resolve_context(args)
     # each root's text and each simple root's number, once per system; the
     # normalizer goes through normalizer_simple_roots, a layer perfbench traces
-    text = {r.coeffs: str(r) for r in rs.positive_roots}
-    number = {r.coeffs: i for i, r in enumerate(rs.simple_roots, 1)}
+    text = {r: root_text(r) for r in rs.positive_roots}
+    number = {r: i for i, r in enumerate(rs.simple_roots, 1)}
     rows = []
     words = []
     for k, m in enumerate(group.minuscule):
@@ -106,10 +106,10 @@ def _cmd_ideals(args) -> int:
         rows.append(
             {
                 "ideal_id": k,
-                "roots": [text[r.coeffs] for r in m.ideal],
+                "roots": [text[r] for r in m.ideal],
                 "word": word_to_text(words[-1]),
                 "length": m.length,
-                "normalizer": [number[r.coeffs] for r in normalizer_simple_roots(group, m)],
+                "normalizer": [number[r] for r in normalizer_simple_roots(group, m)],
             }
         )
     if args.json:

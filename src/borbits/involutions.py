@@ -25,6 +25,7 @@ exercised as well.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Iterable, Optional
 
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
@@ -90,7 +91,7 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     each finite part, into bitmasks over the pool."""
     pool = sorted(set(roots), key=lambda a: a.sort_key)
     index, ortho = rs._pos_index, rs.orthogonal_masks
-    keys = [index[a.finite] if a.finite.is_positive else index[-a.finite] for a in pool]
+    keys = [index[a.finite] if max(a.finite) > 0 else index[tuple(map(neg, a.finite))] for a in pool]
     # bit q of later[p]: pool[q] comes after pool[p] and is orthogonal to it
     later = [
         sum(1 << q for q in range(p + 1, len(keys)) if ortho[k] >> keys[q] & 1) for p, k in enumerate(keys)
@@ -128,7 +129,7 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
         rows = []
         for j in range(group.rank):
             image = group.act(x, group.simple_affine_root(j + 1))
-            g = image.finite.coeffs
+            g = image.finite
             row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
             row.append(-image.level)
             rows.append(row)
@@ -278,7 +279,7 @@ def _classify_descents(
             continue
         if not beta.is_positive:
             raise AssertionError("descent pulled back to a negative root")
-        if beta.level == 0 and beta.finite.height == 1:
+        if beta.level == 0 and sum(beta.finite) == 1:
             if sigma_s is None:
                 sigma_s = reflection_product(group, pair.s)
             if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
@@ -332,19 +333,20 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
     """S with the pair gamma1 = gamma2 + 2 beta replaced by beta + gamma2.
     All decompositions must give the same replacement; anything else is
     surfaced rather than silently picked."""
-    twice = tuple(2 * c for c in beta.finite.coeffs)
+    twice = tuple(2 * c for c in beta.finite)
     candidates = [
         (g1, g2)
         for g1 in s
         for g2 in s
-        if g1 != g2 and g1.level == g2.level and (g1.finite - g2.finite).coeffs == twice
+        if g1 != g2 and g1.level == g2.level and tuple(map(sub, g1.finite, g2.finite)) == twice
     ]
     if not candidates:
         raise AssertionError("real finite descent without a half-difference pair")
     results = set()
     for g1, g2 in candidates:
         kept = [a for a in s if a not in (g1, g2)]
-        results.add(make_orthogonal_set(rs, kept + [AffineRoot(beta.finite + g2.finite, g2.level)]))
+        merged = AffineRoot(tuple(map(add, beta.finite, g2.finite)), g2.level)
+        results.add(make_orthogonal_set(rs, kept + [merged]))
     if len(results) != 1:
         raise AssertionError("ambiguous real finite descent replacement")
     (out,) = results
@@ -371,10 +373,7 @@ def negated_root_report(
         for bp in s:
             for sb in (1, -1):
                 for sbp in (1, -1):
-                    fin = tuple(
-                        sb * x + sbp * y
-                        for x, y in zip(b.finite.coeffs, bp.finite.coeffs)
-                    )
+                    fin = tuple(sb * x + sbp * y for x, y in zip(b.finite, bp.finite))
                     lev = sb * b.level + sbp * bp.level
                     halves.setdefault((fin, lev), set()).add((sb, sbp))
     checks = 0
@@ -382,11 +381,11 @@ def negated_root_report(
     for a in group.negated_roots(sigma):
         checks += 1
         gamma, n = a.finite, a.level
-        key = (tuple(2 * c for c in gamma.coeffs), 2 * n)
+        key = (tuple(2 * c for c in gamma), 2 * n)
         if key not in halves:
             violations.append(f"{a} is negated but is not a half sum of support roots")
             continue
-        if n == -1 and gamma.is_positive and (1, 1) not in halves[key]:
+        if n == -1 and max(gamma) > 0 and (1, 1) not in halves[key]:
             violations.append(f"{a} is negated but not a plus-plus half sum")
         if n == 0 and (1, -1) not in halves[key]:
             violations.append(f"{a} is negated but not a plus-minus half sum")

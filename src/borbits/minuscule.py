@@ -28,6 +28,8 @@ oracle too.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
 from .roots import Root, RootSystem, _Value, _bits
 
@@ -79,11 +81,11 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[tuple[Root, ...]]:
     if all its uppers are in, and only if no sum with a chosen root is again
     a root.
 
-    >>> from .roots import build_root_system
-    >>> [[str(r) for r in I] for I in enumerate_abelian_ideals(build_root_system("A", 2))]
+    >>> from .roots import build_root_system, root_text
+    >>> [[root_text(r) for r in I] for I in enumerate_abelian_ideals(build_root_system("A", 2))]
     [[], ['1,1'], ['0,1', '1,1'], ['1,0', '1,1']]
     """
-    order = sorted(rs.positive_roots, key=lambda r: r.sort_key, reverse=True)
+    order = rs.positive_roots[::-1]
     uppers = {
         r: [q for q in rs.positive_roots if q != r and rs.dominance_leq(r, q)]
         for r in rs.positive_roots
@@ -97,7 +99,7 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[tuple[Root, ...]]:
         beta = order[k]
         walk(k + 1, chosen)
         if all(u in chosen for u in uppers[beta]) and not any(
-            rs.is_root((beta + g).coeffs) for g in chosen
+            rs.is_root(tuple(map(add, beta, g))) for g in chosen
         ):
             chosen.add(beta)
             walk(k + 1, chosen)
@@ -232,8 +234,8 @@ def normalizer_by_ideal_stability(rs: RootSystem, ideal: tuple[Root, ...]) -> tu
             continue
         ok = True
         for gamma in members:
-            down = gamma - alpha
-            if rs.is_root(down.coeffs) and Root(down.coeffs) not in members:
+            down = tuple(map(sub, gamma, alpha))
+            if rs.is_root(down) and down not in members:
                 ok = False
                 break
         if ok:

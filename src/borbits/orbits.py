@@ -467,10 +467,8 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
     rs = group.rs
     phi = phi_involution(group, p_index)
     w_p = _longest_parabolic_element(group, p_index)
-    ideal_roots = [
-        g for g in rs.positive_roots if g.coeffs[p_index - 1] == 1
-    ]
-    if any(g.coeffs[p_index - 1] > 1 for g in rs.positive_roots):
+    ideal_roots = [g for g in rs.positive_roots if g[p_index - 1] == 1]
+    if any(g[p_index - 1] > 1 for g in rs.positive_roots):
         raise AssertionError("mark-one root with coefficient above one")
     subsets = orthogonal_subsets(rs, [AffineRoot(g, 0) for g in ideal_roots])
     checks = 0

@@ -3,11 +3,14 @@
 A root system is fixed by its type letter and rank, and everything else is
 read off the Bourbaki simple-root vectors: the Cartan matrix, and the
 symmetrizers, which are the squared norms of those vectors over their gcd.
-A root is stored as its integer coefficient vector over the simple roots,
-so everything in this module is exact: the pairing between roots and
-coroots, reflections and dominance tests are integer vector arithmetic, and
-the epsilon coordinates of types A-D are read off the same vectors and
-turned back into roots by lookup.  No floating point is used anywhere.
+A root is the plain tuple of its integer coefficients over the simple roots
+(the `Root` alias), printed by `root_text`; the root system keys its tables
+on those tuples.  A root's coefficients share one sign, so it is positive
+iff ``max(r) > 0`` and negative iff ``min(r) < 0``.  Everything in this
+module is exact: the pairing between roots and coroots, reflections and
+dominance tests are integer vector arithmetic, and the epsilon coordinates
+of types A-D are read off the same vectors and turned back into roots by
+lookup.  No floating point is used anywhere.
 
 The convention for the Cartan matrix is ``C[i][j] = <alpha_j, alpha_i^vee>``
 (indices 0-based internally, 1-based in the public simple-root API).
@@ -20,7 +23,7 @@ from math import gcd
 from operator import add, le, mul
 import re
 
-__all__ = ["Root", "RootSystem", "build_root_system"]
+__all__ = ["Root", "RootSystem", "build_root_system", "root_text"]
 
 CLASSICAL_TYPES = "ABCD"
 # the ranks each type admits
@@ -130,54 +133,13 @@ class _Value:
         return f"{self.__class__.__name__}({args})"
 
 
-class Root(_Value):
-    """A root as an integer coefficient vector over the simple roots."""
+# a root: its integer coefficient vector over the simple roots
+Root = tuple[int, ...]
 
-    __slots__ = ("coeffs", "_positive")
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        self.coeffs = coeffs
-
-    # the value methods on the one field, spelled out for speed
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def is_positive(self) -> bool:
-        try:  # kept on the instance after the first call
-            return self._positive
-        except AttributeError:
-            self._positive = all(c >= 0 for c in self.coeffs) and any(self.coeffs)
-            return self._positive
-
-    @property
-    def is_negative(self) -> bool:
-        return all(c <= 0 for c in self.coeffs) and any(self.coeffs)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.height, self.coeffs)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+def root_text(r: Root) -> str:
+    """A root as every output prints it: its coefficients joined by commas."""
+    return ",".join(map(str, r))
 
 
 class RootSystem:
@@ -203,25 +165,22 @@ class RootSystem:
             tuple(self.symmetrizers[i] * self.cartan[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
-        all_coeffs = self._generate()
-        roots = sorted((Root(c) for c in all_coeffs), key=lambda r: r.sort_key)
-        self.roots: tuple[Root, ...] = tuple(roots)
-        self.positive_roots: tuple[Root, ...] = tuple(r for r in roots if r.is_positive)
+        self.roots: tuple[Root, ...] = tuple(sorted(self._generate(), key=lambda r: (sum(r), r)))
+        self.positive_roots: tuple[Root, ...] = tuple(r for r in self.roots if max(r) > 0)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise AssertionError("root count mismatch")
-        for r in self.roots:
-            if not (r.is_positive or r.is_negative):
-                raise AssertionError("root with mixed coefficient signs")
+        if any(min(r) < 0 < max(r) for r in self.roots):
+            raise AssertionError("root with mixed coefficient signs")
         # built once: the height-one roots open Phi^+ as alpha_rank, ..., alpha_1
         self.simple_roots: tuple[Root, ...] = self.positive_roots[self.rank - 1::-1]
-        self._coeff_set = frozenset(r.coeffs for r in self.roots)
+        self._coeff_set = frozenset(self.roots)
         self._pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         # B(r, alpha_j) for each j (B is symmetric), and B(r, r)
         self._form_vec = {c: tuple(sum(map(mul, c, row)) for row in self._form) for c in self._coeff_set}
         self._norm2 = {c: sum(map(mul, c, v)) for c, v in self._form_vec.items()}
         self.highest_root = self._find_highest()
-        self.marks: tuple[int, ...] = self.highest_root.coeffs
-        self._coroot = {r.coeffs: self._coroot_coords(r) for r in self.roots}
+        self.marks: tuple[int, ...] = self.highest_root
+        self._coroot = {r: self._coroot_coords(r) for r in self.roots}
 
     # -- construction helpers -------------------------------------------
 
@@ -252,13 +211,13 @@ class RootSystem:
 
     def _coroot_coords(self, gamma: Root) -> tuple[int, ...]:
         """Coordinates of gamma^vee over the simple coroots (integers)."""
-        n = self._norm2[gamma.coeffs]
+        n = self._norm2[gamma]
         if n % 2:
             raise AssertionError("odd root norm")
         half = n // 2
         out = []
         for k in range(self.rank):
-            num = gamma.coeffs[k] * self.symmetrizers[k]
+            num = gamma[k] * self.symmetrizers[k]
             if num % half:
                 raise AssertionError("coroot coordinates are not integral")
             out.append(num // half)
@@ -272,7 +231,7 @@ class RootSystem:
     def root(self, coeffs: tuple[int, ...]) -> Root:
         if coeffs not in self._coeff_set:
             raise ValueError(f"{coeffs} is not a root")
-        return Root(coeffs)
+        return coeffs
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, 1-based."""
@@ -285,10 +244,10 @@ class RootSystem:
 
     def pairing(self, beta: Root, gamma: Root) -> int:
         """<beta, gamma^vee>, an integer for any two roots."""
-        if beta.coeffs not in self._coeff_set or gamma.coeffs not in self._coeff_set:
+        if beta not in self._coeff_set or gamma not in self._coeff_set:
             raise ValueError("pairing arguments must be roots")
-        num = 2 * sum(map(mul, beta.coeffs, self._form_vec[gamma.coeffs]))
-        den = self._norm2[gamma.coeffs]
+        num = 2 * sum(map(mul, beta, self._form_vec[gamma]))
+        den = self._norm2[gamma]
         if num % den:
             raise AssertionError("non-integral pairing between roots")
         return num // den
@@ -300,28 +259,27 @@ class RootSystem:
         return sum(map(mul, coeffs, self.cartan[k - 1]))
 
     def coroot_coords(self, gamma: Root) -> tuple[int, ...]:
-        return self._coroot[gamma.coeffs]
+        return self._coroot[gamma]
 
     def reflect(self, gamma: Root, beta: Root) -> Root:
         """s_gamma(beta) = beta - <beta, gamma^vee> gamma."""
         k = self.pairing(beta, gamma)
-        out = tuple(b - k * g for b, g in zip(beta.coeffs, gamma.coeffs))
+        out = tuple(b - k * g for b, g in zip(beta, gamma))
         if out not in self._coeff_set:
             raise AssertionError("reflection left the root system")
-        return Root(out)
+        return out
 
     def dominance_leq(self, a: Root, b: Root) -> bool:
         """a <= b iff b - a has nonnegative simple-root coefficients."""
-        return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
+        return all(map(le, a, b))
 
     @cached_property
     def ideal_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(above, partners), bitmasks over the positive-root indices: bit j
         of above[i] is set iff r_i <= r_j in dominance order (r_i included),
         and bit j of partners[i] iff r_i + r_j is a root.  Built on first use,
-        so constructing the system does not pay for it.  Both are read on
-        coefficient tuples, with no Root built."""
-        pos = [r.coeffs for r in self.positive_roots]
+        so constructing the system does not pay for it."""
+        pos = self.positive_roots
         roots = self._coeff_set
         above = tuple(sum(1 << j for j, q in enumerate(pos) if all(map(le, r, q))) for r in pos)
         partners = tuple(sum(1 << j for j, q in enumerate(pos) if tuple(map(add, r, q)) in roots) for r in pos)
@@ -333,7 +291,7 @@ class RootSystem:
         indices.  Orthogonality ignores signs and levels, so the rows serve
         every real affine root through the positive root of its finite
         part.  Built on first use, like `ideal_masks`."""
-        pos = [r.coeffs for r in self.positive_roots]
+        pos = self.positive_roots
         form = self._form_vec
         return tuple(sum(1 << j for j, q in enumerate(pos) if not sum(map(mul, r, form[q]))) for r in pos)
 
@@ -349,7 +307,7 @@ class RootSystem:
         dim = self._epsilon_dim()
         out = []
         for p in range(dim):
-            doubled = sum(c * self._eps[i][p] for i, c in enumerate(root.coeffs))
+            doubled = sum(c * self._eps[i][p] for i, c in enumerate(root))
             if doubled % 2:
                 raise AssertionError("half-integral epsilon coordinate")
             out.append(doubled // 2)
@@ -361,11 +319,16 @@ class RootSystem:
 
     def epsilon_to_root(self, expr: str | tuple[int, ...]) -> Root:
         """Parse an epsilon expression like ``e1+e3`` or ``e2-e4`` (also a
-        bare coordinate vector) and look up its root; classical types only."""
+        bare coordinate vector) and look up its root; classical types only.
+        Spaces are ignored, and anything else that is not a signed sum of
+        terms ``[multiple]e<index>`` is refused."""
         dim = self._epsilon_dim()
         if isinstance(expr, str):
+            text = expr.replace(" ", "")
+            if not re.fullmatch(r"[+-]?\d*e\d+([+-]\d*e\d+)*", text):
+                raise ValueError(f"malformed epsilon expression {expr!r}")
             vec = [0] * dim
-            for sign, mult, idx in re.findall(r"([+-]?)(\d*)e(\d+)", expr.replace(" ", "")):
+            for sign, mult, idx in re.findall(r"([+-]?)(\d*)e(\d+)", text):
                 s = -1 if sign == "-" else 1
                 m = int(mult) if mult else 1
                 k = int(idx)
@@ -386,7 +349,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     """Construct the root system of the given type.
 
     >>> rs = build_root_system("G", 2)
-    >>> len(rs.positive_roots), str(rs.highest_root)
+    >>> len(rs.positive_roots), root_text(rs.highest_root)
     (6, '3,2')
     >>> rs.pairing(rs.simple_root(2), rs.simple_root(1))
     -3

@@ -30,7 +30,7 @@ from operator import mul
 from .affine import AffineRoot, AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, rank_id_minus, reflection_product
 from .minuscule import enumerate_abelian_ideals
-from .roots import Root, RootSystem, _Value, build_root_system
+from .roots import Root, RootSystem, _Value, build_root_system, root_text
 
 __all__ = [
     "MatrixIdealContext",
@@ -93,19 +93,17 @@ def _typea_system(n: int) -> RootSystem:
 def root_to_position(root: Root) -> Position:
     """The root with consecutive coordinate ones from i to j-1 sits in
     matrix slot (i, j)."""
-    ones = [k for k, c in enumerate(root.coeffs) if c == 1]
-    if not ones or any(c not in (0, 1) for c in root.coeffs):
-        raise ValueError(f"{root} is not a type A positive root")
+    ones = [k for k, c in enumerate(root) if c == 1]
+    if not ones or any(c not in (0, 1) for c in root):
+        raise ValueError(f"{root_text(root)} is not a type A positive root")
     if ones != list(range(ones[0], ones[-1] + 1)):
-        raise ValueError(f"{root} is not an interval root")
+        raise ValueError(f"{root_text(root)} is not an interval root")
     return (ones[0] + 1, ones[-1] + 2)
 
 
 def position_to_root(rs: RootSystem, pos: Position) -> Root:
     i, j = pos
-    return rs.root(
-        tuple(1 if i - 1 <= k <= j - 2 else 0 for k in range(rs.rank))
-    )
+    return rs.root(tuple(1 if i - 1 <= k <= j - 2 else 0 for k in range(rs.rank)))
 
 
 def ideal_positions(n: int, ideal_id: int) -> tuple[Position, ...]:

@@ -35,6 +35,6 @@ def count_inversions(group, x) -> int:
     return sum(
         1
         for gamma in roots
-        for n in range(-bound, 0 if gamma.is_positive else 1)
+        for n in range(-bound, 0 if max(gamma) > 0 else 1)
         if group.act(x, AffineRoot(gamma, n)).is_positive
     )

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from borbits.minuscule import ideal_from_mask
+from borbits.roots import root_text
 
 
 def bruhat_lower_interval_oracle(group, w):
@@ -72,7 +73,7 @@ def make_abelian_ideal(rs, roots):
     for r in set(roots):
         i = rs._pos_index.get(r)
         if i is None:
-            raise ValueError(f"{r} is not a positive root")
+            raise ValueError(f"{root_text(r)} is not a positive root")
         mask |= 1 << i
     return ideal_from_mask(rs, mask)
 

@@ -38,8 +38,8 @@ def test_act_examples_a2(system):
     s0 = W.simple_reflection(0)
     th = rs.highest_root
     assert W.act(W.identity, a1) == a1
-    assert W.act(s0, AffineRoot(th, -1)) == AffineRoot(-th, 1)
-    assert W.act(s0, a1) == AffineRoot(-rs.simple_root(2), 1)
+    assert W.act(s0, AffineRoot(th, -1)) == AffineRoot((-1, -1), 1)
+    assert W.act(s0, a1) == AffineRoot((0, -1), 1)
 
 
 def test_act_is_a_group_action(system):
@@ -91,10 +91,10 @@ def test_s0_is_translated_theta_reflection(system):
     th = rs.highest_root
     # t_{theta^vee} s_theta sends gamma to s_theta(gamma) with level drop
     # <s_theta(gamma), theta^vee> = -<gamma, theta^vee>; on theta that is -2
-    assert W.act(s0, AffineRoot(th, 0)) == AffineRoot(-th, 2)
+    assert W.act(s0, AffineRoot(th, 0)) == -AffineRoot(th, -2)
     for g in rs.roots:
         assert W.act(s0, AffineRoot(g, 0)) == AffineRoot(rs.reflect(th, g), rs.pairing(g, th))
-    assert W.act(s0, AffineRoot(-th, 1)) == AffineRoot(th, -1)
+    assert W.act(s0, -AffineRoot(th, -1)) == AffineRoot(th, -1)
 
 
 def test_length_examples(system):
@@ -205,7 +205,7 @@ def test_affine_root_text_round_trip(system):
     texts = {str(AffineRoot(g, n)) for g in rs.roots for n in (-2, -1, 0, 1)}
     assert len(texts) == 4 * len(rs.roots)
     assert str(AffineRoot(rs.highest_root, -1)) == "1,2,1,1-1d"
-    assert str(AffineRoot(-rs.simple_root(1), 2)) == "-1,0,0,0+2d"
+    assert str(AffineRoot((-1, 0, 0, 0), 2)) == "-1,0,0,0+2d"
     assert str(AffineRoot(rs.simple_root(1), 0)) == "1,0,0,0"
 
 
@@ -213,11 +213,13 @@ def test_affine_root_positivity(system):
     rs, _ = system("A", 2)
     th = rs.highest_root
     assert AffineRoot(th, 0).is_positive
-    assert not AffineRoot(-th, 0).is_positive
-    assert AffineRoot(-th, 1).is_positive
+    assert not AffineRoot((-1, -1), 0).is_positive
+    assert not AffineRoot((0, -1), 0).is_positive
+    assert AffineRoot((-1, -1), 1).is_positive
     assert not AffineRoot(th, -1).is_positive
+    assert -AffineRoot(th, -1) == AffineRoot((-1, -1), 1)
     with pytest.raises(ValueError):
-        AffineRoot(th - th, 0)
+        AffineRoot((0, 0), 0)
 
 
 def test_word_text_round_trip():

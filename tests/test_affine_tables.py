@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from borbits.affine import AffineRoot, AffineWeylGroup
-from borbits.roots import Root, build_root_system
+from borbits.roots import build_root_system
 
 from conftest import count_inversions, get_system
 
@@ -40,7 +40,7 @@ def _on_coroots(rs, images, mu):
     """w(mu) for mu over the simple coroots, w(alpha_k^vee) = w(alpha_k)^vee."""
     out = [0] * rs.rank
     for k, m in enumerate(mu):
-        img = rs.coroot_coords(Root(images[k]))
+        img = rs.coroot_coords(images[k])
         for j in range(rs.rank):
             out[j] += m * img[j]
     return tuple(out)
@@ -72,7 +72,7 @@ def matrix_simple(rs, i):
     rank = rs.rank
     if i == 0:
         theta = rs.highest_root
-        images = tuple(rs.reflect(theta, g).coeffs for g in rs.simple_roots)
+        images = tuple(rs.reflect(theta, g) for g in rs.simple_roots)
         return images, rs.coroot_coords(theta)
     row = rs.cartan[i - 1]
     images = tuple(
@@ -83,7 +83,7 @@ def matrix_simple(rs, i):
 
 def matrix_act(rs, x, a):
     images, translation = x
-    g = _apply(images, a.finite.coeffs)
+    g = _apply(images, a.finite)
     drop = sum(
         lam * rs.pairing_with_simple_coroot(g, k + 1) for k, lam in enumerate(translation)
     )
@@ -132,7 +132,7 @@ def matrix_length(rs, x):
     bound = 1 + max(
         abs(
             sum(
-                lam * rs.pairing_with_simple_coroot(g.coeffs, k + 1)
+                lam * rs.pairing_with_simple_coroot(g, k + 1)
                 for k, lam in enumerate(x[1])
             )
         )
@@ -142,7 +142,7 @@ def matrix_length(rs, x):
         1
         for g in rs.roots
         for n in range(-bound, 1)
-        if not (n == 0 and g.is_positive) and matrix_act(rs, x, AffineRoot(g, n)).is_positive
+        if not (n == 0 and max(g) > 0) and matrix_act(rs, x, AffineRoot(g, n)).is_positive
     )
 
 
@@ -158,7 +158,7 @@ def act_on_point(rs, x, point):
     images, translation = x
     out = [Fraction(c) for c in translation]
     for k, v in enumerate(point):
-        img = rs.coroot_coords(Root(images[k]))
+        img = rs.coroot_coords(images[k])
         for j in range(rs.rank):
             out[j] += v * img[j]
     return tuple(out)
@@ -174,10 +174,10 @@ def matrix_alcove_check(rs, word, vertices):
     every image vertex.  x^{-1} is the reversed word, each s_i being an
     involution."""
     xinv = matrix_word(rs, word[::-1])
-    theta = rs.highest_root.coeffs
+    theta = rs.highest_root
     for p in vertices:
         q = act_on_point(rs, xinv, p)
-        if any(_pair_with_point(rs, g.coeffs, q) < 0 for g in rs.simple_roots):
+        if any(_pair_with_point(rs, g, q) < 0 for g in rs.simple_roots):
             return False
         if _pair_with_point(rs, theta, q) > 2:
             return False

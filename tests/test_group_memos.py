@@ -66,7 +66,7 @@ def _rank_from_scratch(group, x):
     rows = []
     for j in range(group.rank):
         image = group.act(x, group.simple_affine_root(j + 1))
-        g = image.finite.coeffs
+        g = image.finite
         rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-image.level])
     return _int_matrix_rank(rows)
 

@@ -246,7 +246,7 @@ def test_phi_gr24_case(system):
     nonempty orthogonal subsets; the two order pictures must agree on all of
     them (plus the empty one)."""
     rs, W = get_system("A", 3)
-    ideal = [g for g in rs.positive_roots if g.coeffs[1] == 1]
+    ideal = [g for g in rs.positive_roots if g[1] == 1]
     assert len(ideal) == 4
     from borbits.involutions import orthogonal_subsets
 

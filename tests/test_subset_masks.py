@@ -31,7 +31,7 @@ SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 def _mixed_pool(rs):
     """The roots r - delta, r and -r - delta for every positive r."""
     pool = [AffineRoot(g, n) for g in rs.positive_roots for n in (-1, 0)]
-    return pool + [AffineRoot(-g, -1) for g in rs.positive_roots]
+    return pool + [-AffineRoot(g, 1) for g in rs.positive_roots]
 
 
 def _gap_mismatches(rs, group):

@@ -12,7 +12,6 @@ from borbits.typea import (
     oracle_report,
     root_to_position,
 )
-from borbits.roots import Root
 
 
 def test_context_validation():
@@ -30,11 +29,11 @@ def test_context_validation():
 
 
 def test_position_mapping():
-    assert root_to_position(Root((1, 0, 0))) == (1, 2)
-    assert root_to_position(Root((1, 1, 1))) == (1, 4)
-    assert root_to_position(Root((0, 1, 1))) == (2, 4)
-    with pytest.raises(ValueError):
-        root_to_position(Root((1, 0, 1)))
+    assert root_to_position((1, 0, 0)) == (1, 2)
+    assert root_to_position((1, 1, 1)) == (1, 4)
+    assert root_to_position((0, 1, 1)) == (2, 4)
+    with pytest.raises(ValueError, match="^1,0,1 is not an interval root$"):
+        root_to_position((1, 0, 1))
 
 
 def test_ideal_positions_match_enumeration():

@@ -6,14 +6,14 @@ reports violations.  A verifier that stays green under sabotage would be
 vacuous.
 """
 
-from borbits.affine import AffineWeylGroup
+from borbits.affine import AffineRoot, AffineWeylGroup
 from borbits.minuscule import enumerate_minuscule
 from borbits.orbits import (
     verify_branch_recursion,
     verify_moves_vs_order,
     verify_strong_form,
 )
-from borbits.suites import suite_minuscule
+from borbits.suites import suite_involutions, suite_minuscule
 
 from conftest import get_system
 
@@ -62,19 +62,19 @@ def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
     assert all("S={" in v for v in rep.violations)
 
 
-def _criteria_report(group):
-    (rep,) = [r for r in suite_minuscule(group) if r.name == "minuscule-criteria-agree"]
+def _minuscule_report(group, name):
+    (rep,) = [r for r in suite_minuscule(group) if r.name == name]
     return rep
 
 
 def test_minuscule_criteria_detect_a_missing_alcove_wall():
     """Without the wall 2*delta - theta the doubled alcove is unbounded, so
     the alcove check accepts elements that the inversion criterion rejects."""
-    clean = _criteria_report(_fresh_group("A", 3))
+    clean = _minuscule_report(_fresh_group("A", 3), "minuscule-criteria-agree")
     assert clean.ok
     group = _fresh_group("A", 3)
     group._walls = group._walls[:-1]
-    rep = _criteria_report(group)
+    rep = _minuscule_report(group, "minuscule-criteria-agree")
     assert rep.checks == clean.checks
     assert rep.violations
 
@@ -86,3 +86,52 @@ def test_sweeps_pass_untouched():
     assert verify_moves_vs_order(W, w).ok
     assert verify_strong_form(W).ok
     assert verify_branch_recursion(W, w).ok
+
+
+# -- sweeps that add or subtract two roots -------------------------------------
+# A root is a tuple, on which + concatenates; each sweep below must still see
+# the root sum and print roots by their coefficients.
+
+
+def test_strong_orthogonality_sweep_reads_root_sums_and_differences():
+    """In B2, alpha_2 and alpha_1 + alpha_2 (e2 and e1) are orthogonal, but
+    their sum and their difference are roots.  For orthogonal roots one is a
+    root iff the other is, so either read alone catches the pair."""
+    group = _fresh_group("B", 2)
+    group.minuscule[-1].inversions = (AffineRoot((0, 1), -1), AffineRoot((1, 1), -1))
+    rep = _minuscule_report(group, "orthogonal-is-strongly-orthogonal")
+    assert rep.violations == ("0,1-1d, 1,1-1d orthogonal but not strongly orthogonal",)
+
+
+def test_one_root_extension_sweep_reads_root_sums():
+    """In A3, alpha_2 extends both alpha_1 and alpha_3 to a root."""
+    group = _fresh_group("A", 3)
+    group.minuscule[-1].inversions = (AffineRoot((1, 0, 0), -1), AffineRoot((0, 0, 1), -1))
+    rep = _minuscule_report(group, "one-root-extension")
+    assert rep.violations == ("0,1,0 extends two roots of {0,0,1-1d,1,0,0-1d}",)
+
+
+def test_violations_name_ideals_by_id(monkeypatch):
+    import borbits.suites as suites_mod
+
+    group = _fresh_group("A", 2)
+    monkeypatch.setattr(suites_mod, "normalizer_by_ideal_stability", lambda rs, ideal: ())
+    rep = _minuscule_report(group, "normalizer-criteria")
+    assert rep.violations == tuple(f"normalizer criteria disagree on ideal {k}" for k in (0, 2, 3))
+
+    monkeypatch.setattr(AffineWeylGroup, "bruhat_leq", lambda self, u, x: True)
+    rep = _minuscule_report(_fresh_group("A", 2), "weak-order-is-bruhat")
+    # the ideals are {}, {theta}, {alpha_2, theta} and {alpha_1, theta}
+    below = {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3)}
+    assert rep.violations == tuple(
+        f"weak/Bruhat mismatch at ideals {k1} and {k2}"
+        for k1 in range(4)
+        for k2 in range(4)
+        if (k1, k2) not in below
+    )
+
+    monkeypatch.setattr(suites_mod, "support_injectivity_check", lambda g, m: False)
+    (rep,) = [r for r in suite_involutions(_fresh_group("A", 2)) if r.name == "support-injectivity"]
+    assert rep.violations == tuple(
+        f"involution does not determine the subset inside ideal {k}" for k in range(4)
+    )

@@ -16,7 +16,7 @@ from importlib import import_module
 SUITE_NAMES = ("minuscule", "involutions", "poset", "strong-form", "phi")
 
 _HOMES = {
-    "affine": ("AffineRoot", "AffineWeylElement", "AffineWeylGroup"),
+    "affine": ("AffineWeylElement", "AffineWeylGroup"),
     "involutions": (
         "AdmissiblePair", "Report", "involution_length",
         "make_admissible_pair", "make_orthogonal_set", "orthogonal_subsets", "reflection_product",

@@ -1,7 +1,8 @@
 """The affine Weyl group acting on real affine roots, with exact arithmetic.
 
-A real affine root ``gamma + n*delta`` is a finite root, the tuple of its
-simple-root coefficients, plus an integer level.  An affine Weyl group
+A real affine root ``gamma + n*delta`` is the pair ``(gamma, n)`` of a finite
+root, the tuple of its simple-root coefficients, and an integer level;
+`affine_text` prints it and `affine_key` orders it.  An affine Weyl group
 element is written ``x = t_lambda * w`` with ``w`` a finite Weyl element and
 ``lambda`` an integer vector over the simple coroots, and acts by
 
@@ -50,7 +51,7 @@ from functools import cached_property
 from operator import add, itemgetter, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .roots import Root, RootSystem, _Value, _bits, root_text
+from .roots import Root, RootSystem, _bits, root_text
 
 if TYPE_CHECKING:
     from .involutions import OrthogonalSet
@@ -61,12 +62,18 @@ __all__ = [
     "AffineWeylElement",
     "AffineWeylGroup",
     "ReducedWord",
+    "affine_key",
+    "affine_text",
+    "is_positive",
+    "negate",
     "word_to_text",
     "text_to_word",
 ]
 
 # a (reduced) word is a sequence of simple reflection indices, 0 = s_{delta-theta}
 ReducedWord = tuple[int, ...]
+# a real affine root gamma + n*delta is the pair (gamma, n)
+AffineRoot = tuple[Root, int]
 
 
 def word_to_text(word: ReducedWord) -> str:
@@ -80,43 +87,30 @@ def text_to_word(text: str) -> ReducedWord:
     return tuple(int(p) for p in text.split())
 
 
-class AffineRoot(_Value):
-    """A real affine root ``finite + level * delta``."""
+def affine_key(a: AffineRoot) -> tuple:
+    """The canonical order of affine roots: by level, then height, then finite root."""
+    finite, level = a
+    return (level, sum(finite), finite)
 
-    __slots__ = ("finite", "level")
 
-    def __init__(self, finite: Root, level: int):
-        if not any(finite):
-            raise ValueError("affine roots must have a nonzero finite part")
-        self.finite, self.level = finite, level
+def is_positive(a: AffineRoot) -> bool:
+    """gamma + n*delta > 0 iff n > 0, or n = 0 and gamma > 0."""
+    finite, level = a
+    return level > 0 if level else max(finite) > 0
 
-    # the value methods spelled out for speed
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level == other.level and self.finite == other.finite
 
-    def __hash__(self) -> int:
-        return hash((self.finite, self.level))
+def negate(a: AffineRoot) -> AffineRoot:
+    """-(gamma + n*delta) = -gamma - n*delta."""
+    finite, level = a
+    return (tuple(map(neg, finite)), -level)
 
-    @property
-    def is_positive(self) -> bool:
-        if self.level != 0:
-            return self.level > 0
-        return max(self.finite) > 0
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.level, sum(self.finite), self.finite)
-
-    def __neg__(self) -> "AffineRoot":
-        return AffineRoot(tuple(map(neg, self.finite)), -self.level)
-
-    def __str__(self) -> str:
-        if self.level == 0:
-            return root_text(self.finite)
-        sign = "+" if self.level > 0 else "-"
-        return f"{root_text(self.finite)}{sign}{abs(self.level)}d"
+def affine_text(a: AffineRoot) -> str:
+    """``finite + level*delta`` as the outputs print it, e.g. ``1,0-1d``."""
+    finite, level = a
+    if level == 0:
+        return root_text(finite)
+    return f"{root_text(finite)}{'+' if level > 0 else '-'}{abs(level)}d"
 
 
 class AffineWeylElement:
@@ -184,14 +178,12 @@ class AffineWeylGroup:
         self._pos_start = len(rs.roots) - len(rs.positive_roots)
         if rs.roots[self._pos_start:] != rs.positive_roots:
             raise AssertionError("positive roots are not the tail of the root order")
-        self._affine_simple = (AffineRoot(tuple(map(neg, rs.highest_root)), 1),) + tuple(
-            AffineRoot(g, 0) for g in rs.simple_roots
-        )
+        self._affine_simple = ((tuple(map(neg, rs.highest_root)), 1),) + tuple((g, 0) for g in rs.simple_roots)
         # r_j - delta for each positive root r_j, shared by every inversion
         # set of a minuscule element
-        self._shifted = tuple(AffineRoot(g, -1) for g in rs.positive_roots)
+        self._shifted = tuple((g, -1) for g in rs.positive_roots)
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
-        self._simple_at = tuple((self._index[a.finite], a.level) for a in self._affine_simple)
+        self._simple_at = tuple((self._index[g], level) for g, level in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
         # (root index, level) of the walls alpha_1..alpha_r and 2*delta - theta
         # of the doubled alcove, for alcove_image_check
@@ -284,25 +276,28 @@ class AffineWeylGroup:
         """The reflection s_a, as t_{-n * gamma^vee} s_gamma for a = gamma + n*delta."""
         cached = self._reflections.get(a)
         if cached is None:
-            cached = self._reflections[a] = self._reflection_at(self._root_index(a.finite), a.level)
+            finite, level = a
+            cached = self._reflections[a] = self._reflection_at(self._root_index(finite), level)
         return cached
 
     def simple_index(self, a: AffineRoot) -> int:
         """The index i with a = a_i, 0 for the affine node."""
-        i = self._simple_index.get((self._index.get(a.finite), a.level))
+        finite, level = a
+        i = self._simple_index.get((self._index.get(finite), level))
         if i is None:
-            raise ValueError(f"{a} is not a simple affine root")
+            raise ValueError(f"{affine_text(a)} is not a simple affine root")
         return i
 
     def is_simple_affine(self, a: AffineRoot) -> bool:
-        return (self._index.get(a.finite), a.level) in self._simple_index
+        finite, level = a
+        return (self._index.get(finite), level) in self._simple_index
 
     # -- group operations ----------------------------------------------------
 
     def act(self, x: AffineWeylElement, a: AffineRoot) -> AffineRoot:
-        perm, shift = x.perm, x.shift
-        i = self._root_index(a.finite)
-        return AffineRoot(self._roots[perm[i]], a.level - shift[i])
+        finite, level = a
+        i = self._root_index(finite)
+        return self._roots[x.perm[i]], level - x.shift[i]
 
     def pull_back(self, x: AffineWeylElement, i: int) -> AffineRoot:
         """x^{-1}(a_i), read off the root tables of x without inverting it.
@@ -311,7 +306,7 @@ class AffineWeylGroup:
         perm, shift = x.perm, x.shift
         g, level = self._simple_at[i]
         j = perm.index(g)
-        return AffineRoot(self._roots[j], level + shift[j])
+        return self._roots[j], level + shift[j]
 
     def up_steps(self, x: AffineWeylElement) -> Iterator[tuple[int, int]]:
         """The pairs (i, k), lowest i first, where s_i x adds the inversion
@@ -327,8 +322,9 @@ class AffineWeylGroup:
 
     def negated_position(self, a: AffineRoot) -> int | None:
         """The k with -a = r_k - delta, None if -a is not in Phi^+ - delta."""
-        g = self._index[a.finite]
-        return self._negation[g] - self._pos_start if a.level == 1 and self._negative[g] else None
+        finite, level = a
+        g = self._index[finite]
+        return self._negation[g] - self._pos_start if level == 1 and self._negative[g] else None
 
     def normalizer_indices(self, x: AffineWeylElement) -> list[int]:
         """The finite simple indices i with x(alpha_i) again a simple affine
@@ -346,7 +342,7 @@ class AffineWeylGroup:
         perm, shift = x.perm, x.shift
         roots = self._roots
         return [
-            AffineRoot(roots[g], d // 2)
+            (roots[g], d // 2)
             for g, (p, q, d) in enumerate(zip(perm, self._negation, shift))
             if p == q and d % 2 == 0
         ]
@@ -435,7 +431,7 @@ class AffineWeylGroup:
         negative = self._negative
         roots = self._roots
         return [
-            AffineRoot(roots[g], n)
+            (roots[g], n)
             for g, (p, d) in enumerate(zip(perm, shift))
             for n in range(d + negative[p], negative[g])
         ]
@@ -456,7 +452,7 @@ class AffineWeylGroup:
         """The bitmask of a set of roots r_j - delta, bit j; None if one of
         them is not in Phi^+ - delta."""
         index = self.rs._pos_index
-        bits = [index.get(a.finite) if a.level == -1 else None for a in roots]
+        bits = [index.get(g) if level == -1 else None for g, level in roots]
         return None if None in bits else sum(1 << j for j in set(bits))
 
     def shifted_roots(self, mask: int) -> tuple[AffineRoot, ...]:

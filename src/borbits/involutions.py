@@ -2,7 +2,7 @@
 
 An orthogonal set S of real roots determines the involution given by the
 product of its (commuting) reflections.  S is held as the tuple of its roots
-in `sort_key` order (the `OrthogonalSet` alias), the form that
+in `affine_key` order (the `OrthogonalSet` alias), the form that
 `make_orthogonal_set` and `orthogonal_subsets` return and `set_text` prints.
 This module computes those involutions, their length-like invariant
 ``(coxeter length + rank of id - sigma) / 2``, the twisted conjugation
@@ -25,10 +25,13 @@ exercised as well.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add, neg, sub
 from typing import Iterable, Optional
 
-from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
+from .affine import (
+    AffineRoot, AffineWeylElement, AffineWeylGroup, affine_key, affine_text, is_positive, negate,
+)
 from .minuscule import MinusculeElement, weak_order_leq
 from .roots import RootSystem, _Value, _bits
 
@@ -65,21 +68,27 @@ class Report(_Value):
         return not self.violations
 
 
-# pairwise orthogonal real affine roots in `sort_key` order
+# pairwise orthogonal real affine roots in `affine_key` order
 OrthogonalSet = tuple[AffineRoot, ...]
 
 
 def set_text(s: OrthogonalSet) -> str:
     """S as the outputs print it: its roots in order, inside braces."""
-    return "{" + ",".join(map(str, s)) + "}"
+    return "{" + ",".join(map(affine_text, s)) + "}"
 
 
 def make_orthogonal_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> OrthogonalSet:
-    rset = sorted(set(roots), key=lambda a: a.sort_key)
-    for i, a in enumerate(rset):
-        for b in rset[i + 1 :]:
-            if rs.pairing(a.finite, b.finite) != 0:
-                raise ValueError(f"{a} and {b} are not orthogonal")
+    """S from outside input: every finite part must be a root and every
+    two of them orthogonal."""
+    rset = sorted(set(roots), key=affine_key)
+    for a in rset:
+        finite, _ = a
+        if not rs.is_root(finite):
+            raise ValueError(f"{affine_text(a)} is not a real affine root")
+    for a, b in combinations(rset, 2):
+        (g, _), (h, _) = a, b
+        if rs.pairing(g, h) != 0:
+            raise ValueError(f"{affine_text(a)} and {affine_text(b)} are not orthogonal")
     return tuple(rset)
 
 
@@ -89,9 +98,9 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     clique, in order, grows by each later root orthogonal to all of it.
     Orthogonality is read from `rs.orthogonal_masks` at the positive root of
     each finite part, into bitmasks over the pool."""
-    pool = sorted(set(roots), key=lambda a: a.sort_key)
+    pool = sorted(set(roots), key=affine_key)
     index, ortho = rs._pos_index, rs.orthogonal_masks
-    keys = [index[a.finite] if max(a.finite) > 0 else index[tuple(map(neg, a.finite))] for a in pool]
+    keys = [index[g] if max(g) > 0 else index[tuple(map(neg, g))] for g, _ in pool]
     # bit q of later[p]: pool[q] comes after pool[p] and is orthogonal to it
     later = [
         sum(1 << q for q in range(p + 1, len(keys)) if ortho[k] >> keys[q] & 1) for p, k in enumerate(keys)
@@ -128,10 +137,9 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     if entry is None:
         rows = []
         for j in range(group.rank):
-            image = group.act(x, group.simple_affine_root(j + 1))
-            g = image.finite
+            g, level = group.act(x, group.simple_affine_root(j + 1))
             row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
-            row.append(-image.level)
+            row.append(-level)
             rows.append(row)
         entry = group._ranks[x] = (_int_matrix_rank(rows), group.length(x))
     return entry[0]
@@ -180,9 +188,9 @@ def descent_classify(group: AffineWeylGroup, sigma: AffineWeylElement, i: int) -
     'complex' otherwise."""
     alpha = group.simple_affine_root(i)
     image = group.act(sigma, alpha)
-    if image.is_positive:
+    if is_positive(image):
         return "none"
-    if image == -alpha:
+    if image == negate(alpha):
         return "real"
     return "complex"
 
@@ -225,7 +233,7 @@ def transform_set(group: AffineWeylGroup, x: AffineWeylElement, s: OrthogonalSet
     """x(S), canonically ordered.  x preserves the pairing and is injective,
     so the images are distinct and pairwise orthogonal and are not checked
     again; `make_orthogonal_set` is for outside input."""
-    return tuple(sorted((group.act(x, a) for a in s), key=lambda a: a.sort_key))
+    return tuple(sorted((group.act(x, a) for a in s), key=affine_key))
 
 
 def sigma_of_pair(group: AffineWeylGroup, pair: AdmissiblePair) -> AffineWeylElement:
@@ -277,14 +285,15 @@ def _classify_descents(
         if kind == "none":
             out[i] = (("none", None), beta)
             continue
-        if not beta.is_positive:
+        if not is_positive(beta):
             raise AssertionError("descent pulled back to a negative root")
-        if beta.level == 0 and sum(beta.finite) == 1:
+        finite, level = beta
+        if level == 0 and sum(finite) == 1:
             if sigma_s is None:
                 sigma_s = reflection_product(group, pair.s)
             if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
                 raise AssertionError("finite descent does not descend the support involution")
-            if (group.act(sigma_s, beta) == -beta) != (kind == "real"):
+            if (group.act(sigma_s, beta) == negate(beta)) != (kind == "real"):
                 raise AssertionError("real finite descent criterion mismatch")
             out[i] = ((kind, "finite"), beta)
         elif affine:
@@ -313,14 +322,13 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
             new_s = pair.s
         else:
             # dropping -beta from a canonical tuple keeps it canonical
-            gone = -beta
+            gone = negate(beta)
             new_s = tuple(a for a in pair.s if a != gone)
         result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
     else:
         if kind == "complex":
-            new_s = make_orthogonal_set(
-                rs, [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s]
-            )
+            gamma, _ = beta
+            new_s = make_orthogonal_set(rs, [(rs.reflect(gamma, g), level) for g, level in pair.s])
         else:
             new_s = _real_finite_replacement(rs, pair.s, beta)
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
@@ -333,19 +341,18 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
     """S with the pair gamma1 = gamma2 + 2 beta replaced by beta + gamma2.
     All decompositions must give the same replacement; anything else is
     surfaced rather than silently picked."""
-    twice = tuple(2 * c for c in beta.finite)
+    gamma, _ = beta
+    twice = tuple(2 * c for c in gamma)
+    # gamma is a root, so twice is nonzero and g1 != g2
     candidates = [
-        (g1, g2)
-        for g1 in s
-        for g2 in s
-        if g1 != g2 and g1.level == g2.level and tuple(map(sub, g1.finite, g2.finite)) == twice
+        (g1, g2, n) for g1, n in s for g2, n2 in s if n == n2 and tuple(map(sub, g1, g2)) == twice
     ]
     if not candidates:
         raise AssertionError("real finite descent without a half-difference pair")
     results = set()
-    for g1, g2 in candidates:
-        kept = [a for a in s if a not in (g1, g2)]
-        merged = AffineRoot(tuple(map(add, beta.finite, g2.finite)), g2.level)
+    for g1, g2, n in candidates:
+        kept = [a for a in s if a not in ((g1, n), (g2, n))]
+        merged = (tuple(map(add, gamma, g2)), n)
         results.add(make_orthogonal_set(rs, kept + [merged]))
     if len(results) != 1:
         raise AssertionError("ambiguous real finite descent replacement")
@@ -369,26 +376,26 @@ def negated_root_report(
     sigma = reflection_product(group, s)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
     halves: dict[tuple, set[tuple[int, int]]] = {}
-    for b in s:
-        for bp in s:
+    for b, n in s:
+        for bp, n_p in s:
             for sb in (1, -1):
                 for sbp in (1, -1):
-                    fin = tuple(sb * x + sbp * y for x, y in zip(b.finite, bp.finite))
-                    lev = sb * b.level + sbp * bp.level
+                    fin = tuple(sb * x + sbp * y for x, y in zip(b, bp))
+                    lev = sb * n + sbp * n_p
                     halves.setdefault((fin, lev), set()).add((sb, sbp))
     checks = 0
     violations = []
     for a in group.negated_roots(sigma):
         checks += 1
-        gamma, n = a.finite, a.level
+        gamma, n = a
         key = (tuple(2 * c for c in gamma), 2 * n)
         if key not in halves:
-            violations.append(f"{a} is negated but is not a half sum of support roots")
+            violations.append(f"{affine_text(a)} is negated but is not a half sum of support roots")
             continue
         if n == -1 and max(gamma) > 0 and (1, 1) not in halves[key]:
-            violations.append(f"{a} is negated but not a plus-plus half sum")
+            violations.append(f"{affine_text(a)} is negated but not a plus-plus half sum")
         if n == 0 and (1, -1) not in halves[key]:
-            violations.append(f"{a} is negated but not a plus-minus half sum")
+            violations.append(f"{affine_text(a)} is negated but not a plus-minus half sum")
     return Report("negated-roots-halfsum", checks, tuple(violations))
 
 

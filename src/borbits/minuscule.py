@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup
+from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, negate
 from .roots import Root, RootSystem, _Value, _bits
 
 __all__ = [
@@ -195,7 +195,7 @@ def ideal_to_element(group: AffineWeylGroup, ideal: tuple[Root, ...]) -> Minuscu
     while have != target:
         missing = target & ~have
         j = next(j for j in _bits(missing) if above[j] & missing == 1 << j)
-        alpha = -group.act(cur, group._shifted[j])
+        alpha = negate(group.act(cur, group._shifted[j]))
         if not group.is_simple_affine(alpha):
             raise AssertionError("non-simple lift while building a minuscule element")
         cur = group.multiply(group.simple_reflection(group.simple_index(alpha)), cur)

@@ -22,13 +22,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 
-from .affine import (
-    AffineRoot,
-    AffineWeylElement,
-    AffineWeylGroup,
-    ReducedWord,
-    word_to_text,
-)
+from .affine import AffineWeylElement, AffineWeylGroup, ReducedWord, affine_text, negate, word_to_text
 from .involutions import (
     OrthogonalSet,
     Report,
@@ -143,7 +137,7 @@ def build_orbit_poset(
 def node_row(node: OrbitNode) -> dict:
     """A node as the JSON outputs print it; the poset export adds its id."""
     return {
-        "S": [str(a) for a in node.s],
+        "S": [affine_text(a) for a in node.s],
         "sigma_word": word_to_text(node.sigma_word),
         "length": node.length,
         "L": node.big_l,
@@ -438,11 +432,11 @@ def phi_involution(group: AffineWeylGroup, p_index: int) -> dict[int, int]:
     for i in range(1, rs.rank + 1):
         if i == p_index:
             continue
-        phi[i] = group.simple_index(-group.act(w_p, group.simple_affine_root(i)))
+        phi[i] = group.simple_index(negate(group.act(w_p, group.simple_affine_root(i))))
     for i, j in phi.items():
         if phi[j] != i:
             raise AssertionError("diagram map is not an involution")
-    simples = [group.simple_affine_root(i).finite for i in group.simple_indices]
+    simples = [g for g, _ in map(group.simple_affine_root, group.simple_indices)]
     for i in group.simple_indices:
         for j in group.simple_indices:
             a = rs.pairing(simples[j], simples[i])
@@ -470,7 +464,7 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
     ideal_roots = [g for g in rs.positive_roots if g[p_index - 1] == 1]
     if any(g[p_index - 1] > 1 for g in rs.positive_roots):
         raise AssertionError("mark-one root with coefficient above one")
-    subsets = orthogonal_subsets(rs, [AffineRoot(g, 0) for g in ideal_roots])
+    subsets = orthogonal_subsets(rs, [(g, 0) for g in ideal_roots])
     checks = 0
     violations = []
     finite_sigmas = []
@@ -478,7 +472,7 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
     for s in subsets:
         moved = transform_set(group, w_p, s)
         sig_fin = reflection_product(group, moved)
-        shifted = make_orthogonal_set(rs, [AffineRoot(a.finite, -1) for a in s])
+        shifted = make_orthogonal_set(rs, [(g, -1) for g, _ in s])
         sig_aff = reflection_product(group, shifted)
         checks += 1
         if phi_apply(group, phi, sig_fin) != sig_aff:

@@ -9,11 +9,12 @@ pytest suite, which additionally pins concrete frozen examples.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import add, and_, sub
 import random
 
 from . import SUITE_NAMES
-from .affine import AffineRoot, AffineWeylGroup
+from .affine import AffineWeylGroup, affine_text
 from .involutions import (
     Report,
     descent_classify,
@@ -118,40 +119,39 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
     for m in mins:
         inv = list(m.inversions)
         for beta in inv:
-            if any(b != beta and rs.dominance_leq(b.finite, beta.finite) for b in inv):
+            gamma, _ = beta
+            if any(rs.dominance_leq(g, gamma) for g, n in inv if (g, n) != beta):
                 continue
             checks += 1
             alpha = group.act(m.element, beta)
             if not group.is_simple_affine(alpha):
-                bad.append(f"minimal inversion {beta} maps to non-simple {alpha}")
+                bad.append(f"minimal inversion {affine_text(beta)} maps to non-simple {affine_text(alpha)}")
                 continue
             shorter = group.multiply(group.simple_reflection(group.simple_index(alpha)), m.element)
             if group.length(shorter) != m.length - 1:
-                bad.append(f"stripping {beta} did not drop the length")
+                bad.append(f"stripping {affine_text(beta)} did not drop the length")
     reports.append(Report("minimal-inversions-strip", checks, tuple(bad)))
 
     checks, bad = 0, []
     for m in mins:
         for a in m.inversions:
+            gamma, _ = a
             for j, g in enumerate(rs.positive_roots):
-                if rs.dominance_leq(a.finite, g):
+                if rs.dominance_leq(gamma, g):
                     checks += 1
                     if not m._mask >> j & 1:
-                        bad.append(f"{AffineRoot(g, -1)} above {a} escapes the inversion set")
+                        bad.append(f"{affine_text((g, -1))} above {affine_text(a)} escapes the inversion set")
     reports.append(Report("inversion-upward-closure", checks, tuple(bad)))
 
     checks, bad = 0, []
     for m in mins:
-        inv = list(m.inversions)
-        for i, a in enumerate(inv):
-            for b in inv[i + 1 :]:
-                if rs.pairing(a.finite, b.finite) != 0:
-                    continue
-                checks += 1
-                if rs.is_root(tuple(map(add, a.finite, b.finite))) or rs.is_root(
-                    tuple(map(sub, a.finite, b.finite))
-                ):
-                    bad.append(f"{a}, {b} orthogonal but not strongly orthogonal")
+        for a, b in combinations(m.inversions, 2):
+            (g, _), (h, _) = a, b
+            if rs.pairing(g, h) != 0:
+                continue
+            checks += 1
+            if rs.is_root(tuple(map(add, g, h))) or rs.is_root(tuple(map(sub, g, h))):
+                bad.append(f"{affine_text(a)}, {affine_text(b)} orthogonal but not strongly orthogonal")
     reports.append(Report("orthogonal-is-strongly-orthogonal", checks, tuple(bad)))
 
     checks, bad = 0, []
@@ -161,7 +161,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
                 continue
             for gamma in rs.positive_roots:
                 checks += 1
-                extendable = [a for a in s if rs.is_root(tuple(map(add, a.finite, gamma)))]
+                extendable = [g for g, _ in s if rs.is_root(tuple(map(add, g, gamma)))]
                 if len(extendable) > 1:
                     bad.append(f"{root_text(gamma)} extends two roots of {set_text(s)}")
     reports.append(Report("one-root-extension", checks, tuple(bad)))
@@ -218,9 +218,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     continue
                 reflect_checks += 1
                 beta = rs.simple_root(i)
-                moved = group.shifted_mask(
-                    AffineRoot(rs.reflect(beta, a.finite), a.level) for a in s
-                )
+                moved = group.shifted_mask((rs.reflect(beta, g), level) for g, level in s)
                 if moved is None or moved & ~m._mask:
                     reflect_bad.append(f"reflected support escapes the ideal for {set_text(s)} at {i}")
                 if (moved == support) != (kind == "real"):
@@ -288,11 +286,11 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
         checks, bad = 0, []
         first = make_orthogonal_set(
             rs,
-            [AffineRoot(rs.epsilon_to_root(t), -1) for t in ("e1+e3", "e1-e3", "e2+e4", "e2-e4")],
+            [(rs.epsilon_to_root(t), -1) for t in ("e1+e3", "e1-e3", "e2+e4", "e2-e4")],
         )
         second = make_orthogonal_set(
             rs,
-            [AffineRoot(rs.epsilon_to_root(t), -1) for t in ("e1+e4", "e1-e4", "e2+e3", "e2-e3")],
+            [(rs.epsilon_to_root(t), -1) for t in ("e1+e4", "e1-e4", "e2+e3", "e2-e3")],
         )
         checks += 3
         if reflection_product(group, first) != reflection_product(group, second):

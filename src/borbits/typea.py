@@ -27,7 +27,7 @@ import math
 from itertools import product
 from operator import mul
 
-from .affine import AffineRoot, AffineWeylGroup
+from .affine import AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, rank_id_minus, reflection_product
 from .minuscule import enumerate_abelian_ideals
 from .roots import Root, RootSystem, _Value, build_root_system, root_text
@@ -254,10 +254,10 @@ def _ideal_subsets(n: int, positions: tuple[Position, ...]):
     rs = _typea_system(n)
     group = AffineWeylGroup(rs)
     roots = [position_to_root(rs, p) for p in positions]
-    subsets = orthogonal_subsets(rs, [AffineRoot(r, -1) for r in roots])
+    subsets = orthogonal_subsets(rs, [(r, -1) for r in roots])
     out = []
     for s in subsets:
-        pos = tuple(sorted(root_to_position(a.finite) for a in s))
+        pos = tuple(sorted(root_to_position(g) for g, _ in s))
         sigma = reflection_product(group, s)
         if rank_id_minus(group, sigma) != len(s):
             raise AssertionError("rank of id - sigma differs from the support size")

@@ -1,6 +1,6 @@
 import pytest
 
-from borbits.affine import AffineRoot, AffineWeylGroup
+from borbits.affine import AffineWeylGroup, is_positive
 from borbits.roots import build_root_system
 
 _CACHE: dict = {}
@@ -31,10 +31,10 @@ def count_inversions(group, x) -> int:
     in the window -(M+1)..0, M = max|<gamma, lambda>|, which provably holds
     them all.  The oracle for `length` and `inversions_from_negative`."""
     roots = group.rs.roots
-    bound = 1 + max(abs(group.act(x, AffineRoot(g, 0)).level) for g in roots)
+    bound = 1 + max(abs(level) for _, level in (group.act(x, (g, 0)) for g in roots))
     return sum(
         1
         for gamma in roots
         for n in range(-bound, 0 if max(gamma) > 0 else 1)
-        if group.act(x, AffineRoot(gamma, n)).is_positive
+        if is_positive(group.act(x, (gamma, n)))
     )

@@ -23,6 +23,7 @@ what the package computes another way:
 from fractions import Fraction
 from math import gcd
 
+from borbits.affine import affine_key
 from borbits.minuscule import ideal_from_mask
 from borbits.roots import root_text
 
@@ -50,8 +51,8 @@ def orthogonal_subsets_oracle(rs, roots):
     """All pairwise orthogonal subsets, by clique backtracking on the
     pairing matrix, in canonical order (size, then lexicographic positions
     in the sorted pool)."""
-    pool = sorted(set(roots), key=lambda a: a.sort_key)
-    ortho = [[rs.pairing(a.finite, b.finite) == 0 for b in pool] for a in pool]
+    pool = sorted(set(roots), key=affine_key)
+    ortho = [[rs.pairing(g, h) == 0 for h, _ in pool] for g, _ in pool]
     out = []
 
     def extend(start, chosen):

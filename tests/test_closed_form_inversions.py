@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from borbits.affine import AffineWeylGroup
+from borbits.affine import AffineWeylGroup, affine_text, is_positive
 from borbits.involutions import make_admissible_pair, orthogonal_subsets, pair_descents
 from borbits.minuscule import weak_order_leq
 from borbits.orbits import verify_branch_recursion
@@ -47,10 +47,10 @@ def inversion_violations(group, xs):
         if len(set(listed)) != len(listed):
             bad.append(f"x{k}: repeated roots")
         for a in listed:
-            if a.is_positive:
-                bad.append(f"x{k}: {a} is not negative")
-            elif not group.act(x, a).is_positive:
-                bad.append(f"x{k}: {a} stays negative")
+            if is_positive(a):
+                bad.append(f"x{k}: {affine_text(a)} is not negative")
+            elif not is_positive(group.act(x, a)):
+                bad.append(f"x{k}: {affine_text(a)} stays negative")
     return bad
 
 

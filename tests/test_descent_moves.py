@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from borbits.affine import AffineRoot, AffineWeylGroup
+from borbits.affine import AffineWeylGroup, affine_text, is_positive, negate
 from borbits.cli import main
 from borbits.involutions import (
     AdmissiblePair,
@@ -70,23 +70,24 @@ def _oracle_pair_descents(group, pair):
     sigma = _sigma_from_scratch(group, pair)
     sigma_s = reflection_product(group, pair.s)
     vinv = group.inverse(pair.v.element)
-    witness_neg = {-a for a in pair.witness.inversions}
+    witness_neg = set(map(negate, pair.witness.inversions))
     out = {}
     for i in group.simple_indices:
         kind = descent_classify(group, sigma, i)
         beta = group.act(vinv, group.simple_affine_root(i))
+        gamma, level = beta
         if beta in witness_neg:
-            not_orth = any(rs.pairing(beta.finite, g.finite) != 0 for g in pair.s)
+            not_orth = any(rs.pairing(gamma, g) != 0 for g, _ in pair.s)
             assert (kind != "none") == not_orth
-            assert (kind == "real") == (-beta in set(pair.s))
+            assert (kind == "real") == (negate(beta) in set(pair.s))
         if kind == "none":
             out[i] = ("none", None)
             continue
-        assert beta.is_positive
-        if beta.level == 0 and sum(beta.finite) == 1:
-            j = next(k for k in range(1, group.rank + 1) if rs.simple_root(k) == beta.finite)
+        assert is_positive(beta)
+        if level == 0 and sum(gamma) == 1:
+            j = next(k for k in range(1, group.rank + 1) if rs.simple_root(k) == gamma)
             assert descent_classify(group, sigma_s, j) != "none"
-            assert (group.act(sigma_s, beta) == -beta) == (kind == "real")
+            assert (group.act(sigma_s, beta) == negate(beta)) == (kind == "real")
             out[i] = (kind, "finite")
         else:
             assert beta in witness_neg
@@ -99,31 +100,27 @@ def _oracle_descent_move(group, pair, i):
     assert kind != "none"
     rs = group.rs
     beta = group.act(group.inverse(pair.v.element), group.simple_affine_root(i))
+    gamma, _ = beta
     if locus == "affine":
         new_v = minuscule_from_element(
             group, group.multiply(group.simple_reflection(i), pair.v.element)
         )
         new_s = pair.s
         if kind == "real":
-            new_s = make_orthogonal_set(rs, set(pair.s) - {-beta})
+            new_s = make_orthogonal_set(rs, set(pair.s) - {negate(beta)})
         result = make_admissible_pair(group, new_v, new_s, pair.witness)
     else:
         if kind == "complex":
-            new_s = make_orthogonal_set(
-                rs,
-                [AffineRoot(rs.reflect(beta.finite, a.finite), a.level) for a in pair.s],
-            )
+            new_s = make_orthogonal_set(rs, [(rs.reflect(gamma, g), n) for g, n in pair.s])
         else:
-            (g1, g2), *_ = [
-                (g1, g2)
-                for g1 in pair.s
-                for g2 in pair.s
-                if g1 != g2
-                and g1.level == g2.level
-                and tuple(map(sub, g1.finite, g2.finite)) == tuple(2 * c for c in beta.finite)
+            (g1, g2, n), *_ = [
+                (g1, g2, n1)
+                for g1, n1 in pair.s
+                for g2, n2 in pair.s
+                if g1 != g2 and n1 == n2 and tuple(map(sub, g1, g2)) == tuple(2 * c for c in gamma)
             ]
-            merged = AffineRoot(tuple(map(add, beta.finite, g2.finite)), g2.level)
-            new_s = make_orthogonal_set(rs, set(pair.s) - {g1, g2} | {merged})
+            merged = (tuple(map(add, gamma, g2)), n)
+            new_s = make_orthogonal_set(rs, set(pair.s) - {(g1, n), (g2, n)} | {merged})
         result = make_admissible_pair(group, pair.v, new_s, pair.witness)
     expected = twisted_conjugate(group, i, _sigma_from_scratch(group, pair))
     assert _sigma_from_scratch(group, result) == expected
@@ -176,7 +173,7 @@ def _a3_real_affine_pair(group):
     descent, whose move has new v = s_0."""
     rs = group.rs
     mins = group.minuscule
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     pair = make_admissible_pair(group, mins[0], theta, mins[1])
     assert pair_descents(group, pair)[0] == ("real", "affine")
     return pair
@@ -253,7 +250,7 @@ def test_a_foreign_sigma_is_caught():
     pair = _a3_real_affine_pair(group)
     rs = group.rs
     other_s = make_orthogonal_set(
-        rs, [AffineRoot(rs.simple_root(2), -1), AffineRoot(rs.highest_root, -1)]
+        rs, [(rs.simple_root(2), -1), (rs.highest_root, -1)]
     )
     witness = next(m for m in group.minuscule if set(other_s) <= set(m.inversions))
     other = make_admissible_pair(group, pair.v, other_s, witness)
@@ -298,16 +295,23 @@ def test_simple_index_round_trip(letter, rank):
     for i in W.simple_indices:
         assert W.simple_index(W.simple_affine_root(i)) == i
     not_simple = [
-        AffineRoot(rs.highest_root, -1),         # -a_0
-        AffineRoot(rs.simple_root(1), 1),        # a_1 at the wrong level
-        -AffineRoot(rs.simple_root(1), 0),       # -a_1
-        -AffineRoot(rs.highest_root, -2),        # a_0 at the wrong level
+        (rs.highest_root, -1),         # -a_0
+        (rs.simple_root(1), 1),        # a_1 at the wrong level
+        negate((rs.simple_root(1), 0)),          # -a_1
+        negate((rs.highest_root, -2)),           # a_0 at the wrong level
     ]
     if rank > 1:
-        not_simple.append(AffineRoot(rs.highest_root, 0))
+        not_simple.append((rs.highest_root, 0))
     for a in not_simple:
         with pytest.raises(ValueError, match="is not a simple affine root"):
             W.simple_index(a)
+
+
+def test_simple_index_error_prints_the_root():
+    _, W = get_system("A", 2)
+    with pytest.raises(ValueError) as info:
+        W.simple_index(((1, 1), 0))
+    assert str(info.value) == "1,1 is not a simple affine root"
 
 
 # -- checks that pay only on failure -----------------------------------------
@@ -357,13 +361,12 @@ def test_ideals_command_does_not_rerun_the_ideal_walk(monkeypatch, capsys):
 def _window_scan(group, x, s):
     """The roots negated by x, found by acting on every root in the level
     window |level| <= 1 + sum of |levels of S| (enough for the involution of S)."""
-    window = 1 + sum(abs(a.level) for a in s)
+    window = 1 + sum(abs(n) for _, n in s)
     return [
-        a
+        (gamma, n)
         for gamma in group.rs.roots
         for n in range(-window, window + 1)
-        for a in [AffineRoot(gamma, n)]
-        if group.act(x, a) == -a
+        if group.act(x, (gamma, n)) == negate((gamma, n))
     ]
 
 
@@ -373,26 +376,26 @@ def _oracle_negated_root_report(group, s):
     def sums(sb, sbp):
         return {
             (
-                tuple(sb * x + sbp * y for x, y in zip(b.finite, bp.finite)),
-                sb * b.level + sbp * bp.level,
+                tuple(sb * x + sbp * y for x, y in zip(b, bp)),
+                sb * n + sbp * n_p,
             )
-            for b in s
-            for bp in s
+            for b, n in s
+            for bp, n_p in s
         }
 
     halves = sums(1, 1) | sums(1, -1) | sums(-1, 1) | sums(-1, -1)
     checks, violations = 0, []
     for a in _window_scan(group, sigma, s):
-        gamma, n = a.finite, a.level
+        gamma, n = a
         checks += 1
         key = (tuple(2 * c for c in gamma), 2 * n)
         if key not in halves:
-            violations.append(f"{a} is negated but is not a half sum of support roots")
+            violations.append(f"{affine_text(a)} is negated but is not a half sum of support roots")
             continue
         if n == -1 and max(gamma) > 0 and key not in sums(1, 1):
-            violations.append(f"{a} is negated but not a plus-plus half sum")
+            violations.append(f"{affine_text(a)} is negated but not a plus-plus half sum")
         if n == 0 and key not in sums(1, -1):
-            violations.append(f"{a} is negated but not a plus-minus half sum")
+            violations.append(f"{affine_text(a)} is negated but not a plus-minus half sum")
     return Report("negated-roots-halfsum", checks, tuple(violations))
 
 
@@ -401,8 +404,8 @@ def test_negated_root_report_matches_the_oracle(letter, rank):
     """Supports at mixed levels, most of them inside no inversion set, so the
     violation paths run as well as the passing one."""
     rs, W = get_system(letter, rank)
-    pool = [AffineRoot(g, n) for g in rs.positive_roots for n in (-1, 0)]
-    pool += [-AffineRoot(g, 1) for g in rs.positive_roots]
+    pool = [(g, n) for g in rs.positive_roots for n in (-1, 0)]
+    pool += [negate((g, 1)) for g in rs.positive_roots]
     violations = 0
     for s in orthogonal_subsets(rs, pool):
         x = reflection_product(W, s)
@@ -433,4 +436,4 @@ def test_negated_roots_of_the_identity_and_simple_reflections(letter, rank):
     for i in W.simple_indices:
         a = W.simple_affine_root(i)
         found = W.negated_roots(W.simple_reflection(i))
-        assert len(found) == 2 and set(found) == {a, -a}
+        assert len(found) == 2 and set(found) == {a, negate(a)}

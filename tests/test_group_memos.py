@@ -18,7 +18,7 @@ import weakref
 import pytest
 
 from borbits import involutions
-from borbits.affine import AffineRoot, AffineWeylGroup
+from borbits.affine import AffineWeylGroup
 from borbits.involutions import (
     _int_matrix_rank,
     descent_move,
@@ -65,9 +65,8 @@ def _rank_from_scratch(group, x):
     """Rank of id - x on the simple roots plus delta, from the rows of x."""
     rows = []
     for j in range(group.rank):
-        image = group.act(x, group.simple_affine_root(j + 1))
-        g = image.finite
-        rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-image.level])
+        g, level = group.act(x, group.simple_affine_root(j + 1))
+        rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-level])
     return _int_matrix_rank(rows)
 
 

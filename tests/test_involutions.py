@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from borbits.affine import AffineRoot
+from borbits.affine import affine_key, negate
 from borbits.involutions import (
     descent_classify,
     descent_move,
@@ -25,7 +25,7 @@ from conftest import get_system
 
 
 def shifted(rs, *texts):
-    return make_orthogonal_set(rs, [AffineRoot(rs.epsilon_to_root(t), -1) for t in texts])
+    return make_orthogonal_set(rs, [(rs.epsilon_to_root(t), -1) for t in texts])
 
 
 def minuscule_by_word(W, word):
@@ -36,17 +36,29 @@ def minuscule_by_word(W, word):
 
 def test_orthogonal_set_rejects_non_orthogonal(system):
     rs, _ = system("A", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         make_orthogonal_set(
             rs,
-            [AffineRoot(rs.highest_root, -1), AffineRoot(rs.simple_root(1), -1)],
+            [(rs.highest_root, -1), (rs.simple_root(1), -1)],
         )
+    assert str(info.value) == "1,0-1d and 1,1-1d are not orthogonal"
+
+
+@pytest.mark.parametrize("bad,text", [(((5, 5), -1), "5,5-1d"), (((0, 0), 1), "0,0+1d")])
+def test_orthogonal_set_rejects_a_non_root(system, bad, text):
+    """The finite part of every root is checked, also when no pair is."""
+    rs, _ = system("A", 2)
+    good = (rs.highest_root, -1)
+    for roots in ([bad], [bad, good], [good, bad]):
+        with pytest.raises(ValueError) as info:
+            make_orthogonal_set(rs, roots)
+        assert str(info.value) == f"{text} is not a real affine root"
 
 
 def test_reflection_product_examples(system):
     rs, W = system("A", 2)
     assert reflection_product(W, make_orthogonal_set(rs, [])) == W.identity
-    s = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    s = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     assert reflection_product(W, s) == W.simple_reflection(0)
 
 
@@ -69,7 +81,7 @@ def test_involution_length_examples(system):
     rs, W = system("A", 2)
     assert involution_length(W, W.identity) == 0
     assert involution_length(W, W.simple_reflection(0)) == 1
-    s = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(1), -1)])
+    s = make_orthogonal_set(rs, [(rs.simple_root(1), -1)])
     assert involution_length(W, reflection_product(W, s)) == 2
 
 
@@ -105,7 +117,7 @@ def test_admissible_pair_validation(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
     ident, s0 = mins[0], mins[1]
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     make_admissible_pair(W, ident, theta, s0)
     with pytest.raises(ValueError):
         make_admissible_pair(W, s0, theta, s0)  # theta-d is not in the gap
@@ -124,11 +136,11 @@ def test_pair_descents_examples(system):
         c == ("none", None)
         for c in pair_descents(W, make_admissible_pair(W, ident, empty, ident)).values()
     )
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     d = pair_descents(W, make_admissible_pair(W, ident, theta, s0))
     assert d[0] == ("real", "affine")
     w20 = next(m for m in mins if W.reduced_word(m.element) == (2, 0))
-    alpha1 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(1), -1)])
+    alpha1 = make_orthogonal_set(rs, [(rs.simple_root(1), -1)])
     d = pair_descents(W, make_admissible_pair(W, ident, alpha1, w20))
     assert d[0] == ("complex", "affine")
     assert d[1] == ("none", None)
@@ -139,12 +151,12 @@ def test_descent_move_affine_cases(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
     ident, s0 = mins[0], mins[1]
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     moved = descent_move(W, make_admissible_pair(W, ident, theta, s0), 0)
     assert moved.v.element == W.simple_reflection(0)
     assert len(moved.s) == 0
     w20 = next(m for m in mins if W.reduced_word(m.element) == (2, 0))
-    alpha1 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(1), -1)])
+    alpha1 = make_orthogonal_set(rs, [(rs.simple_root(1), -1)])
     moved = descent_move(W, make_admissible_pair(W, ident, alpha1, w20), 0)
     assert moved.v.element == W.simple_reflection(0)
     assert set(moved.s) == set(alpha1)
@@ -184,7 +196,7 @@ def test_descent_move_drops_l_everywhere(system):
                 if not weak_order_leq(v, w):
                     continue
                 gap = sorted(
-                    set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key
+                    set(w.inversions) - set(v.inversions), key=affine_key
                 )
                 for s in orthogonal_subsets(rs, gap):
                     pair = make_admissible_pair(W, v, s, w)
@@ -220,7 +232,7 @@ def test_negated_root_report_exhaustive(system):
 def test_negated_root_report_validates_containment(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     with pytest.raises(ValueError):
         negated_root_report(W, theta, mins[0])
 
@@ -232,11 +244,11 @@ def test_d4_counterexample_sets(system):
     sig_s = reflection_product(W, s)
     sig_sp = reflection_product(W, sp)
     assert sig_s == sig_sp
-    alpha = AffineRoot(rs.epsilon_to_root("e1+e2"), -2)
-    assert W.act(sig_s, alpha) == -alpha
+    alpha = (rs.epsilon_to_root("e1+e2"), -2)
+    assert W.act(sig_s, alpha) == negate(alpha)
     report = negated_root_report(W, s)
-    assert not report.ok
-    assert any("-2d" in v or "2d" in v for v in report.violations)
+    assert (report.checks, len(report.violations)) == (24, 16)
+    assert report.violations[0] == "-1,-2,-1,-1+2d is negated but is not a half sum of support roots"
     for m in enumerate_minuscule(W):
         assert not set(s) <= set(m.inversions)
         assert not set(sp) <= set(m.inversions)
@@ -260,7 +272,7 @@ def test_descent_equivalences(system):
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
-            gap = sorted(set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key)
+            gap = sorted(set(w.inversions) - set(v.inversions), key=affine_key)
             for s in orthogonal_subsets(rs, gap):
                 pool.add(make_admissible_pair(W, v, s, w).sigma)
     for el in pool:
@@ -294,9 +306,6 @@ def test_support_reflection_prop(system):
                     if kind == "none":
                         continue
                     beta = rs.simple_root(i)
-                    moved = {
-                        AffineRoot(rs.reflect(beta, a.finite), a.level)
-                        for a in s
-                    }
+                    moved = {(rs.reflect(beta, g), level) for g, level in s}
                     assert moved <= set(m.inversions)
                     assert (moved == set(s)) == (kind == "real")

@@ -152,7 +152,7 @@ def test_public_names_resolve_to_their_modules():
             missing,
         ]))
     """)
-    assert count == 20
+    assert count == 19
     assert own
     assert unbound == []
     assert missing

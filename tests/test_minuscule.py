@@ -2,7 +2,7 @@
 
 import pytest
 
-from borbits.affine import AffineRoot
+from borbits.affine import is_positive
 from borbits.minuscule import (
     enumerate_abelian_ideals,
     enumerate_minuscule,
@@ -51,8 +51,8 @@ def test_a1_and_a2_enumerations(system):
     words = [W.reduced_word(m.element) for m in mins]
     assert words == [(), (0,), (1, 0), (2, 0)]
     assert set(mins[2].inversions) == {
-        AffineRoot(rs.highest_root, -1),
-        AffineRoot(rs.simple_root(2), -1),
+        (rs.highest_root, -1),
+        (rs.simple_root(2), -1),
     }
 
 
@@ -123,11 +123,11 @@ def test_a3_remark_element(system):
     assert is_minuscule(W, w)
     assert W.alcove_image_check(w)
     m = minuscule_from_element(W, w)
-    shifted = {AffineRoot(g, -1) for g in rs.positive_roots}
+    shifted = {(g, -1) for g in rs.positive_roots}
     complement = shifted - set(m.inversions)
-    assert complement == {AffineRoot(rs.simple_root(i), -1) for i in (1, 2, 3)}
-    image = W.act(w, AffineRoot(rs.simple_root(1), -1))
-    assert image == AffineRoot((-1, -1, 0), 0)  # -(alpha_1 + alpha_2)
+    assert complement == {(rs.simple_root(i), -1) for i in (1, 2, 3)}
+    image = W.act(w, (rs.simple_root(1), -1))
+    assert image == ((-1, -1, 0), 0)  # -(alpha_1 + alpha_2)
 
 
 def test_a2_minimal_coset_remark(system):
@@ -194,8 +194,8 @@ def test_minuscule_covers_only_through_simple_reflections(letter, rank):
     for m in enumerate_minuscule(W):
         for g in rs.roots:
             for n in range(-2, 3):
-                a = AffineRoot(g, n)
-                if not a.is_positive:
+                a = (g, n)
+                if not is_positive(a):
                     continue
                 x = W.multiply(W.reflection(a), m.element)
                 if W.length(x) == m.length - 1 and is_minuscule(W, x):
@@ -243,10 +243,10 @@ def test_inversion_upward_closure(system):
     rs, W = system("C", 3)
     for m in enumerate_minuscule(W):
         inv = set(m.inversions)
-        for a in inv:
+        for gamma, _ in inv:
             for g in rs.positive_roots:
-                if rs.dominance_leq(a.finite, g):
-                    assert AffineRoot(g, -1) in inv
+                if rs.dominance_leq(gamma, g):
+                    assert (g, -1) in inv
 
 
 def test_at_most_one_root_extends(system):
@@ -256,7 +256,7 @@ def test_at_most_one_root_extends(system):
     for m in enumerate_minuscule(W):
         for s in orthogonal_subsets(rs, m.inversions):
             for gamma in rs.positive_roots:
-                hits = [a for a in s if rs.is_root(tuple(x + y for x, y in zip(a.finite, gamma)))]
+                hits = [g for g, _ in s if rs.is_root(tuple(x + y for x, y in zip(g, gamma)))]
                 assert len(hits) <= 1
 
 

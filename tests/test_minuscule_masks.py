@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from borbits.affine import AffineWeylGroup
+from borbits.affine import AffineWeylGroup, affine_key
 from borbits.minuscule import (
     ideal_from_mask,
     is_minuscule,
@@ -36,10 +36,10 @@ RANDOM_SYSTEMS = [
 def _oracle(group, x):
     """(inversions, ideal) by the object path, or None if x is not minuscule."""
     inv = group.inversions_from_negative(x)
-    if any(a.level != -1 or max(a.finite) <= 0 for a in inv):
+    if any(level != -1 or max(g) <= 0 for g, level in inv):
         return None
-    inv.sort(key=lambda a: a.sort_key)
-    return tuple(inv), make_abelian_ideal(group.rs, [a.finite for a in inv])
+    inv.sort(key=affine_key)
+    return tuple(inv), make_abelian_ideal(group.rs, [g for g, _ in inv])
 
 
 def _outcome(group, x):
@@ -58,10 +58,12 @@ def test_mask_walk_matches_the_object_oracle(letter, rank):
     for m in mins:
         assert _oracle(group, m.element) == (m.inversions, m.ideal)
         mask = group.inversion_mask(m.element)
-        assert mask == sum(1 << rs.positive_index(a.finite) for a in m.inversions)
-        assert [a.finite for a in m.inversions] == list(m.ideal)
+        assert mask == sum(1 << rs.positive_index(g) for g, _ in m.inversions)
+        assert [g for g, _ in m.inversions] == list(m.ideal)
         # the inversions are the group's shared r - delta
-        assert all(a is group._shifted[rs.positive_index(a.finite)] for a in m.inversions)
+        for a in m.inversions:
+            g, _ = a
+            assert a is group._shifted[rs.positive_index(g)]
 
 
 @pytest.mark.parametrize("letter,rank,seed", RANDOM_SYSTEMS)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from borbits.affine import AffineRoot
+from borbits.affine import affine_key
 from borbits.involutions import make_admissible_pair, make_orthogonal_set, set_text
 from borbits.minuscule import enumerate_minuscule, minuscule_from_element, weak_order_leq
 from borbits.orbits import (
@@ -74,8 +74,8 @@ def test_closure_leq_examples(system):
     ident, s0 = mins[0], mins[1]
     w20 = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
     empty = make_orthogonal_set(rs, [])
-    theta = make_orthogonal_set(rs, [AffineRoot(rs.highest_root, -1)])
-    alpha2 = make_orthogonal_set(rs, [AffineRoot(rs.simple_root(2), -1)])
+    theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
+    alpha2 = make_orthogonal_set(rs, [(rs.simple_root(2), -1)])
     p_empty = make_admissible_pair(W, ident, empty, s0)
     p_theta = make_admissible_pair(W, ident, theta, s0)
     p_alpha2 = make_admissible_pair(W, ident, alpha2, w20)
@@ -165,7 +165,7 @@ def test_node_counts_monotone(system):
         counts = {}
         for v in mins:
             if weak_order_leq(v, w):
-                gap = sorted(set(w.inversions) - set(v.inversions), key=lambda a: a.sort_key)
+                gap = sorted(set(w.inversions) - set(v.inversions), key=affine_key)
                 counts[v.element] = len(orthogonal_subsets(rs, gap))
         for v1 in mins:
             for v2 in mins:
@@ -209,8 +209,8 @@ def test_phi_involution_a2(system):
     rs, W = system("A", 2)
     phi = phi_involution(W, 1)
     assert phi == {1: 0, 0: 1, 2: 2}
-    s_theta = W.reflection(AffineRoot(rs.highest_root, 0))
-    assert phi_apply(W, phi, s_theta) == W.reflection(AffineRoot(rs.simple_root(1), -1))
+    s_theta = W.reflection((rs.highest_root, 0))
+    assert phi_apply(W, phi, s_theta) == W.reflection((rs.simple_root(1), -1))
 
 
 def test_phi_requires_mark_one(system):
@@ -250,7 +250,7 @@ def test_phi_gr24_case(system):
     assert len(ideal) == 4
     from borbits.involutions import orthogonal_subsets
 
-    subsets = orthogonal_subsets(rs, [AffineRoot(g, 0) for g in ideal])
+    subsets = orthogonal_subsets(rs, [(g, 0) for g in ideal])
     assert len([s for s in subsets if len(s) > 0]) == 6
     rep = verify_phi_equivalence(W, 2)
     assert rep.ok

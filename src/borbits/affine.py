@@ -215,7 +215,7 @@ class AffineWeylGroup:
     def _root_index(self, coeffs: tuple[int, ...]) -> int:
         i = self._index.get(coeffs)
         if i is None:
-            raise ValueError(f"{coeffs} is not a root")
+            raise ValueError(f"{root_text(coeffs)} is not a root")
         return i
 
     def _reflection_at(self, g: int, level: int) -> AffineWeylElement:

@@ -9,7 +9,7 @@ import sys
 
 from . import SUITE_NAMES
 from .affine import AffineWeylGroup, text_to_word, word_to_text
-from .minuscule import _check_cap, normalizer_simple_roots, weak_order_leq
+from .minuscule import _check_cap, ideal_from_mask, normalizer_simple_roots, weak_order_leq
 from .roots import build_root_system, root_text
 
 # orbits, suites and typea are imported inside the commands that run them,
@@ -106,7 +106,7 @@ def _cmd_ideals(args) -> int:
         rows.append(
             {
                 "ideal_id": k,
-                "roots": [text[r] for r in m.ideal],
+                "roots": [text[r] for r in ideal_from_mask(rs, m.mask)],
                 "word": word_to_text(words[-1]),
                 "length": m.length,
                 "normalizer": [number[r] for r in normalizer_simple_roots(group, m)],

@@ -221,7 +221,7 @@ def make_admissible_pair(
     if not weak_order_leq(v, witness):
         raise ValueError("invalid pair: v is not below the witness")
     support = group.shifted_mask(s)
-    if support is None or support & (v._mask | ~witness._mask):
+    if support is None or support & (v.mask | ~witness.mask):
         raise ValueError("invalid pair: S is not inside the inversion gap")
     sigma = reflection_product(group, transform_set(group, v.element, s))
     if rank_id_minus(group, sigma) != len(s):
@@ -267,7 +267,7 @@ def _classify_descents(
     comes with its pulled-back root beta = v^{-1}(alpha_i).  The witness's
     inversions and S are read as masks: -beta is in them when its bit k is."""
     sigma = pair.sigma
-    witness, support = pair.witness._mask, group.shifted_mask(pair.s)
+    witness, support = pair.witness.mask, group.shifted_mask(pair.s)
     ortho = group.rs.orthogonal_masks
     sigma_s = None
     out: dict[int, tuple[tuple[str, Optional[str]], AffineRoot]] = {}
@@ -371,7 +371,7 @@ def negated_root_report(
     roots the mixed form."""
     if inside is not None:
         support = group.shifted_mask(s)
-        if support is None or support & ~inside._mask:
+        if support is None or support & ~inside.mask:
             raise ValueError("S is not inside the inversion set of the given element")
     sigma = reflection_product(group, s)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
@@ -404,7 +404,7 @@ def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bo
     determines the orthogonal subset: no other orthogonal subset of
     Phi^+ - delta shares its involution."""
     buckets = group.shifted_orthogonal_index
-    for sub in orthogonal_subsets(group.rs, m.inversions):
+    for sub in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
         mates = buckets.get(reflection_product(group, sub), [])
         if len(mates) != 1 or mates[0] != sub:
             return False

@@ -16,11 +16,12 @@ step adds exactly one inversion.  The test suite checks that the two
 enumerations agree, which is the point of keeping them separate.
 
 The walk reads each element's inversion set off its root tables as a
-bitmask over the positive roots (`AffineWeylGroup.inversion_mask`), checks
-it against the root system's `ideal_masks` and builds the ideal from it;
-the inversions are the group's shared ``r - delta``.  Each element keeps
-that mask, and the weak order is mask inclusion; the other modules read
-gaps and supports as masks over the same positive roots.  The tests keep
+bitmask over the positive roots (`AffineWeylGroup.inversion_mask`) and
+checks it against the root system's `ideal_masks`.  A `MinusculeElement`
+is that element and that mask: its ideal is `ideal_from_mask` of the mask,
+its inversions ``r - delta`` are `AffineWeylGroup.shifted_roots` of it, and
+the weak order is mask inclusion; the other modules read gaps and supports
+as masks over the same positive roots.  The tests keep
 `inversions_from_negative` with a root-list `make_abelian_ideal` as its
 oracle; the ideal walk keeps its own dominance-upper lists, so it stays an
 oracle too.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .affine import AffineRoot, AffineWeylElement, AffineWeylGroup, negate
+from .affine import AffineWeylElement, AffineWeylGroup, negate
 from .roots import Root, RootSystem, _Value, _bits
 
 __all__ = [
@@ -112,33 +113,27 @@ def enumerate_abelian_ideals(rs: RootSystem) -> list[tuple[Root, ...]]:
 
 
 class MinusculeElement(_Value):
-    """A minuscule affine Weyl element with its inversion set and ideal.
-    `minuscule_from_element` also keeps the inversion set as a bitmask over
-    the positive roots, in the private slot ``_mask``, which stays out of
-    the value."""
+    """A minuscule affine Weyl element and its inversion set as a bitmask
+    over the positive roots, bit j for r_j - delta; both are the value."""
 
-    __slots__ = ("element", "inversions", "ideal", "_mask")
+    __slots__ = ("element", "mask")
 
-    def __init__(
-        self, element: AffineWeylElement, inversions: tuple[AffineRoot, ...], ideal: tuple[Root, ...]
-    ):
-        self.element, self.inversions, self.ideal = element, inversions, ideal
+    def __init__(self, element: AffineWeylElement, mask: int):
+        self.element, self.mask = element, mask
 
     @property
     def length(self) -> int:
-        return len(self.inversions)
+        return self.mask.bit_count()
 
 
 def minuscule_from_element(group: AffineWeylGroup, x: AffineWeylElement) -> MinusculeElement:
-    """Wrap an element: its inversion mask, read off the tables, validated
-    as an abelian ideal and kept.  The inversions are the group's shared
-    r - delta."""
+    """Wrap an element with its inversion mask, read off the tables and
+    validated as an abelian ideal."""
     mask = group.inversion_mask(x)
     if mask is None:
         raise ValueError("element is not minuscule")
-    m = MinusculeElement(x, group.shifted_roots(mask), ideal_from_mask(group.rs, mask))
-    m._mask = mask
-    return m
+    ideal_from_mask(group.rs, mask)
+    return MinusculeElement(x, mask)
 
 
 def is_minuscule(group: AffineWeylGroup, x: AffineWeylElement) -> bool:
@@ -180,7 +175,7 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
         frontier = list(new)
         seen += frontier
     out = [minuscule_from_element(group, x) for x in seen]
-    out.sort(key=lambda m: (m.length, _bits(m._mask)))
+    out.sort(key=lambda m: (m.length, _bits(m.mask)))
     return out
 
 
@@ -188,9 +183,14 @@ def ideal_to_element(group: AffineWeylGroup, ideal: tuple[Root, ...]) -> Minuscu
     """Constructive inverse of the bijection: repeatedly pick the lowest
     dominance maximal missing inversion beta (nothing else missing lies
     above it in `ideal_masks`); its image under the current element is the
-    negative of a simple root, and that reflection extends the element."""
+    negative of a simple root, and that reflection extends the element.
+    The roots may come in any order; a set that is not an abelian ideal
+    of positive roots raises ValueError."""
+    target = group.shifted_mask((r, -1) for r in ideal)
+    if target is None:
+        raise ValueError("ideal has a member that is not a positive root")
+    ideal_from_mask(group.rs, target)
     above = group.rs.ideal_masks[0]
-    target = sum(1 << group.rs.positive_index(r) for r in ideal)
     cur, have = group.identity, 0
     while have != target:
         missing = target & ~have
@@ -201,7 +201,7 @@ def ideal_to_element(group: AffineWeylGroup, ideal: tuple[Root, ...]) -> Minuscu
         cur = group.multiply(group.simple_reflection(group.simple_index(alpha)), cur)
         have |= 1 << j
     out = minuscule_from_element(group, cur)
-    if out.ideal != ideal:
+    if out.mask != target:
         raise AssertionError("ideal round trip failed")
     return out
 
@@ -210,7 +210,7 @@ def weak_order_leq(m1: MinusculeElement, m2: MinusculeElement) -> bool:
     """Inclusion of inversion sets, as masks; on minuscule elements this
     coincides with the Bruhat order (asserted exhaustively by the test
     suite)."""
-    return not m1._mask & ~m2._mask
+    return not m1.mask & ~m2.mask
 
 
 def normalizer_simple_roots(group: AffineWeylGroup, m: MinusculeElement) -> tuple[Root, ...]:

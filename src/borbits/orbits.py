@@ -91,7 +91,7 @@ def build_orbit_poset(
     transitivity (the poset suite compares it with every pair)."""
     if not weak_order_leq(v, w):
         raise ValueError("v is not below w")
-    subsets = orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v._mask))
+    subsets = orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v.mask))
     ell_v = v.length
     nodes = []
     for s in subsets:
@@ -183,7 +183,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     mins = group.minuscule
     contexts: dict[OrthogonalSet, list[int]] = {}
     for k, m in enumerate(mins):
-        for s in orthogonal_subsets(group.rs, m.inversions):
+        for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
             contexts.setdefault(s, []).append(k)
     checks = 0
     violations = []
@@ -198,7 +198,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
             if group.bruhat_leq(el, sigma_s):
                 below.append((r, r_mask))
         for k in holders:
-            inv = mins[k]._mask
+            inv = mins[k].mask
             for r, r_mask in below:
                 checks += 1
                 if r_mask & ~inv:
@@ -216,7 +216,7 @@ def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
     for m in mins:
         if not weak_order_leq(m, w):
             continue
-        gap = w._mask & ~m._mask
+        gap = w.mask & ~m.mask
         for i, k in group.up_steps(m.element):
             if not gap >> k & 1:
                 continue
@@ -241,7 +241,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
 
     ortho = group.rs.orthogonal_masks
     for v, i, v2, k in _weak_covers(group, group.minuscule, w):
-        for s in orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v2._mask)):
+        for s in orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v2.mask)):
             checks += 1
             sig_v = make_admissible_pair(group, v, s, w).sigma
             sig_v2 = make_admissible_pair(group, v2, s, w).sigma
@@ -324,7 +324,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     for m in mins:
         vid = ids[m.element]
         masks = supports[vid] = []
-        for s in orthogonal_subsets(rs, group.shifted_roots(w._mask & ~m._mask)):
+        for s in orthogonal_subsets(rs, group.shifted_roots(w.mask & ~m.mask)):
             mask = group.shifted_mask(s)
             node_id[(vid, mask)] = len(node_pairs)
             node_pairs.append((m, s, mask))
@@ -346,7 +346,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     # torus degenerations at every level
     for k, (m, s, mask) in enumerate(node_pairs):
         vid = ids[m.element]
-        for j in _bits(w._mask & ~m._mask & ~mask):
+        for j in _bits(w.mask & ~m.mask & ~mask):
             if not mask & ~ortho[j]:
                 edges.add((k, node_id[(vid, mask | 1 << j)]))
 

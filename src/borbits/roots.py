@@ -112,13 +112,12 @@ def _bourbaki_cartan(vecs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
 
 class _Value:
     """Base of the immutable value classes: equality, hashing and a
-    dataclass-style repr on the public slots, in slot order.  Private slots
-    hold derived data and stay out of the value."""
+    dataclass-style repr on the slots, in slot order."""
 
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -129,7 +128,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{self.__class__.__name__}({args})"
 
 
@@ -230,7 +229,7 @@ class RootSystem:
 
     def root(self, coeffs: tuple[int, ...]) -> Root:
         if coeffs not in self._coeff_set:
-            raise ValueError(f"{coeffs} is not a root")
+            raise ValueError(f"{root_text(coeffs)} is not a root")
         return coeffs
 
     def simple_root(self, i: int) -> Root:

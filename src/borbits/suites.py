@@ -73,7 +73,7 @@ def _admissible_sweep(group: AffineWeylGroup):
     for w in mins:
         for v in mins:
             if weak_order_leq(v, w):
-                for s in orthogonal_subsets(group.rs, group.shifted_roots(w._mask & ~v._mask)):
+                for s in orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v.mask)):
                     yield make_admissible_pair(group, v, s, w)
 
 
@@ -88,7 +88,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
         bad.append(f"{len(mins)} elements vs {len(ideals)} ideals")
     for k, (ideal, m) in enumerate(zip(ideals, mins)):
         checks += 1
-        if m.ideal != ideal:
+        if m.mask != group.shifted_mask((r, -1) for r in ideal):
             bad.append(f"enumeration order mismatch at {k}")
         if ideal_to_element(group, ideal).element != m.element:
             bad.append(f"round trip failed at {k}")
@@ -117,7 +117,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 
     checks, bad = 0, []
     for m in mins:
-        inv = list(m.inversions)
+        inv = group.shifted_roots(m.mask)
         for beta in inv:
             gamma, _ = beta
             if any(rs.dominance_leq(g, gamma) for g, n in inv if (g, n) != beta):
@@ -134,18 +134,18 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 
     checks, bad = 0, []
     for m in mins:
-        for a in m.inversions:
+        for a in group.shifted_roots(m.mask):
             gamma, _ = a
             for j, g in enumerate(rs.positive_roots):
                 if rs.dominance_leq(gamma, g):
                     checks += 1
-                    if not m._mask >> j & 1:
+                    if not m.mask >> j & 1:
                         bad.append(f"{affine_text((g, -1))} above {affine_text(a)} escapes the inversion set")
     reports.append(Report("inversion-upward-closure", checks, tuple(bad)))
 
     checks, bad = 0, []
     for m in mins:
-        for a, b in combinations(m.inversions, 2):
+        for a, b in combinations(group.shifted_roots(m.mask), 2):
             (g, _), (h, _) = a, b
             if rs.pairing(g, h) != 0:
                 continue
@@ -156,7 +156,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 
     checks, bad = 0, []
     for m in mins:
-        for s in orthogonal_subsets(rs, m.inversions):
+        for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)):
             if len(s) < 2:
                 continue
             for gamma in rs.positive_roots:
@@ -167,10 +167,10 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
     reports.append(Report("one-root-extension", checks, tuple(bad)))
 
     checks, bad = 0, []
-    for k, m in enumerate(mins):
+    for k, (ideal, m) in enumerate(zip(ideals, mins)):
         checks += 1
         a = set(normalizer_simple_roots(group, m))
-        b = set(normalizer_by_ideal_stability(rs, m.ideal))
+        b = set(normalizer_by_ideal_stability(rs, ideal))
         if a != b:
             bad.append(f"normalizer criteria disagree on ideal {k}")
     reports.append(Report("normalizer-criteria", checks, tuple(bad)))
@@ -190,7 +190,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     half_checks, half_bad = 0, []
     reflect_checks, reflect_bad = 0, []
     for m in mins:
-        for s in orthogonal_subsets(rs, m.inversions):
+        for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)):
             sigma = reflection_product(group, s)
             order = list(s)
             for _ in range(2):
@@ -219,7 +219,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                 reflect_checks += 1
                 beta = rs.simple_root(i)
                 moved = group.shifted_mask((rs.reflect(beta, g), level) for g, level in s)
-                if moved is None or moved & ~m._mask:
+                if moved is None or moved & ~m.mask:
                     reflect_bad.append(f"reflected support escapes the ideal for {set_text(s)} at {i}")
                 if (moved == support) != (kind == "real"):
                     reflect_bad.append(f"fixed-support iff real fails for {set_text(s)} at {i}")
@@ -298,7 +298,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
         if negated_root_report(group, first).ok:
             bad.append("the half-sum check should fail outside every inversion set")
         masks = group.shifted_mask(first), group.shifted_mask(second)
-        if any(not mask & ~m._mask for m in mins for mask in masks):
+        if any(not mask & ~m.mask for m in mins for mask in masks):
             bad.append("the crossing quadruples should fit inside no inversion set")
         reports.append(Report("counterexample-sets", checks, tuple(bad)))
 

@@ -282,8 +282,7 @@ def _estimates(partitions: dict, q_list: tuple[int, ...], subsets) -> dict:
             part.sizes[part.class_of(_e_s_vector(part.context, subset))]
             for part in (partitions[q1], partitions[q2])
         )
-        est = 0.0 if size1 == size2 else math.log(size2 / size1) / math.log(q2 / q1)
-        out[_subset_key(subset)] = round(est)
+        out[_subset_key(subset)] = round(math.log(size2 / size1) / math.log(q2 / q1))
     return out
 
 
@@ -293,6 +292,8 @@ def oracle_report(n: int, ideal_id: int, q_list) -> list[dict]:
     the dimension estimates when at least two primes were given.  Each
     prime is partitioned once."""
     q_list = tuple(q_list)
+    if len(set(q_list)) != len(q_list):
+        raise ValueError("the primes in q must be distinct")
     positions = ideal_positions(n, ideal_id)
     subsets = _ideal_subsets(n, positions)
     combinatorial = len(subsets)

@@ -83,6 +83,18 @@ def test_simple_reflection_range(system):
         W.simple_reflection(-1)
 
 
+def test_rejected_roots_print_by_root_text(system):
+    """A coefficient vector that is no root is named as every output prints
+    a root, its coefficients joined by commas."""
+    rs, W = system("A", 2)
+    with pytest.raises(ValueError, match=r"^5,5 is not a root$"):
+        W.reflection(((5, 5), -1))
+    with pytest.raises(ValueError, match=r"^0,0 is not a root$"):
+        W.act(W.identity, ((0, 0), 1))
+    with pytest.raises(ValueError, match=r"^5,5 is not a root$"):
+        rs.root((5, 5))
+
+
 def test_s0_is_translated_theta_reflection(system):
     rs, W = system("D", 4)
     s0 = W.simple_reflection(0)

@@ -119,6 +119,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "9", "--q", "2")[0] == 2
 
 
+
+def test_oracle_typea_refuses_repeated_primes(capsys):
+    """Equal primes would feed the log fit sizes from one field; the oracle
+    exits 2 with one line and prints no report."""
+    for primes in ("2,2", "3,5,5"):
+        code, out, err = run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "2", "--q", primes)
+        assert (code, out, err) == (2, "", "error: the primes in q must be distinct\n")
+
+
 def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
     """A19 has 2^19 minuscule elements and A64 has 2^64, both past
     MINUSCULE_CAP: the walk refuses before it takes a step, `ideals` exits 2

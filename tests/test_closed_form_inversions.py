@@ -97,7 +97,7 @@ def test_hot_paths_do_not_invert(monkeypatch):
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
-            for s in orthogonal_subsets(group.rs, set(w.inversions) - set(v.inversions)):
+            for s in orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v.mask)):
                 pair_descents(group, make_admissible_pair(group, v, s, w))
                 pairs += 1
     assert pairs > 0

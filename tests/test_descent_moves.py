@@ -70,7 +70,7 @@ def _oracle_pair_descents(group, pair):
     sigma = _sigma_from_scratch(group, pair)
     sigma_s = reflection_product(group, pair.s)
     vinv = group.inverse(pair.v.element)
-    witness_neg = set(map(negate, pair.witness.inversions))
+    witness_neg = set(map(negate, group.shifted_roots(pair.witness.mask)))
     out = {}
     for i in group.simple_indices:
         kind = descent_classify(group, sigma, i)
@@ -137,7 +137,7 @@ def test_moves_agree_with_the_rederiving_oracle(letter, rank):
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
-            for s in orthogonal_subsets(rs, set(w.inversions) - set(v.inversions)):
+            for s in orthogonal_subsets(rs, W.shifted_roots(w.mask & ~v.mask)):
                 pair = make_admissible_pair(W, v, s, w)
                 desc = pair_descents(W, pair)
                 assert desc == _oracle_pair_descents(W, pair)
@@ -252,7 +252,7 @@ def test_a_foreign_sigma_is_caught():
     other_s = make_orthogonal_set(
         rs, [(rs.simple_root(2), -1), (rs.highest_root, -1)]
     )
-    witness = next(m for m in group.minuscule if set(other_s) <= set(m.inversions))
+    witness = next(m for m in group.minuscule if set(other_s) <= set(group.shifted_roots(m.mask)))
     other = make_admissible_pair(group, pair.v, other_s, witness)
     assert descent_move(group, pair, 0).sigma == twisted_conjugate(group, 0, pair.sigma)
     sabotaged = AdmissiblePair(pair.v, pair.s, pair.witness, other.sigma)
@@ -419,7 +419,7 @@ def test_negated_root_report_matches_the_oracle(letter, rank):
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_negated_roots_match_the_window_scan(letter, rank):
     rs, W = get_system(letter, rank)
-    supports = {s for m in W.minuscule for s in orthogonal_subsets(rs, m.inversions)}
+    supports = {s for m in W.minuscule for s in orthogonal_subsets(rs, W.shifted_roots(m.mask))}
     found = 0
     for s in supports:
         x = reflection_product(W, s)

@@ -85,7 +85,7 @@ def test_stored_values_agree_with_scratch(letter, rank):
     sets = conjugates = 0
     for m in group.minuscule:
         _check_rank_and_word(group, m.element)
-        for s in orthogonal_subsets(group.rs, m.inversions):
+        for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
             sigma = reflection_product(group, s)
             assert sigma == _product_from_scratch(group, s)
             assert reflection_product(group, s) is sigma
@@ -189,7 +189,7 @@ def test_transform_set_agrees_with_make_orthogonal_set(monkeypatch, letter, rank
 def test_tables_die_with_their_group():
     group = _fresh_group("B", 2)
     top = group.minuscule[-1]
-    s = orthogonal_subsets(group.rs, top.inversions)[-1]
+    s = orthogonal_subsets(group.rs, group.shifted_roots(top.mask))[-1]
     sigma = reflection_product(group, s)
     assert involution_length(group, sigma) > 0
     assert group.reduced_word(sigma)
@@ -207,7 +207,7 @@ def _support(group, size):
     """An orthogonal subset of the given size inside the largest inversion
     set, with that minuscule element."""
     top = group.minuscule[-1]
-    for s in orthogonal_subsets(group.rs, top.inversions):
+    for s in orthogonal_subsets(group.rs, group.shifted_roots(top.mask)):
         if len(s) == size:
             return s, top
     raise LookupError(size)
@@ -240,7 +240,7 @@ def test_a_corrupted_sigma_is_caught_by_the_move():
     pair, i = next(
         (pair, i)
         for w in clean.minuscule
-        for s in orthogonal_subsets(rs, w.inversions)
+        for s in orthogonal_subsets(rs, clean.shifted_roots(w.mask))
         if len(s) == 1
         for pair in [make_admissible_pair(clean, ident, s, w)]
         for i, cls in pair_descents(clean, pair).items()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from borbits.affine import affine_key, negate
+from borbits.affine import negate
 from borbits.involutions import (
     descent_classify,
     descent_move,
@@ -66,7 +66,7 @@ def test_reflection_product_order_independent(system):
     rs, W = system("D", 4)
     rng = random.Random(5)
     for m in enumerate_minuscule(W):
-        for s in orthogonal_subsets(rs, m.inversions):
+        for s in orthogonal_subsets(rs, W.shifted_roots(m.mask)):
             base = reflection_product(W, s)
             order = list(s)
             for _ in range(3):
@@ -89,7 +89,7 @@ def test_rank_equals_support_size(system):
     for letter, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         rs, W = get_system(letter, rank)
         for m in enumerate_minuscule(W):
-            for s in orthogonal_subsets(rs, m.inversions):
+            for s in orthogonal_subsets(rs, W.shifted_roots(m.mask)):
                 sigma = reflection_product(W, s)
                 assert rank_id_minus(W, sigma) == len(s)
                 assert 2 * involution_length(W, sigma) == W.length(sigma) + len(s)
@@ -172,7 +172,7 @@ def test_descent_move_real_finite_c3(system):
     ident = next(m for m in mins if m.element == W.identity)
     hits = 0
     for w in mins:
-        for s in orthogonal_subsets(rs, w.inversions):
+        for s in orthogonal_subsets(rs, W.shifted_roots(w.mask)):
             if len(s) == 0:
                 continue
             pair = make_admissible_pair(W, ident, s, w)
@@ -195,9 +195,7 @@ def test_descent_move_drops_l_everywhere(system):
             for v in mins:
                 if not weak_order_leq(v, w):
                     continue
-                gap = sorted(
-                    set(w.inversions) - set(v.inversions), key=affine_key
-                )
+                gap = W.shifted_roots(w.mask & ~v.mask)
                 for s in orthogonal_subsets(rs, gap):
                     pair = make_admissible_pair(W, v, s, w)
                     sigma = pair.sigma
@@ -215,7 +213,7 @@ def test_negated_root_report_singleton(system):
     rs, W = system("B", 2)
     mins = enumerate_minuscule(W)
     target = next(m for m in mins if m.length == 1)
-    s = make_orthogonal_set(rs, list(target.inversions))
+    s = make_orthogonal_set(rs, list(W.shifted_roots(target.mask)))
     rep = negated_root_report(W, s, target)
     assert rep.ok
     assert rep.checks == 2  # only +-beta are negated
@@ -225,7 +223,7 @@ def test_negated_root_report_exhaustive(system):
     for letter, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         rs, W = get_system(letter, rank)
         for m in enumerate_minuscule(W):
-            for s in orthogonal_subsets(rs, m.inversions):
+            for s in orthogonal_subsets(rs, W.shifted_roots(m.mask)):
                 assert negated_root_report(W, s, m).ok
 
 
@@ -250,8 +248,8 @@ def test_d4_counterexample_sets(system):
     assert (report.checks, len(report.violations)) == (24, 16)
     assert report.violations[0] == "-1,-2,-1,-1+2d is negated but is not a half sum of support roots"
     for m in enumerate_minuscule(W):
-        assert not set(s) <= set(m.inversions)
-        assert not set(sp) <= set(m.inversions)
+        assert not set(s) <= set(W.shifted_roots(m.mask))
+        assert not set(sp) <= set(W.shifted_roots(m.mask))
 
 
 
@@ -272,7 +270,7 @@ def test_descent_equivalences(system):
         for v in mins:
             if not weak_order_leq(v, w):
                 continue
-            gap = sorted(set(w.inversions) - set(v.inversions), key=affine_key)
+            gap = W.shifted_roots(w.mask & ~v.mask)
             for s in orthogonal_subsets(rs, gap):
                 pool.add(make_admissible_pair(W, v, s, w).sigma)
     for el in pool:
@@ -297,7 +295,7 @@ def test_support_reflection_prop(system):
     for letter, rank in [("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
         rs, W = get_system(letter, rank)
         for m in enumerate_minuscule(W):
-            for s in orthogonal_subsets(rs, m.inversions):
+            for s in orthogonal_subsets(rs, W.shifted_roots(m.mask)):
                 if len(s) == 0:
                     continue
                 sigma = reflection_product(W, s)
@@ -307,5 +305,5 @@ def test_support_reflection_prop(system):
                         continue
                     beta = rs.simple_root(i)
                     moved = {(rs.reflect(beta, g), level) for g, level in s}
-                    assert moved <= set(m.inversions)
+                    assert moved <= set(W.shifted_roots(m.mask))
                     assert (moved == set(s)) == (kind == "real")

@@ -6,6 +6,7 @@ from borbits.affine import is_positive
 from borbits.minuscule import (
     enumerate_abelian_ideals,
     enumerate_minuscule,
+    ideal_from_mask,
     ideal_to_element,
     is_minuscule,
     minuscule_from_element,
@@ -50,7 +51,7 @@ def test_a1_and_a2_enumerations(system):
     mins = enumerate_minuscule(W)
     words = [W.reduced_word(m.element) for m in mins]
     assert words == [(), (0,), (1, 0), (2, 0)]
-    assert set(mins[2].inversions) == {
+    assert set(W.shifted_roots(mins[2].mask)) == {
         (rs.highest_root, -1),
         (rs.simple_root(2), -1),
     }
@@ -63,8 +64,8 @@ def test_bijection_round_trips(letter, rank):
     mins = enumerate_minuscule(W)
     assert len(ideals) == len(mins) == 2 ** rank
     for ideal, m in zip(ideals, mins):
-        assert set(m.ideal) == set(ideal)
-        assert len(m.inversions) == m.length == W.length(m.element)
+        assert set(ideal_from_mask(rs, m.mask)) == set(ideal)
+        assert len(W.shifted_roots(m.mask)) == m.length == W.length(m.element)
         assert ideal_to_element(W, ideal).element == m.element
 
 
@@ -117,6 +118,23 @@ def test_ideal_to_element_examples(system):
     assert ideal_to_element(W, theta_a2).element == W.evaluate_word((1, 0))
 
 
+def test_ideal_to_element_refuses_what_is_no_ideal(system):
+    """A set that is not upward closed, holds a member that is not a
+    positive root, or is not sum-free is refused with ValueError; a valid
+    ideal is accepted in any order."""
+    rs, W = system("A", 2)
+    with pytest.raises(ValueError, match="ideal is not upward closed"):
+        ideal_to_element(W, ((1, 0),))
+    for bad in (((5, 5),), ((-1, 0),), ((1, 1), (0, 0))):
+        with pytest.raises(ValueError, match="not a positive root"):
+            ideal_to_element(W, bad)
+    with pytest.raises(ValueError, match="ideal is not sum-free"):
+        ideal_to_element(W, ((1, 1), (1, 0), (0, 1)))
+    canonical = ideal_to_element(W, ((1, 0), (1, 1)))
+    assert ideal_to_element(W, ((1, 1), (1, 0))) == canonical
+    assert ideal_from_mask(rs, canonical.mask) == ((1, 0), (1, 1))
+
+
 def test_a3_remark_element(system):
     rs, W = system("A", 3)
     w = W.evaluate_word((1, 3, 0))
@@ -124,7 +142,7 @@ def test_a3_remark_element(system):
     assert W.alcove_image_check(w)
     m = minuscule_from_element(W, w)
     shifted = {(g, -1) for g in rs.positive_roots}
-    complement = shifted - set(m.inversions)
+    complement = shifted - set(W.shifted_roots(m.mask))
     assert complement == {(rs.simple_root(i), -1) for i in (1, 2, 3)}
     image = W.act(w, (rs.simple_root(1), -1))
     assert image == ((-1, -1, 0), 0)  # -(alpha_1 + alpha_2)
@@ -215,7 +233,7 @@ def test_normalizer_criteria(system):
         rs, W = get_system(letter, rank)
         for m in enumerate_minuscule(W):
             assert set(normalizer_simple_roots(W, m)) == set(
-                normalizer_by_ideal_stability(rs, m.ideal)
+                normalizer_by_ideal_stability(rs, ideal_from_mask(rs, m.mask))
             )
 
 
@@ -242,7 +260,7 @@ def test_normalizer_frozen_values(system):
 def test_inversion_upward_closure(system):
     rs, W = system("C", 3)
     for m in enumerate_minuscule(W):
-        inv = set(m.inversions)
+        inv = set(W.shifted_roots(m.mask))
         for gamma, _ in inv:
             for g in rs.positive_roots:
                 if rs.dominance_leq(gamma, g):
@@ -254,7 +272,7 @@ def test_at_most_one_root_extends(system):
     from borbits.involutions import orthogonal_subsets
 
     for m in enumerate_minuscule(W):
-        for s in orthogonal_subsets(rs, m.inversions):
+        for s in orthogonal_subsets(rs, W.shifted_roots(m.mask)):
             for gamma in rs.positive_roots:
                 hits = [g for g, _ in s if rs.is_root(tuple(x + y for x, y in zip(g, gamma)))]
                 assert len(hits) <= 1

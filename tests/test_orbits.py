@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from borbits.affine import affine_key
 from borbits.involutions import make_admissible_pair, make_orthogonal_set, set_text
-from borbits.minuscule import enumerate_minuscule, minuscule_from_element, weak_order_leq
+from borbits.minuscule import enumerate_minuscule, ideal_from_mask, minuscule_from_element, weak_order_leq
 from borbits.orbits import (
     build_orbit_poset,
     export_poset,
@@ -59,7 +58,7 @@ def test_a3_five_node_example(system):
         rs.root((0, 1, 1)),
         rs.root((1, 1, 1)),
     }
-    w = next(m for m in enumerate_minuscule(W) if set(m.ideal) == target)
+    w = next(m for m in enumerate_minuscule(W) if set(ideal_from_mask(rs, m.mask)) == target)
     poset = build_orbit_poset(W, w, by_word(W, ()))
     assert len(poset.nodes) == 5
     sizes = sorted(len(n.s) for n in poset.nodes)
@@ -72,7 +71,9 @@ def test_closure_leq_examples(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
     ident, s0 = mins[0], mins[1]
-    w20 = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
+    w20 = next(
+        m for m in mins if set(ideal_from_mask(rs, m.mask)) == {rs.simple_root(2), rs.highest_root}
+    )
     empty = make_orthogonal_set(rs, [])
     theta = make_orthogonal_set(rs, [(rs.highest_root, -1)])
     alpha2 = make_orthogonal_set(rs, [(rs.simple_root(2), -1)])
@@ -165,7 +166,7 @@ def test_node_counts_monotone(system):
         counts = {}
         for v in mins:
             if weak_order_leq(v, w):
-                gap = sorted(set(w.inversions) - set(v.inversions), key=affine_key)
+                gap = W.shifted_roots(w.mask & ~v.mask)
                 counts[v.element] = len(orthogonal_subsets(rs, gap))
         for v1 in mins:
             for v2 in mins:
@@ -259,7 +260,9 @@ def test_phi_gr24_case(system):
 def test_export_dot(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
+    w = next(
+        m for m in mins if set(ideal_from_mask(rs, m.mask)) == {rs.simple_root(2), rs.highest_root}
+    )
     poset = build_orbit_poset(W, w, mins[0])
     dot = export_poset(poset, "dot")
     assert dot.startswith("digraph {\n  rankdir=BT;\n")
@@ -273,7 +276,9 @@ def test_export_dot(system):
 def test_export_json_schema_and_determinism(system):
     rs, W = system("A", 2)
     mins = enumerate_minuscule(W)
-    w = next(m for m in mins if set(m.ideal) == {rs.simple_root(2), rs.highest_root})
+    w = next(
+        m for m in mins if set(ideal_from_mask(rs, m.mask)) == {rs.simple_root(2), rs.highest_root}
+    )
     poset = build_orbit_poset(W, w, mins[0])
     text = export_poset(poset, "json")
     assert text == export_poset(build_orbit_poset(W, w, mins[0]), "json")

@@ -95,6 +95,13 @@ def test_oracle_report_single_prime_has_no_dims():
     assert reports[0]["dims"] is None
 
 
+def test_oracle_report_refuses_repeated_primes():
+    """The dimension fit divides by log(q2/q1), which two equal primes make 0."""
+    for primes in ((3, 5, 5), (2, 2)):
+        with pytest.raises(ValueError, match="the primes in q must be distinct"):
+            oracle_report(3, 3, primes)
+
+
 def test_oracle_n4_inequality_and_separation():
     reports = oracle_report(4, 7, (2,))
     assert reports[0]["classes"] >= reports[0]["combinatorial"] == 7

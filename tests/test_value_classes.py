@@ -1,11 +1,12 @@
 """The value classes keep the value semantics of the frozen dataclasses they
 replaced: the same fields, equality, hash and repr.
 
-`MinusculeElement`, `Report`, `AdmissiblePair`, `OrbitNode`, `PosetContext`,
-`OrbitPoset`, `MatrixIdealContext` and `OrbitPartition` are `__slots__`
-classes; a root is the plain tuple of its coefficients, an affine root the
-pair (finite root, level) and an orthogonal set a plain tuple of affine
-roots.  A frozen
+`MinusculeElement` (an element and its inversion mask), `Report`,
+`AdmissiblePair`, `OrbitNode`, `PosetContext`, `OrbitPoset`,
+`MatrixIdealContext` and `OrbitPartition` are `__slots__` classes whose
+slots are their fields; a root is the plain tuple of its coefficients, an
+affine root the pair (finite root, level) and an orthogonal set a plain
+tuple of affine roots.  A frozen
 dataclass compares its fields as a tuple when the classes match, hashes that
 tuple and prints ``Name(field=value, ...)``; the references below are such
 dataclasses with the same fields, and every instance is checked against its
@@ -59,9 +60,11 @@ def test_values_match_their_dataclass_references(letter, rank):
     rs, group = get_system(letter, rank)
     assert all(type(r) is tuple for r in rs.roots)
     for m in group.minuscule:
-        _check(m, ["element", "inversions", "ideal"])
-        assert all(type(a) is tuple and len(a) == 2 for a in m.inversions)
-        assert all(type(s) is tuple for s in orthogonal_subsets(rs, m.inversions))
+        _check(m, ["element", "mask"])
+        assert m.__slots__ == ("element", "mask")
+        inversions = group.shifted_roots(m.mask)
+        assert all(type(a) is tuple and len(a) == 2 for a in inversions)
+        assert all(type(s) is tuple for s in orthogonal_subsets(rs, inversions))
     for pair in _admissible_sweep(group):
         _check(pair, ["v", "s", "witness", "sigma"], blind=("sigma",))
         for kind, locus in pair_descents(group, pair).values():
@@ -100,16 +103,23 @@ def test_equality_reads_every_field():
     a, b = rs.simple_root(1), rs.simple_root(2)
     assert (a, b) == ((1, 0, 0), (0, 1, 0))
     m, n = group.minuscule[1], group.minuscule[2]
-    assert MinusculeElement(m.element, m.inversions, n.ideal) != m
+    assert MinusculeElement(m.element, n.mask) != m
+    assert MinusculeElement(n.element, m.mask) != m
 
 
 def test_caches_stay_out_of_the_value():
     rs, group = get_system("B", 3)
     m = group.minuscule[-1]
-    # the walk's element carries its inversion mask, the fresh one none
-    fresh = MinusculeElement(m.element, m.inversions, m.ideal)
-    assert m._mask and not hasattr(fresh, "_mask")
+    # a minuscule element keeps nothing beside its two fields, so one built
+    # by hand from them is the walk's element
+    fresh = MinusculeElement(m.element, m.mask)
     assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+    # the only cache left on a value is an affine element's hash: a copy of
+    # the walk's element with its hash not yet taken equals it
+    hash(m.element)
+    element = type(m.element)(m.element.perm, m.element.shift)
+    assert m.element._hash is not None and element._hash is None
+    assert element == m.element and MinusculeElement(element, m.mask) == m
 
 
 def test_cartan_datum_still_validates():

@@ -98,7 +98,7 @@ def test_strong_orthogonality_sweep_reads_root_sums_and_differences():
     their sum and their difference are roots.  For orthogonal roots one is a
     root iff the other is, so either read alone catches the pair."""
     group = _fresh_group("B", 2)
-    group.minuscule[-1].inversions = (((0, 1), -1), ((1, 1), -1))
+    group.minuscule[-1].mask = group.shifted_mask((((0, 1), -1), ((1, 1), -1)))
     rep = _minuscule_report(group, "orthogonal-is-strongly-orthogonal")
     assert rep.violations == ("0,1-1d, 1,1-1d orthogonal but not strongly orthogonal",)
 
@@ -106,7 +106,7 @@ def test_strong_orthogonality_sweep_reads_root_sums_and_differences():
 def test_one_root_extension_sweep_reads_root_sums():
     """In A3, alpha_2 extends both alpha_1 and alpha_3 to a root."""
     group = _fresh_group("A", 3)
-    group.minuscule[-1].inversions = (((1, 0, 0), -1), ((0, 0, 1), -1))
+    group.minuscule[-1].mask = group.shifted_mask((((1, 0, 0), -1), ((0, 0, 1), -1)))
     rep = _minuscule_report(group, "one-root-extension")
     assert rep.violations == ("0,1,0 extends two roots of {0,0,1-1d,1,0,0-1d}",)
 

@@ -154,15 +154,16 @@ class AffineWeylGroup:
       once: the involution of each orthogonal set (``reflection_product``),
       the rank of id - x of each element with its length (``rank_id_minus``)
       and the reduced word of each element;
-    * the answers of the Bruhat comparisons asked for, keyed on the pair of
-      elements; the walk behind them keeps nothing else;
     * ``minuscule``, the minuscule elements in canonical order (position k
       is ideal id k), enumerated on first use, and ``minuscule_ids``, the
       map from each of their elements to its ideal id;
     * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
       bucketed by their involution, built on first use.
 
-    Elements themselves are immutable values.
+    It keeps no Bruhat answers: ``bruhat_leq`` is a walk that stores
+    nothing, and the poset suite, the one caller that asks the same pairs
+    again, memoizes it for its own run.  Elements themselves are immutable
+    values.
     """
 
     def __init__(self, rs: RootSystem):
@@ -208,7 +209,6 @@ class AffineWeylGroup:
         self._sigmas: dict[OrthogonalSet, AffineWeylElement] = {}
         self._ranks: dict[AffineWeylElement, tuple[int, int]] = {}
         self._words: dict[AffineWeylElement, ReducedWord] = {}
-        self._bruhat: dict[tuple[AffineWeylElement, AffineWeylElement], bool] = {}
 
     # -- root tables ---------------------------------------------------------
 
@@ -471,31 +471,25 @@ class AffineWeylGroup:
         identity and False once u is longer than what is left of the word;
         u == w is True without a walk.  u <= w also needs every letter of
         u's word in w's (the support)."""
-        if u == self.identity:
+        if u == self.identity or u == w:
             return True
-        key = (u, w)
-        answer = self._bruhat.get(key)
-        if answer is not None:
-            return answer
         word, u_word = self._word(w), self._word(u)
         left, rest = len(u_word), len(word)
-        answer = u == w
-        if not answer and left <= rest and set(u_word) <= set(word):
-            d = self._left_table(u)
-            at, steps = self._descent_at, self._left_steps
-            for i in word:
-                rest -= 1
-                g, two_level = at[i]
-                if d[g] > two_level:
-                    left -= 1
-                    if not left:
-                        answer = True
-                        break
-                    d = steps[i](d)
-                if left > rest:
-                    break
-        self._bruhat[key] = answer
-        return answer
+        if left > rest or not set(u_word) <= set(word):
+            return False
+        d = self._left_table(u)
+        at, steps = self._descent_at, self._left_steps
+        for i in word:
+            rest -= 1
+            g, two_level = at[i]
+            if d[g] > two_level:
+                left -= 1
+                if not left:
+                    return True
+                d = steps[i](d)
+            if left > rest:
+                return False
+        return False
 
     # -- per-system derived data -------------------------------------------------
     # The builders live in modules that import this one, hence the local imports.

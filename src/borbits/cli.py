@@ -176,7 +176,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from .typea import oracle_report
 
-    q_list = tuple(int(p) for p in args.q.split(","))
+    try:
+        q_list = tuple(int(p) for p in args.q.split(","))
+    except ValueError:
+        raise ValueError(f"--q takes comma separated primes, not {args.q!r}") from None
     reports = oracle_report(args.n, args.ideal_id, q_list)
     print(json.dumps(reports, indent=2))
     return 0

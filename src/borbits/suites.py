@@ -8,7 +8,7 @@ pytest suite, which additionally pins concrete frozen examples.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import add, and_, sub
 import random
@@ -331,6 +331,16 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
 
 
 def suite_poset(group: AffineWeylGroup) -> list[Report]:
+    # Only this suite asks the same pairs again (poset builds, pairwise rows,
+    # branch recursion, moves-vs-order), so it memoizes them while it runs.
+    group.bruhat_leq = cache(group.bruhat_leq)
+    try:
+        return _poset_reports(group)
+    finally:
+        del group.bruhat_leq
+
+
+def _poset_reports(group: AffineWeylGroup) -> list[Report]:
     mins = group.minuscule
     ident = mins[0]
 

@@ -132,13 +132,6 @@ class OrbitPartition(_Value):
         raise KeyError(vec)
 
 
-def _mat_mul(a, b, n: int, q: int):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
-
-
 def _identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -173,7 +166,8 @@ def _generator_perms(ctx: MatrixIdealContext) -> list[list[int]]:
     """One list per Borel generator: perm[k] is the index of the conjugate of
     point k, points indexed in `product` order.  Conjugation is linear, so a
     generator is fixed by its images of the slot basis E_p; every point stays
-    in the ideal exactly when every basis image does."""
+    in the ideal exactly when every basis image does.  The image g E_ab g^-1
+    is the outer product of column a of g and row b of g^-1."""
     n, q = ctx.n, ctx.q
     slots = [(i - 1, j - 1) for i, j in ctx.positions]
     outside = [(a, b) for a in range(n) for b in range(n) if (a, b) not in slots]
@@ -182,12 +176,10 @@ def _generator_perms(ctx: MatrixIdealContext) -> list[list[int]]:
     for g, gi in _borel_generators(n, q):
         columns = []
         for a, b in slots:
-            e = [[0] * n for _ in range(n)]
-            e[a][b] = 1
-            y = _mat_mul(_mat_mul(g, e, n, q), gi, n, q)
-            if any(y[r][c] for r, c in outside):
+            column, row = [h[a] for h in g], gi[b]
+            if any(column[r] * row[c] % q for r, c in outside):
                 raise AssertionError("conjugation left the ideal")
-            columns.append([y[r][c] for r, c in slots])
+            columns.append([column[r] * row[c] % q for r, c in slots])
         # images of the points in `product` order, one coordinate at a time
         images = [(0,) * len(slots)]
         for col in columns:

@@ -6,13 +6,15 @@ agreement sweep compares every entry of every orbit poset (v = identity) of
 A3, B3, C3 and G2 with ``bruhat_leq_oracle``, which searches the subwords of
 a reduced word and never reads those tables.  The sabotage tests corrupt one
 stored word or one left step and check that the sweep notices, and that
-greedy stripping on a corrupted step stops with an error.  One more test
-checks that a comparison multiplies nothing out and keeps nothing but its
-answer.
+greedy stripping on a corrupted step stops with an error.  Two more tests
+check that a comparison multiplies nothing out and leaves no answer on the
+group, and that the poset suite, which memoizes its comparisons while it
+runs, walks each distinct pair once.
 """
 
 import pytest
 
+from borbits import suites
 from borbits.affine import AffineWeylGroup
 from borbits.orbits import build_orbit_poset
 from borbits.roots import build_root_system
@@ -83,15 +85,14 @@ def test_answers_do_not_depend_on_what_is_cached(sweep):
 
 
 def _sabotaged_sweep(corrupt):
-    """Run the B3 sweep pairs on a fresh group, corrupt one of its tables,
-    drop the cached answers and run them again; returns both mismatch lists."""
+    """Run the B3 sweep pairs on a fresh group, corrupt one of its tables
+    and run them again; returns both mismatch lists."""
     _, entries = poset_entries("B", 3)
     group = _fresh_group("B", 3)
     intervals = lower_intervals(group, entries)
     pairs = [(u, w) for u, w, _ in entries]
     clean = oracle_mismatches(group, pairs, intervals)
     corrupt(group)
-    group._bruhat.clear()
     return clean, oracle_mismatches(group, pairs, intervals)
 
 
@@ -120,12 +121,15 @@ def test_sweep_detects_a_corrupted_left_step():
 
 def test_comparisons_register_nothing(monkeypatch):
     """All pairs of one D4 orbit poset's involutions, compared on a fresh
-    group, call ``multiply`` never, store one answer per distinct pair with
-    u not the identity, and keep words of the compared elements only."""
+    group, call ``multiply`` never, store no answer and keep words of the
+    compared elements only: no attribute is added and no table but the
+    words grows."""
     group = _fresh_group("D", 4)
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
     els = [node.sigma for node in poset.nodes]
     fresh = _fresh_group("D", 4)
+    attributes = set(vars(fresh))
+    sizes = {name: len(table) for name, table in vars(fresh).items() if isinstance(table, dict)}
     calls = []
     original = AffineWeylGroup.multiply
 
@@ -134,14 +138,35 @@ def test_comparisons_register_nothing(monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(AffineWeylGroup, "multiply", counted)
-    for u in els:
-        for x in els:
-            fresh.bruhat_leq(u, x)
+    answers = [fresh.bruhat_leq(u, x) for u in els for x in els]
     assert calls == []
-    queried = {(u, x) for u in els for x in els if u != fresh.identity}
-    assert len(queried) > len(els)
-    assert len(fresh._bruhat) == len(queried) and set(fresh._bruhat) == queried
+    assert answers.count(True) > len(els) and not all(answers)
+    assert set(vars(fresh)) == attributes
+    assert {name for name, n in sizes.items() if len(vars(fresh)[name]) != n} == {"_words"}
     assert set(fresh._words) <= set(els)
+
+
+def test_the_poset_suite_walks_each_pair_once(monkeypatch):
+    """The poset suite asks many (u, w) pairs more than once.  Its memo walks
+    each distinct pair once, leaves the reports as they are without it, and
+    goes with the run."""
+    walked = []
+    real = AffineWeylGroup.bruhat_leq
+
+    def counted(self, u, w):
+        walked.append((u, w))
+        return real(self, u, w)
+
+    monkeypatch.setattr(AffineWeylGroup, "bruhat_leq", counted)
+    group = _fresh_group("B", 3)
+    reports = suites.run_suite(group, "poset")
+    assert all(r.ok for r in reports)
+    assert "bruhat_leq" not in vars(group)
+    memoized, walked[:] = walked[:], []
+    monkeypatch.setattr(suites, "cache", lambda f: f)
+    assert suites.run_suite(_fresh_group("B", 3), "poset") == reports
+    assert len(set(memoized)) == len(memoized)
+    assert set(memoized) == set(walked) and len(walked) > len(memoized)
 
 
 def test_stripping_with_a_corrupted_left_step_stops_and_raises():

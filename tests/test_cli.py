@@ -117,6 +117,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "poset", "--type", "A", "--rank", "2", "--ideal-id", "0", "--format", "pdf")[0] == 2
     assert run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "0", "--q", "4")[0] == 2
     assert run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "9", "--q", "2")[0] == 2
+    for primes in (",", "2,x"):
+        code, out, err = run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "2", "--q", primes)
+        assert (code, out, err) == (2, "", f"error: --q takes comma separated primes, not {primes!r}\n")
 
 
 

@@ -18,6 +18,13 @@ from borbits.typea import (
 GRID = [(n, q) for n in (2, 3) for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)]
 
 
+def _mat_mul(a, b, n, q):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
 def _conjugate_points(ctx):
     """Partition by conjugating every point with every generator as a whole
     n x n matrix, checking that each image stays in the ideal."""
@@ -31,7 +38,7 @@ def _conjugate_points(ctx):
         for (i, j), val in zip(ctx.positions, vec):
             x[i - 1][j - 1] = val
         for g, gi in typea._borel_generators(n, q):
-            y = typea._mat_mul(typea._mat_mul(g, x, n, q), gi, n, q)
+            y = _mat_mul(_mat_mul(g, x, n, q), gi, n, q)
             for a in range(n):
                 for b in range(n):
                     if (a, b) not in support and y[a][b]:

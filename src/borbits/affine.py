@@ -156,9 +156,7 @@ class AffineWeylGroup:
       and the reduced word of each element;
     * ``minuscule``, the minuscule elements in canonical order (position k
       is ideal id k), enumerated on first use, and ``minuscule_ids``, the
-      map from each of their elements to its ideal id;
-    * ``shifted_orthogonal_index``, the orthogonal subsets of Phi^+ - delta
-      bucketed by their involution, built on first use.
+      map from each of their elements to its ideal id.
 
     It keeps no Bruhat answers: ``bruhat_leq`` is a walk that stores
     nothing, and the poset suite, the one caller that asks the same pairs
@@ -503,15 +501,6 @@ class AffineWeylGroup:
     @cached_property
     def minuscule_ids(self) -> dict[AffineWeylElement, int]:
         return {m.element: k for k, m in enumerate(self.minuscule)}
-
-    @cached_property
-    def shifted_orthogonal_index(self) -> dict[AffineWeylElement, list[OrthogonalSet]]:
-        from .involutions import orthogonal_subsets, reflection_product
-
-        buckets: dict[AffineWeylElement, list[OrthogonalSet]] = {}
-        for sub in orthogonal_subsets(self.rs, self._shifted):
-            buckets.setdefault(reflection_product(self, sub), []).append(sub)
-        return buckets
 
     # -- alcove geometry --------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import SUITE_NAMES
@@ -199,10 +200,17 @@ def main(argv=None) -> int:
         "oracle-typea": _cmd_oracle,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe is met inside the try
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit cannot fail again, and exit as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

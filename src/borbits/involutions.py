@@ -25,9 +25,9 @@ exercised as well.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from operator import add, neg, sub
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .affine import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, affine_key, affine_text, is_positive, negate,
@@ -119,13 +119,38 @@ def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> AffineWeylEl
     keeps each set's product, so it is built and checked once."""
     sigma = group._sigmas.get(s)
     if sigma is None:
-        sigma = group.identity
-        for a in s:
-            sigma = group.multiply(sigma, group.reflection(a))
-        if group.multiply(sigma, sigma) != group.identity:
-            raise AssertionError("reflection product is not an involution")
-        group._sigmas[s] = sigma
+        sigma = group._sigmas[s] = _product(group, s)
     return sigma
+
+
+def _product(group: AffineWeylGroup, s: OrthogonalSet) -> AffineWeylElement:
+    """`reflection_product` without the table: built and checked, not kept."""
+    sigma = group.identity
+    for a in s:
+        sigma = group.multiply(sigma, group.reflection(a))
+    if group.multiply(sigma, sigma) != group.identity:
+        raise AssertionError("reflection product is not an involution")
+    return sigma
+
+
+def shifted_orthogonal_stream(
+    group: AffineWeylGroup,
+) -> Iterator[tuple[OrthogonalSet, int, AffineWeylElement]]:
+    """Every orthogonal subset R of Phi^+ - delta, in `orthogonal_subsets`
+    order, as (R, its mask, its involution).  The involutions are built one
+    at a time and the group keeps none of them: E8 has 352,876 such subsets."""
+    for r in orthogonal_subsets(group.rs, group._shifted):
+        yield r, group.shifted_mask(r), _product(group, r)
+
+
+def _contexts(group: AffineWeylGroup) -> dict[OrthogonalSet, list[int]]:
+    """The orthogonal subsets of the inversion sets, each with the ids of the
+    ideals that hold it, in order of first appearance."""
+    holders: dict[OrthogonalSet, list[int]] = {}
+    for k, m in enumerate(group.minuscule):
+        for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
+            holders.setdefault(s, []).append(k)
+    return holders
 
 
 def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
@@ -376,13 +401,10 @@ def negated_root_report(
     sigma = reflection_product(group, s)
     # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
     halves: dict[tuple, set[tuple[int, int]]] = {}
-    for b, n in s:
-        for bp, n_p in s:
-            for sb in (1, -1):
-                for sbp in (1, -1):
-                    fin = tuple(sb * x + sbp * y for x, y in zip(b, bp))
-                    lev = sb * n + sbp * n_p
-                    halves.setdefault((fin, lev), set()).add((sb, sbp))
+    for (b, n), (bp, n_p) in product(s, repeat=2):
+        for sb, sbp in product((1, -1), repeat=2):
+            fin = tuple(sb * x + sbp * y for x, y in zip(b, bp))
+            halves.setdefault((fin, sb * n + sbp * n_p), set()).add((sb, sbp))
     checks = 0
     violations = []
     for a in group.negated_roots(sigma):
@@ -399,13 +421,19 @@ def negated_root_report(
     return Report("negated-roots-halfsum", checks, tuple(violations))
 
 
-def support_injectivity_check(group: AffineWeylGroup, m: MinusculeElement) -> bool:
-    """Within the inversion set of a minuscule element, the involution
+def support_injectivity_check(group: AffineWeylGroup) -> list[bool]:
+    """Within the inversion set of each minuscule element, the involution
     determines the orthogonal subset: no other orthogonal subset of
-    Phi^+ - delta shares its involution."""
-    buckets = group.shifted_orthogonal_index
-    for sub in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
-        mates = buckets.get(reflection_product(group, sub), [])
-        if len(mates) != 1 or mates[0] != sub:
-            return False
-    return True
+    Phi^+ - delta shares its involution.  One verdict per ideal id; each
+    subset of Phi^+ - delta is streamed once against the contexts."""
+    holders = _contexts(group)
+    owners: dict[AffineWeylElement, list[OrthogonalSet]] = {}
+    for s in holders:
+        owners.setdefault(reflection_product(group, s), []).append(s)
+    ok = [True] * len(group.minuscule)
+    for r, _, sigma in shifted_orthogonal_stream(group):
+        for s in owners.get(sigma, ()):
+            if s != r:
+                for k in holders[s]:
+                    ok[k] = False
+    return ok

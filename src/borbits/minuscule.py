@@ -228,16 +228,8 @@ def normalizer_by_ideal_stability(rs: RootSystem, ideal: tuple[Root, ...]) -> tu
     in a negative root space and these are the only cases."""
     members = set(ideal)
     out = []
-    for i in range(1, rs.rank + 1):
-        alpha = rs.simple_root(i)
-        if alpha in members:
-            continue
-        ok = True
-        for gamma in members:
-            down = tuple(map(sub, gamma, alpha))
-            if rs.is_root(down) and down not in members:
-                ok = False
-                break
-        if ok:
+    for alpha in map(rs.simple_root, range(1, rs.rank + 1)):
+        lowered = (tuple(map(sub, gamma, alpha)) for gamma in members)
+        if alpha not in members and all(down in members or not rs.is_root(down) for down in lowered):
             out.append(alpha)
     return tuple(out)

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from operator import itemgetter
 
 from .affine import AffineWeylElement, AffineWeylGroup, ReducedWord, affine_text, negate, word_to_text
 from .involutions import (
     OrthogonalSet,
     Report,
+    _contexts,
     descent_move,
     involution_length,
     make_admissible_pair,
@@ -34,6 +36,7 @@ from .involutions import (
     pair_descents,
     reflection_product,
     set_text,
+    shifted_orthogonal_stream,
     transform_set,
     twisted_conjugate,
 )
@@ -175,34 +178,28 @@ def export_poset(poset: OrbitPoset, fmt: str) -> str:
 def verify_strong_form(group: AffineWeylGroup) -> Report:
     """For every minuscule w and orthogonal S inside its inversion set: any
     orthogonal subset of Phi^+ - delta whose involution is Bruhat-below the
-    involution of S lies inside the inversion set of w as well."""
-    buckets = group.shifted_orthogonal_index
-    all_subsets = [
-        (s, group.shifted_mask(s), el, group.length(el)) for el, subs in buckets.items() for s in subs
-    ]
-    mins = group.minuscule
-    contexts: dict[OrthogonalSet, list[int]] = {}
-    for k, m in enumerate(mins):
-        for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
-            contexts.setdefault(s, []).append(k)
+    involution of S lies inside the inversion set of w as well.  Only the
+    contexts S are held, shortest involution first; each subset R of
+    Phi^+ - delta is streamed against the contexts at least as long."""
+    holders = _contexts(group)
+    masks = [m.mask for m in group.minuscule]
+    sigmas = {s: reflection_product(group, s) for s in holders}
+    contexts = sorted(((group.length(x), s, x) for s, x in sigmas.items()), key=itemgetter(0))
+    lengths = [ell for ell, _, _ in contexts]
     checks = 0
     violations = []
-    for s, holders in contexts.items():
-        sigma_s = reflection_product(group, s)
-        len_s = group.length(sigma_s)
-        below = []
-        for r, r_mask, el, len_r in all_subsets:
-            if len_r > len_s:
-                continue
+    for r, r_mask, sigma_r in shifted_orthogonal_stream(group):
+        for _, s, sigma_s in contexts[bisect_left(lengths, group.length(sigma_r)):]:
             checks += 1
-            if group.bruhat_leq(el, sigma_s):
-                below.append((r, r_mask))
-        for k in holders:
-            inv = mins[k].mask
-            for r, r_mask in below:
-                checks += 1
-                if r_mask & ~inv:
-                    violations.append(f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}")
+            if group.bruhat_leq(sigma_r, sigma_s):
+                for k in holders[s]:
+                    checks += 1
+                    if r_mask & ~masks[k]:
+                        violations.append(f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}")
+        if r not in holders:
+            # bruhat_leq keeps the word of every element it walks, and no
+            # one asks for this one again
+            group._words.pop(sigma_r, None)
     return Report("strong-form", checks, tuple(violations))
 
 

@@ -132,34 +132,21 @@ class OrbitPartition(_Value):
         raise KeyError(vec)
 
 
-def _identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _borel_generators(n: int, q: int):
     """Pairs (g, g inverse): single-slot diagonal tori and all elementary
     unipotents, every nonidentity field value.  Conjugation by the center is
     trivial, so this realizes the adjoint Borel action on the ideal; the
     determinant-one torus would be strictly smaller on rational points (for
     SL_2 it only scales by squares)."""
-    gens = []
-    ident = _identity(n)
-    for k in range(n):
-        for t in range(2, q):
-            tinv = pow(t, q - 2, q)
-            g = [list(row) for row in ident]
-            gi = [list(row) for row in ident]
-            g[k][k] = t
-            gi[k][k] = tinv
-            gens.append((tuple(map(tuple, g)), tuple(map(tuple, gi))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in range(1, q):
-                g = [list(row) for row in ident]
-                gi = [list(row) for row in ident]
-                g[i][j], gi[i][j] = t, (q - t) % q
-                gens.append((tuple(map(tuple, g)), tuple(map(tuple, gi))))
-    return gens
+
+    def one_slot(i: int, j: int, t: int, t_inv: int):
+        """The identity with slot (i, j) set to t, and the same with t_inv."""
+        g, gi = ([[int(r == c) for c in range(n)] for r in range(n)] for _ in range(2))
+        g[i][j], gi[i][j] = t, t_inv
+        return tuple(map(tuple, g)), tuple(map(tuple, gi))
+
+    tori = [one_slot(k, k, t, pow(t, q - 2, q)) for k in range(n) for t in range(2, q)]
+    return tori + [one_slot(i, j, t, q - t) for i in range(n) for j in range(i + 1, n) for t in range(1, q)]
 
 
 def _generator_perms(ctx: MatrixIdealContext) -> list[list[int]]:

@@ -207,3 +207,38 @@ def test_module_entry_point_round_trip():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["context"]["type"] == "B"
+
+
+@pytest.mark.parametrize(
+    "argv,first_line,unbuffered",
+    [
+        (("ideals", "--type", "A", "--rank", "9"), b"0  ideal={}  word=e", False),
+        (("verify", "--type", "B", "--rank", "4", "--suite", "all"), b"SUITE minuscule: pass", True),
+        (("verify", "--type", "B", "--rank", "3", "--suite", "strong-form"), None, False),
+    ],
+    ids=["ideals", "verify", "verify-unread"],
+)
+def test_a_closed_pipe_ends_with_exit_141_and_no_traceback(argv, first_line, unbuffered):
+    """A reader that closes the pipe after the first line, as `| head -1`
+    does, or before reading any, as `| head -0` does, ends the command with
+    exit 141 (128 + SIGPIPE) and nothing on stderr.  A9's rows (172 KB)
+    overrun the pipe while they are printed; verify prints one line per
+    suite, so it runs unbuffered to meet the closed pipe at its second line,
+    and buffered it meets it at the flush before exit."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "borbits", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
+        line = proc.stdout.readline() if first_line else None
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first_line is None or line.startswith(first_line)
+    assert (proc.returncode, err) == (141, b"")

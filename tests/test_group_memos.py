@@ -200,6 +200,28 @@ def test_tables_die_with_their_group():
     assert ref() is None
 
 
+def test_streamed_involutions_leave_no_entry():
+    """strong-form and support-injectivity stream every orthogonal subset of
+    Phi^+ - delta (D4: 46 of them, 22 contexts) and keep only the contexts:
+    the involution table holds exactly the contexts, and the word table no
+    involution of a streamed subset that is not one."""
+    from borbits.involutions import shifted_orthogonal_stream, support_injectivity_check
+    from borbits.orbits import verify_strong_form
+
+    group = _fresh_group("D", 4)
+    assert verify_strong_form(group).ok
+    assert all(support_injectivity_check(group))
+    contexts = {
+        s for m in group.minuscule for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask))
+    }
+    assert set(group._sigmas) == contexts
+    streamed = [(r, sigma) for r, _, sigma in shifted_orthogonal_stream(group) if r not in contexts]
+    assert streamed
+    assert not any(sigma in group._words for _, sigma in streamed)
+    # the stream walked here on its own stored nothing either
+    assert set(group._sigmas) == contexts
+
+
 # -- the checks still fire --------------------------------------------------------
 
 

@@ -48,6 +48,39 @@ def test_strong_form_detects_always_true_bruhat(monkeypatch):
     assert "{0,0,1-1d} is below {0,1,0-1d,1,1,1-1d} but escapes ideal 7" in rep.violations
 
 
+def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypatch):
+    """The stream yields, for one subset R of Phi^+ - delta, the involution
+    of a context S != R, where R escapes an ideal k that holds S.  Then R is
+    below S outside ideal k, and S's involution is no longer S's alone."""
+    import borbits.involutions as involutions_mod
+    import borbits.orbits as orbits_mod
+    from borbits.involutions import orthogonal_subsets, reflection_product, set_text
+
+    group = _fresh_group("A", 3)
+    k = 1
+    inside = group.minuscule[k].mask
+    s = orthogonal_subsets(group.rs, group.shifted_roots(inside))[1]
+    j = next(j for j in range(len(group.rs.positive_roots)) if not inside >> j & 1)
+    r = group.shifted_roots(1 << j)
+    sigma_s = reflection_product(group, s)
+    real = involutions_mod.shifted_orthogonal_stream
+
+    def wrong(g):
+        for sub, mask, sigma in real(g):
+            yield sub, mask, sigma_s if sub == r else sigma
+
+    monkeypatch.setattr(involutions_mod, "shifted_orthogonal_stream", wrong)
+    monkeypatch.setattr(orbits_mod, "shifted_orthogonal_stream", wrong)
+    rep = verify_strong_form(group)
+    assert f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}" in rep.violations
+    (rep,) = [x for x in suite_involutions(group) if x.name == "support-injectivity"]
+    holders = [h for h, m in enumerate(group.minuscule) if not group.shifted_mask(s) & ~m.mask]
+    assert k in holders
+    assert rep.violations == tuple(
+        f"involution does not determine the subset inside ideal {h}" for h in holders
+    )
+
+
 def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
     group = _fresh_group("B", 2)
     w = max(enumerate_minuscule(group), key=lambda m: m.length)
@@ -130,7 +163,7 @@ def test_violations_name_ideals_by_id(monkeypatch):
         if (k1, k2) not in below
     )
 
-    monkeypatch.setattr(suites_mod, "support_injectivity_check", lambda g, m: False)
+    monkeypatch.setattr(suites_mod, "support_injectivity_check", lambda g: [False] * len(g.minuscule))
     (rep,) = [r for r in suite_involutions(_fresh_group("A", 2)) if r.name == "support-injectivity"]
     assert rep.violations == tuple(
         f"involution does not determine the subset inside ideal {k}" for k in range(4)

@@ -39,8 +39,9 @@ comparison u <= w is one pass down w's greedy word, the lifting recursion
 without its branches, carrying only that table of u.  Lengths and
 comparisons have independent brute-force counterparts, which live in the
 tests as oracles: a scan over a window of levels acting root by root, and
-subword search.  Reduced words of minuscule elements come from the
-minuscule walk, which stores them here; the others are stripped on demand.
+subword search.  An element keeps its length and reduced word once they
+are asked for; the words of minuscule elements come from the minuscule
+walk, which sets them, and the others are stripped on demand.
 The alcove containment test reads integer wall values at the alcove
 vertices off the tables; there are no tolerances anywhere.
 """
@@ -117,14 +118,16 @@ class AffineWeylElement:
     """``t_lambda * w`` as the root tables of the group that made it:
     ``perm[i]`` is the index of ``w(gamma_i)`` and ``shift[i]`` is
     ``<w(gamma_i), lambda>`` (see the module docstring).  Elements are
-    immutable values, equal exactly when their tables are."""
+    immutable values, equal exactly when their tables are.  The hash, the
+    length and the reduced word are cached on the element the first time
+    they are asked for; they stay out of equality, hashing and repr."""
 
-    __slots__ = ("perm", "shift", "_hash")
+    __slots__ = ("perm", "shift", "_hash", "_length", "_word")
 
     def __init__(self, perm: tuple[int, ...], shift: tuple[int, ...]):
         self.perm = perm
         self.shift = shift
-        self._hash = None
+        self._hash = self._length = self._word = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineWeylElement):
@@ -150,18 +153,17 @@ class AffineWeylGroup:
     * the root index, the tables of the simple reflections and the shared
       r - delta of each positive root;
     * the reflection cache;
-    * three tables of deterministic results, each computed and checked
-      once: the involution of each orthogonal set (``reflection_product``),
-      the rank of id - x of each element with its length (``rank_id_minus``)
-      and the reduced word of each element;
+    * the involution of each orthogonal set (``reflection_product``),
+      computed and checked once;
     * ``minuscule``, the minuscule elements in canonical order (position k
       is ideal id k), enumerated on first use, and ``minuscule_ids``, the
       map from each of their elements to its ideal id.
 
     It keeps no Bruhat answers: ``bruhat_leq`` is a walk that stores
     nothing, and the poset suite, the one caller that asks the same pairs
-    again, memoizes it for its own run.  Elements themselves are immutable
-    values.
+    again, memoizes it for its own run.  It keeps no per-element results
+    either: each element caches its own length and reduced word, so they go
+    with the element.
     """
 
     def __init__(self, rs: RootSystem):
@@ -184,6 +186,9 @@ class AffineWeylGroup:
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[g], level) for g, level in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
+        # (j, root index of alpha_j): roots[perm[g]][j] is the alpha_j
+        # coefficient of w(alpha_j), a diagonal entry of w on the simple roots
+        self._diagonal_at = tuple(enumerate(g for g, _ in self._simple_at[1:]))
         # (root index, level) of the walls alpha_1..alpha_r and 2*delta - theta
         # of the doubled alcove, for alcove_image_check
         self._walls = self._simple_at[1:] + ((self._simple_at[0][0], 2),)
@@ -202,11 +207,8 @@ class AffineWeylGroup:
 
         self._left_steps = tuple(map(left_step, self._simple))
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
-        # sigma by orthogonal set, (rank(id - x), length) and reduced word by
-        # element; the first two are filled by the involutions module.
+        # sigma by orthogonal set, filled by the involutions module
         self._sigmas: dict[OrthogonalSet, AffineWeylElement] = {}
-        self._ranks: dict[AffineWeylElement, tuple[int, int]] = {}
-        self._words: dict[AffineWeylElement, ReducedWord] = {}
 
     # -- root tables ---------------------------------------------------------
 
@@ -382,21 +384,23 @@ class AffineWeylGroup:
         )
 
     def length(self, x: AffineWeylElement) -> int:
-        """The closed count of the module docstring.  Folding gamma with
-        -gamma (shift and sign both flip) leaves the sum over gamma > 0 of
-        |shift[gamma] + [w(gamma) < 0]|."""
-        perm, shift = x.perm, x.shift
-        p = self._pos_start
-        negative = self._negative
-        return sum([abs(d + negative[q]) for d, q in zip(shift[p:], perm[p:])])
+        """The closed count of the module docstring, kept on x.  Folding
+        gamma with -gamma (shift and sign both flip) leaves the sum over
+        gamma > 0 of |shift[gamma] + [w(gamma) < 0]|."""
+        ell = x._length
+        if ell is None:
+            p = self._pos_start
+            negative = self._negative
+            ell = x._length = sum([abs(d + negative[q]) for d, q in zip(x.shift[p:], x.perm[p:])])
+        return ell
 
     def _word(self, x: AffineWeylElement) -> ReducedWord:
         """Greedy left-descent stripping on the left table, always taking the
         smallest index; the letters evaluate left to right back to x.  Each
-        element's word is stripped and checked once and kept by the group;
-        the minuscule walk stores the same words for the minuscule elements
-        as it reaches them."""
-        word = self._words.get(x)
+        element's word is stripped and checked once and kept on the element;
+        the minuscule walk sets the same words on the minuscule elements as
+        it reaches them."""
+        word = x._word
         if word is not None:
             return word
         letters: list[int] = []
@@ -411,7 +415,7 @@ class AffineWeylGroup:
             d = steps[i](d)
         if tuple(d) != self._negative:
             raise AssertionError("descent stripping did not reach the identity")
-        word = self._words[x] = tuple(letters)
+        word = x._word = tuple(letters)
         return word
 
     # the group's own callers use _word, so replacing reduced_word on an

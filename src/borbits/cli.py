@@ -81,7 +81,10 @@ def _resolve_minuscule(group, ideal_id: int):
 
 
 def _resolve_v(group, text: str, w):
-    word = text_to_word(text)
+    try:
+        word = text_to_word(text)
+    except ValueError:
+        raise ValueError(f"--v takes simple indices separated by spaces, not {text!r}") from None
     for i in word:
         if not 0 <= i <= group.rank:
             raise ValueError(f"letter {i} out of range in the v word")

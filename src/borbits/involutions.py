@@ -154,45 +154,25 @@ def _contexts(group: AffineWeylGroup) -> dict[OrthogonalSet, list[int]]:
 
 
 def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
-    """Rank of id - x on the affine root lattice (simple roots plus delta).
-    The delta direction is fixed by every element, so only the simple-root
-    rows can contribute: x(alpha_j) = w(alpha_j) - drop * delta.  The group
-    keeps (rank, length) by element, so the elimination runs once per element."""
-    entry = group._ranks.get(x)
-    if entry is None:
-        rows = []
-        for j in range(group.rank):
-            g, level = group.act(x, group.simple_affine_root(j + 1))
-            row = [(1 if i == j else 0) - g[i] for i in range(group.rank)]
-            row.append(-level)
-            rows.append(row)
-        entry = group._ranks[x] = (_int_matrix_rank(rows), group.length(x))
-    return entry[0]
-
-
-def _int_matrix_rank(rows: list[list[int]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((k for k in range(rank, len(m)) if m[k][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for k in range(len(m)):
-            if k != rank and m[k][col] != 0:
-                a, b = m[rank][col], m[k][col]
-                m[k] = [x * a - y * b for x, y in zip(m[k], m[rank])]
-        rank += 1
-    return rank
+    """Rank of id - x on the affine root lattice (simple roots plus delta)
+    for an involution x = t_lambda w, which x must be: (r - tr w) / 2, with
+    tr w the sum over j of the alpha_j coefficient of w(alpha_j).  Proof: x
+    fixes delta and sends alpha_j to w(alpha_j) minus a multiple of delta,
+    so its trace on that basis is tr w + 1; as x^2 = id it is diagonalizable
+    with eigenvalues +-1, so that trace is also r + 1 - 2 rank(id - x).  An
+    odd r - tr w shows that x is not an involution, and is refused."""
+    roots, perm = group._roots, x.perm
+    twice = group.rank - sum([roots[perm[g]][j] for j, g in group._diagonal_at])
+    if twice % 2:
+        raise AssertionError("r - tr w is odd: not an involution")
+    return twice // 2
 
 
 def involution_length(group: AffineWeylGroup, sigma: AffineWeylElement) -> int:
     """(coxeter length + rank of id - sigma) / 2; an integer because the two
-    terms have equal parity, which is asserted on every call against the
-    rank and length the group keeps."""
+    terms have equal parity, which is asserted on every call."""
     rk = rank_id_minus(group, sigma)
-    ell = group._ranks[sigma][1]
+    ell = group.length(sigma)
     if (ell + rk) % 2:
         raise AssertionError("length and rank of id - sigma have different parity")
     return (ell + rk) // 2

@@ -149,7 +149,7 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
     minuscule element is reached because removing a minimal inversion is
     again minuscule.
 
-    The walk also stores each element's reduced word in the group.  Every
+    The walk also sets each element's reduced word on it.  Every
     left descent i of a minuscule x leads to the minuscule s_i x one level
     down, whose up steps yield i, so the smallest i over the edges into x
     is its lowest left descent, and (i,) + word(s_i x) is the greedy word
@@ -158,8 +158,7 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
     A system with more than `MINUSCULE_CAP` minuscule elements is refused
     before the walk starts."""
     _check_cap(group.rank)
-    words = group._words
-    words[group.identity] = ()
+    group.identity._word = ()
     seen = [group.identity]
     frontier = [group.identity]
     while frontier:
@@ -170,8 +169,9 @@ def enumerate_minuscule(group: AffineWeylGroup) -> list[MinusculeElement]:
                 nxt = group.multiply(group.simple_reflection(i), w)
                 word = new.get(nxt)
                 if word is None or i < word[0]:
-                    new[nxt] = (i,) + words[w]
-        words.update(new)
+                    new[nxt] = (i,) + w._word
+        for x, word in new.items():
+            x._word = word
         frontier = list(new)
         seen += frontier
     out = [minuscule_from_element(group, x) for x in seen]

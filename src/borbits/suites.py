@@ -232,7 +232,7 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
     sigma_pool: dict = {}
     moves, moves_bad = 0, []
     for pair in _admissible_sweep(group):
-        sigma_pool[pair.sigma] = None
+        sigma_pool[pair.sigma] = pair.sigma
         try:
             desc = pair_descents(group, pair)
         except AssertionError as exc:
@@ -258,6 +258,9 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             drop_left = group.length(left) < ell
             drop_right = group.length(right) < ell
             conj = twisted_conjugate(group, i, el)
+            # a pooled conjugate is read as the pool's object, which keeps
+            # its length and word across the sweep
+            conj = sigma_pool.get(conj, conj)
             drop_conj = group.bruhat_leq(conj, el) and conj != el
             drop_l = involution_length(group, conj) == big_l - 1
             is_descent = kind != "none"

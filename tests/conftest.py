@@ -8,12 +8,13 @@ _CACHE: dict = {}
 
 def get_system(letter: str, rank: int):
     """Shared (RootSystem, AffineWeylGroup) pairs; the group object carries
-    memoized involutions, ranks and reduced words, so sharing it across tests
-    keeps the exhaustive sweeps fast.
+    memoized involutions and minuscule elements, whose elements keep their
+    lengths and reduced words, so sharing it across tests keeps the
+    exhaustive sweeps fast.
 
-    The group's tables (involutions, ranks, reduced words) outlive the test
-    that filled them.  A sabotage test that corrupts a memoised value must
-    build its own group."""
+    The group's tables and its elements' caches outlive the test that filled
+    them.  A sabotage test that corrupts a memoised value must build its own
+    group."""
     key = (letter, rank)
     if key not in _CACHE:
         rs = build_root_system(letter, rank)

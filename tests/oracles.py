@@ -17,7 +17,10 @@ what the package computes another way:
   simple-root vectors over their gcd;
 * ``epsilon_to_root_oracle`` solves for the simple-root coefficients of an
   epsilon vector in exact rationals, against the lookup of
-  ``RootSystem.epsilon_to_root``.
+  ``RootSystem.epsilon_to_root``;
+* ``rank_id_minus_oracle`` eliminates the rows of id - x on the simple
+  roots plus delta (``int_matrix_rank``), against the trace formula of
+  ``involutions.rank_id_minus``.
 """
 
 from fractions import Fraction
@@ -136,3 +139,34 @@ def epsilon_to_root_oracle(rs, target):
     if any(x.denominator != 1 for x in sol):
         raise ValueError("epsilon vector is not in the root lattice")
     return rs.root(tuple(int(x) for x in sol))
+
+
+def int_matrix_rank(rows):
+    """The rank of an integer matrix, by fraction-free Gauss-Jordan
+    elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        piv = next((k for k in range(rank, len(m)) if m[k][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for k in range(len(m)):
+            if k != rank and m[k][col] != 0:
+                a, b = m[rank][col], m[k][col]
+                m[k] = [x * a - y * b for x, y in zip(m[k], m[rank])]
+        rank += 1
+    return rank
+
+
+def rank_id_minus_oracle(group, x):
+    """Rank of id - x on the affine root lattice (simple roots plus delta),
+    for any element x.  Every element fixes delta, so only the simple-root
+    rows alpha_j - x(alpha_j), with x(alpha_j) = w(alpha_j) - drop * delta,
+    can contribute."""
+    rows = []
+    for j in range(group.rank):
+        g, level = group.act(x, group.simple_affine_root(j + 1))
+        rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-level])
+    return int_matrix_rank(rows)

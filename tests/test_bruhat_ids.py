@@ -1,15 +1,15 @@
 """The Bruhat walk down the greedy word against the subword oracle.
 
-``bruhat_leq`` walks w's stored greedy word once, carrying u's left table
-and stepping it with the group's per-generator ``_left_steps``.  The
+``bruhat_leq`` walks w's greedy word, kept on w, once, carrying u's left
+table and stepping it with the group's per-generator ``_left_steps``.  The
 agreement sweep compares every entry of every orbit poset (v = identity) of
 A3, B3, C3 and G2 with ``bruhat_leq_oracle``, which searches the subwords of
 a reduced word and never reads those tables.  The sabotage tests corrupt one
-stored word or one left step and check that the sweep notices, and that
-greedy stripping on a corrupted step stops with an error.  Two more tests
-check that a comparison multiplies nothing out and leaves no answer on the
-group, and that the poset suite, which memoizes its comparisons while it
-runs, walks each distinct pair once.
+element's cached word or one left step and check that the sweep notices,
+and that greedy stripping on a corrupted step stops with an error.  Two
+more tests check that a comparison multiplies nothing out and leaves
+nothing on the group, and that the poset suite, which memoizes its
+comparisons while it runs, walks each distinct pair once.
 """
 
 import pytest
@@ -28,7 +28,7 @@ ORACLE_CAP = 20
 
 
 def _fresh_group(letter, rank):
-    # a private group, so its Bruhat tables start empty and stay unshared
+    # a private group, so its tables start empty and stay unshared
     return AffineWeylGroup(build_root_system(letter, rank))
 
 
@@ -75,33 +75,41 @@ def test_orbit_posets_agree_with_the_subword_oracle(sweep):
     assert [(u, w) for u, w, leq in entries if leq != (u in intervals[w])] == []
 
 
+def _uncached(pairs):
+    """The pairs over copies of their elements with nothing cached, one copy
+    per distinct element, so that words are cached in the order asked."""
+    copies = {}
+    return [tuple(copies.setdefault(x, type(x)(x.perm, x.shift)) for x in pair) for pair in pairs]
+
+
 def test_answers_do_not_depend_on_what_is_cached(sweep):
     system, entries, intervals = sweep
     pairs = [(u, w) for u, w, _ in entries]
     forward, backward = _fresh_group(*system), _fresh_group(*system)
-    ahead = [forward.bruhat_leq(u, w) for u, w in pairs]
-    behind = [backward.bruhat_leq(u, w) for u, w in reversed(pairs)][::-1]
+    ahead = [forward.bruhat_leq(u, w) for u, w in _uncached(pairs)]
+    behind = [backward.bruhat_leq(u, w) for u, w in _uncached(reversed(pairs))][::-1]
     assert ahead == behind == [u in intervals[w] for u, w in pairs]
 
 
 def _sabotaged_sweep(corrupt):
-    """Run the B3 sweep pairs on a fresh group, corrupt one of its tables
-    and run them again; returns both mismatch lists."""
+    """Run the B3 sweep pairs on a fresh group, corrupt one of its tables or
+    one compared element's cache and run them again; returns both mismatch
+    lists."""
     _, entries = poset_entries("B", 3)
     group = _fresh_group("B", 3)
     intervals = lower_intervals(group, entries)
     pairs = [(u, w) for u, w, _ in entries]
     clean = oracle_mismatches(group, pairs, intervals)
-    corrupt(group)
+    corrupt(group, pairs)
     return clean, oracle_mismatches(group, pairs, intervals)
 
 
 def test_sweep_detects_a_corrupted_word():
-    def corrupt(group):
+    def corrupt(group, pairs):
         # the longest compared element's word loses its last letter, so the
         # walk runs down the word of another element
-        w = max(group._words, key=lambda x: len(group._words[x]))
-        group._words[w] = group._words[w][:-1]
+        w = max((w for _, w in pairs), key=lambda x: len(group.reduced_word(x)))
+        w._word = w._word[:-1]
 
     clean, sabotaged = _sabotaged_sweep(corrupt)
     assert clean == []
@@ -109,7 +117,7 @@ def test_sweep_detects_a_corrupted_word():
 
 
 def test_sweep_detects_a_corrupted_left_step():
-    def corrupt(group):
+    def corrupt(group, pairs):
         # s_1 steps the left table of u as s_2 would
         steps = group._left_steps
         group._left_steps = (steps[0], steps[2]) + steps[2:]
@@ -121,12 +129,13 @@ def test_sweep_detects_a_corrupted_left_step():
 
 def test_comparisons_register_nothing(monkeypatch):
     """All pairs of one D4 orbit poset's involutions, compared on a fresh
-    group, call ``multiply`` never, store no answer and keep words of the
-    compared elements only: no attribute is added and no table but the
-    words grows."""
+    group, call ``multiply`` never and leave the group as it was: no
+    attribute is added and no table grows.  The words they walk are kept on
+    the compared elements."""
     group = _fresh_group("D", 4)
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
-    els = [node.sigma for node in poset.nodes]
+    # copies with nothing cached, so that the comparisons strip their words
+    els = [type(x)(x.perm, x.shift) for x in (node.sigma for node in poset.nodes)]
     fresh = _fresh_group("D", 4)
     attributes = set(vars(fresh))
     sizes = {name: len(table) for name, table in vars(fresh).items() if isinstance(table, dict)}
@@ -142,8 +151,8 @@ def test_comparisons_register_nothing(monkeypatch):
     assert calls == []
     assert answers.count(True) > len(els) and not all(answers)
     assert set(vars(fresh)) == attributes
-    assert {name for name, n in sizes.items() if len(vars(fresh)[name]) != n} == {"_words"}
-    assert set(fresh._words) <= set(els)
+    assert {name: len(vars(fresh)[name]) for name in sizes} == sizes
+    assert all(x._word == group.reduced_word(node.sigma) for x, node in zip(els, poset.nodes))
 
 
 def test_the_poset_suite_walks_each_pair_once(monkeypatch):

@@ -120,6 +120,11 @@ def test_usage_errors(capsys):
     for primes in (",", "2,x"):
         code, out, err = run(capsys, "oracle-typea", "--n", "3", "--ideal-id", "2", "--q", primes)
         assert (code, out, err) == (2, "", f"error: --q takes comma separated primes, not {primes!r}\n")
+    for command, word in (("orbits", "x"), ("poset", "0,1")):
+        extra = ("--format", "dot") if command == "poset" else ()
+        argv = (command, "--type", "A", "--rank", "2", "--ideal-id", "2", "--v", word, *extra)
+        refusal = f"error: --v takes simple indices separated by spaces, not {word!r}\n"
+        assert run(capsys, *argv) == (2, "", refusal)
 
 
 
@@ -148,7 +153,7 @@ def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
     group = AffineWeylGroup(build_root_system("A", 19))
     with pytest.raises(ValueError, match="exceed the enumeration cap"):
         enumerate_minuscule(group)
-    assert not group._words
+    assert group.identity._word is None
 
     refusal = "error: 2^19 minuscule elements exceed the enumeration cap\n"
     assert run(capsys, "verify", "--type", "A", "--rank", "19", "--suite", "all") == (2, "", refusal)

@@ -1,14 +1,14 @@
-"""The group keeps three tables of deterministic results: the involution of
-each orthogonal set, the rank of id - x of each element with its length,
-and the reduced word of each element.
+"""The group keeps one table of deterministic results, the involution of
+each orthogonal set; each element keeps its own length and reduced word,
+and the rank of id - x is read off the root tables.
 
-Every stored value is compared here with a from-scratch computation kept in
-this file, the counts show that each value is computed once per group, and
-sabotage of a stored value is still caught by the checks that read it.  The
-words of minuscule elements, which the minuscule walk stores, are compared
-with greedy stripping, and the unchecked `transform_set` with the checked
-`make_orthogonal_set`.  Each test builds its own groups, so no corrupted
-table reaches another test.
+Every kept value is compared here with a from-scratch computation (the
+product in this file, the elimination rank in ``oracles``), the counts show
+that each product is built once per group, and sabotage of a kept value is
+still caught by the checks that read it.  The words of minuscule elements,
+which the minuscule walk sets, are compared with greedy stripping, and the
+unchecked `transform_set` with the checked `make_orthogonal_set`.  Each
+test builds its own groups, so no corrupted value reaches another test.
 """
 
 import gc
@@ -17,10 +17,9 @@ import weakref
 
 import pytest
 
-from borbits import involutions
-from borbits.affine import AffineWeylGroup
+from borbits import involutions, suites
+from borbits.affine import AffineWeylElement, AffineWeylGroup
 from borbits.involutions import (
-    _int_matrix_rank,
     descent_move,
     involution_length,
     make_admissible_pair,
@@ -32,8 +31,11 @@ from borbits.involutions import (
     transform_set,
     twisted_conjugate,
 )
+from borbits.minuscule import MinusculeElement
 from borbits.roots import build_root_system
 from borbits.suites import run_suite
+
+from oracles import rank_id_minus_oracle
 
 SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 
@@ -61,22 +63,24 @@ def _product_from_scratch(group, s):
     return el
 
 
-def _rank_from_scratch(group, x):
-    """Rank of id - x on the simple roots plus delta, from the rows of x."""
-    rows = []
-    for j in range(group.rank):
-        g, level = group.act(x, group.simple_affine_root(j + 1))
-        rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-level])
-    return _int_matrix_rank(rows)
+def _copy(x):
+    """An element equal to x with nothing cached on it."""
+    return AffineWeylElement(x.perm, x.shift)
 
 
 def _check_rank_and_word(group, x):
-    assert rank_id_minus(group, x) == _rank_from_scratch(group, x)
-    assert group._ranks[x] == (_rank_from_scratch(group, x), group.length(x))
+    """For an involution x."""
+    assert rank_id_minus(group, x) == rank_id_minus_oracle(group, x)
+    _check_length_and_word(group, x)
+
+
+def _check_length_and_word(group, x):
+    ell = group.length(x)
+    assert x._length == ell == group.length(_copy(x))
     word = group.reduced_word(x)
     assert group.evaluate_word(word) == x
-    assert len(word) == group.length(x)
-    assert group.reduced_word(x) is word
+    assert len(word) == ell
+    assert group.reduced_word(x) is word is x._word
 
 
 @pytest.mark.parametrize("letter,rank", SYSTEMS)
@@ -84,7 +88,7 @@ def test_stored_values_agree_with_scratch(letter, rank):
     group = _fresh_group(letter, rank)
     sets = conjugates = 0
     for m in group.minuscule:
-        _check_rank_and_word(group, m.element)
+        _check_length_and_word(group, m.element)
         for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
             sigma = reflection_product(group, s)
             assert sigma == _product_from_scratch(group, s)
@@ -100,42 +104,30 @@ def test_stored_values_agree_with_scratch(letter, rank):
 
 
 def test_suites_compute_each_value_once(monkeypatch):
-    """On a fresh B3 group, the involutions and poset suites run the
-    elimination once per distinct element and build the product once per
-    distinct set."""
-    ranked: set = set()
+    """On a fresh B3 group, the involutions and poset suites build the
+    product once per distinct set, and each kept involution carries the
+    length those suites asked of it."""
     multiplied: set = set()
     stored: list = []
-    eliminations = 0
-
-    def counted_rank_id_minus(group, x):
-        ranked.add(x)
-        return rank_id_minus(group, x)
 
     def counted_reflection_product(group, s):
         multiplied.add(s)
         return reflection_product(group, s)
-
-    def counted_matrix_rank(rows):
-        nonlocal eliminations
-        eliminations += 1
-        return _int_matrix_rank(rows)
 
     class StoreCountingTable(dict):
         def __setitem__(self, s, sigma):
             stored.append(s)
             super().__setitem__(s, sigma)
 
-    _rebind(monkeypatch, rank_id_minus, counted_rank_id_minus)
     _rebind(monkeypatch, reflection_product, counted_reflection_product)
-    monkeypatch.setattr(involutions, "_int_matrix_rank", counted_matrix_rank)
     group = _fresh_group("B", 3)
     group._sigmas = StoreCountingTable()
     for name in ("involutions", "poset"):
         assert all(r.ok for r in run_suite(group, name))
-    assert ranked and multiplied
-    assert eliminations == len(ranked)
+    assert multiplied
     assert len(stored) == len(multiplied)
+    for sigma in group._sigmas.values():
+        assert sigma._length == group.length(_copy(sigma))
 
 
 def _greedy_strip(group, x):
@@ -152,14 +144,14 @@ def _greedy_strip(group, x):
 
 @pytest.mark.parametrize("letter,rank", SYSTEMS + [("F", 4), ("E", 6)])
 def test_walk_stores_the_greedy_words(letter, rank):
-    """The minuscule walk fills the word table; each stored word is the one
+    """The minuscule walk sets each element's word; each one is the word
     stripping gives, on this group and on a group that never walked."""
     group = _fresh_group(letter, rank)
     stripper = _fresh_group(letter, rank)
     for m in group.minuscule:
-        word = group._words[m.element]
+        word = m.element._word
         assert word == _greedy_strip(group, m.element)
-        assert word == stripper.reduced_word(m.element)
+        assert word == stripper.reduced_word(_copy(m.element))
         assert group.evaluate_word(word) == m.element
         assert len(word) == m.length
         assert group.reduced_word(m.element) is word
@@ -193,18 +185,35 @@ def test_tables_die_with_their_group():
     sigma = reflection_product(group, s)
     assert involution_length(group, sigma) > 0
     assert group.reduced_word(sigma)
-    assert group._sigmas and group._ranks and group._words
+    assert group._sigmas and sigma._length and sigma._word
     ref = weakref.ref(group)
     del group, top, s, sigma
     gc.collect()
     assert ref() is None
 
 
+def _held_elements(group):
+    """Every affine element the group holds, through its attributes and the
+    containers and minuscule elements inside them."""
+    seen, stack, found = set(), [vars(group)], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, AffineWeylElement):
+            found.append(obj)
+        elif isinstance(obj, (dict, list, tuple, set, frozenset, MinusculeElement)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 def test_streamed_involutions_leave_no_entry():
     """strong-form and support-injectivity stream every orthogonal subset of
     Phi^+ - delta (D4: 46 of them, 22 contexts) and keep only the contexts:
-    the involution table holds exactly the contexts, and the word table no
-    involution of a streamed subset that is not one."""
+    the involution table holds exactly the contexts, no table is keyed on
+    elements, and the group holds no involution of a streamed subset that is
+    not a context, apart from its reflections."""
     from borbits.involutions import shifted_orthogonal_stream, support_injectivity_check
     from borbits.orbits import verify_strong_form
 
@@ -215,9 +224,11 @@ def test_streamed_involutions_leave_no_entry():
         s for m in group.minuscule for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask))
     }
     assert set(group._sigmas) == contexts
-    streamed = [(r, sigma) for r, _, sigma in shifted_orthogonal_stream(group) if r not in contexts]
-    assert streamed
-    assert not any(sigma in group._words for _, sigma in streamed)
+    streamed = [sigma for r, _, sigma in shifted_orthogonal_stream(group) if r not in contexts]
+    assert len(streamed) == 24
+    # a one-root subset's involution is its reflection, which the
+    # reflection cache holds by design
+    assert not set(streamed) & (set(_held_elements(group)) - set(group._reflections.values()))
     # the stream walked here on its own stored nothing either
     assert set(group._sigmas) == contexts
 
@@ -241,12 +252,13 @@ def _supported_sigma(group, size):
 
 
 def test_a_wrong_support_size_is_caught_after_the_rank_is_stored():
-    """Every pair's sigma is ranked against |S| when the pair is built: a
-    stored sigma of a one-root set under a two-root set is refused."""
+    """Every pair's sigma is ranked against |S| each time the pair is
+    built: once its set's entry is replaced by the sigma of a one-root set,
+    the same two-root pair is refused."""
     group = _fresh_group("A", 3)
     ident = group.minuscule[0]
     s, top = _support(group, 2)
-    assert make_admissible_pair(group, ident, s, top).sigma in group._ranks
+    assert rank_id_minus(group, make_admissible_pair(group, ident, s, top).sigma) == 2
     group._sigmas[s] = _supported_sigma(group, 1)
     with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
         make_admissible_pair(group, ident, s, top)
@@ -279,37 +291,51 @@ def test_a_corrupted_sigma_is_caught_by_the_move():
         descent_move(group, pair, i)
 
 
-def test_a_corrupted_rank_is_caught_by_involution_length():
-    """A stored rank of 3 for a two-root support: the pair refuses it on the
-    support size, and involution_length on the parity."""
+def test_a_corrupted_rank_is_caught_by_involution_length(monkeypatch):
+    """A rank_id_minus off by one: the pair refuses it on the support size,
+    involution_length on the parity, and the involutions suite's
+    rank-and-length report names the sets it misranks."""
     group = _fresh_group("A", 3)
     s, top = _support(group, 2)
     sigma = reflection_product(group, s)
-    group._ranks[sigma] = (3, group.length(sigma))
-    with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
-        make_admissible_pair(group, group.minuscule[0], s, top)
-    with pytest.raises(AssertionError, match="different parity"):
-        involution_length(group, sigma)
+
+    def off_by_one(group, x):
+        return rank_id_minus(group, x) + 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(involutions, "rank_id_minus", off_by_one)
+        with pytest.raises(AssertionError, match="rank of id - sigma differs from the support size"):
+            make_admissible_pair(group, group.minuscule[0], s, top)
+        with pytest.raises(AssertionError, match="different parity"):
+            involution_length(group, sigma)
+    # the report's own rank is off, and the length it checks is not
+    monkeypatch.setattr(suites, "rank_id_minus", off_by_one)
+    reports = run_suite(_fresh_group("A", 3), "involutions")
+    report = next(r for r in reports if r.name == "rank-and-length")
+    assert report.checks and len(report.violations) == report.checks
+    assert all(v.startswith("rank of id - sigma is not |S| for ") for v in report.violations)
 
 
 def test_a_corrupted_length_is_caught_by_involution_length():
+    """A length cached off by one on sigma is read, and refused on the parity."""
     group = _fresh_group("A", 3)
     sigma = _supported_sigma(group, 2)
     ell = group.length(sigma)
     assert involution_length(group, sigma) == (ell + 2) // 2
-    group._ranks[sigma] = (2, ell + 1)
+    sigma._length = ell + 1
     with pytest.raises(AssertionError, match="different parity"):
         involution_length(group, sigma)
 
 
-def test_involution_length_counts_each_length_once(monkeypatch):
-    """The length is stored next to the rank, so repeated calls read it."""
+def test_involution_length_counts_each_length_once():
+    """The length is kept on the element, so repeated calls read it: with
+    the closed count's sign table gone they still answer, while a copy of
+    the element with nothing cached cannot be measured."""
     group = _fresh_group("B", 3)
     sigma = _supported_sigma(group, 2)
-    counted = []
-    length = group.length
-    monkeypatch.setattr(group, "length", lambda x: counted.append(x) or length(x))
-    values = {involution_length(group, sigma) for _ in range(5)}
-    assert values == {(length(sigma) + 2) // 2}
-    assert counted == [sigma]
-    assert group._ranks[sigma] == (2, length(sigma))
+    value = involution_length(group, sigma)
+    assert value == (group.length(_copy(sigma)) + 2) // 2
+    group._negative = None
+    assert {involution_length(group, sigma) for _ in range(5)} == {value}
+    with pytest.raises(TypeError):
+        group.length(_copy(sigma))

@@ -20,8 +20,10 @@ from borbits.involutions import (
     twisted_conjugate,
 )
 from borbits.minuscule import enumerate_minuscule, weak_order_leq
+from borbits.suites import _admissible_sweep
 
 from conftest import get_system
+from oracles import rank_id_minus_oracle
 
 
 def shifted(rs, *texts):
@@ -93,6 +95,30 @@ def test_rank_equals_support_size(system):
                 sigma = reflection_product(W, s)
                 assert rank_id_minus(W, sigma) == len(s)
                 assert 2 * involution_length(W, sigma) == W.length(sigma) + len(s)
+
+
+@pytest.mark.parametrize(
+    "letter,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6)]
+)
+def test_rank_trace_agrees_with_elimination(letter, rank):
+    """rank_id_minus reads (r - tr w) / 2 off the root tables; the oracle
+    eliminates the rows of id - sigma.  They agree on every pair's sigma and
+    every twisted conjugate of one."""
+    _, W = get_system(letter, rank)
+    sigmas = {pair.sigma: None for pair in _admissible_sweep(W)}
+    conjugates = {twisted_conjugate(W, i, sigma): None for sigma in sigmas for i in W.simple_indices}
+    assert len(conjugates) > len(sigmas) > 1
+    swept = {**sigmas, **conjugates}
+    assert [x for x in swept if rank_id_minus(W, x) != rank_id_minus_oracle(W, x)] == []
+
+
+def test_rank_refuses_an_odd_trace(system):
+    """s1 s2 of A2 is no involution: tr w = -1, so r - tr w = 3 is odd."""
+    _, W = system("A", 2)
+    x = W.evaluate_word((1, 2))
+    assert W.multiply(x, x) != W.identity
+    with pytest.raises(AssertionError, match="odd"):
+        rank_id_minus(W, x)
 
 
 def test_twisted_conjugate_examples(system):

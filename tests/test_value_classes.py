@@ -114,12 +114,18 @@ def test_caches_stay_out_of_the_value():
     # by hand from them is the walk's element
     fresh = MinusculeElement(m.element, m.mask)
     assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
-    # the only cache left on a value is an affine element's hash: a copy of
-    # the walk's element with its hash not yet taken equals it
+    # the only caches left on a value are an affine element's hash, length
+    # and reduced word: a copy of the walk's element with none of them taken
+    # equals it, hashes like it and prints like it
     hash(m.element)
+    group.length(m.element)
+    group.reduced_word(m.element)
     element = type(m.element)(m.element.perm, m.element.shift)
-    assert m.element._hash is not None and element._hash is None
-    assert element == m.element and MinusculeElement(element, m.mask) == m
+    cached = ("_hash", "_length", "_word")
+    assert all(getattr(m.element, name) is not None for name in cached)
+    assert all(getattr(element, name) is None for name in cached)
+    assert element == m.element and hash(element) == hash(m.element) and repr(element) == repr(m.element)
+    assert MinusculeElement(element, m.mask) == m
 
 
 def test_cartan_datum_still_validates():

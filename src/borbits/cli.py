@@ -4,7 +4,6 @@ verification suites, and the finite-field oracle."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -14,9 +13,10 @@ from .minuscule import _check_cap, ideal_from_mask, normalizer_simple_roots, wea
 from .roots import build_root_system, root_text
 
 # orbits, suites and typea are imported inside the commands that run them,
-# so `ideals` neither compiles nor loads them.
+# so `ideals` neither compiles nor loads them, and json inside the branches
+# that write JSON, so no text output loads it.
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _styled_word(word) -> str:
@@ -88,7 +88,10 @@ def _resolve_v(group, text: str, w):
     for i in word:
         if not 0 <= i <= group.rank:
             raise ValueError(f"letter {i} out of range in the v word")
-    k = group.minuscule_ids.get(group.evaluate_word(word))
+    x = group.evaluate_word(word)
+    if group.length(x) != len(word):
+        raise ValueError(f"--v {text!r} is not a reduced word")
+    k = group.minuscule_ids.get(x)
     if k is None:
         raise ValueError("v is not minuscule")
     v = group.minuscule[k]
@@ -117,6 +120,8 @@ def _cmd_ideals(args) -> int:
             }
         )
     if args.json:
+        import json
+
         print(json.dumps(rows, indent=2))
     else:
         for row, word in zip(rows, words):
@@ -138,6 +143,8 @@ def _cmd_orbits(args) -> int:
     v = _resolve_v(group, args.v, w)
     poset = build_orbit_poset(group, w, v)
     if args.json:
+        import json
+
         print(json.dumps([node_row(node) for node in poset.nodes], indent=2))
     else:
         for node in poset.nodes:
@@ -178,6 +185,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import json
+
     from .typea import oracle_report
 
     try:
@@ -216,5 +225,21 @@ def main(argv=None) -> int:
         return 141
 
 
+def run(argv=None):
+    """Entry point of `borbits` and `python -m borbits`: run `main`, flush
+    what it printed, and end the process there.  The interpreter's teardown
+    (clearing every module and collecting what is still alive) is skipped,
+    since nothing is left to write.  A closed pipe at the flush exits 141
+    with nothing on stderr, as in `main`; an exception that escapes `main`
+    takes the normal exit and prints its traceback."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

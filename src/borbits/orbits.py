@@ -19,7 +19,6 @@ affine pictures for maximal parabolics whose simple root has mark one.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from operator import itemgetter
 
@@ -158,6 +157,8 @@ def export_poset(poset: OrbitPoset, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         data = {
             "context": {
                 "type": poset.context.type_letter,

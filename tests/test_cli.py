@@ -1,11 +1,19 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import ast
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from borbits.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -125,7 +133,12 @@ def test_usage_errors(capsys):
         argv = (command, "--type", "A", "--rank", "2", "--ideal-id", "2", "--v", word, *extra)
         refusal = f"error: --v takes simple indices separated by spaces, not {word!r}\n"
         assert run(capsys, *argv) == (2, "", refusal)
-
+    # s1 s1 is the identity and s0 s1 s1 is s0: a word longer than its
+    # element is refused, not read as the element
+    for command, word in (("orbits", "1 1"), ("poset", "0 1 1")):
+        extra = ("--format", "dot") if command == "poset" else ()
+        argv = (command, "--type", "A", "--rank", "2", "--ideal-id", "3", "--v", word, *extra)
+        assert run(capsys, *argv) == (2, "", f"error: --v {word!r} is not a reduced word\n")
 
 
 def test_oracle_typea_refuses_repeated_primes(capsys):
@@ -193,25 +206,105 @@ def test_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
+def _module_env():
+    """A child's environment: the package found through PYTHONPATH, and
+    stdout buffered, as it is by default when it is a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _module_run(*argv, code=None):
+    """Run `python -m borbits argv` (or the code given) in a fresh
+    interpreter; stdout and stderr are read through pipes, as bytes."""
+    prog = ["-c", code] if code is not None else ["-m", "borbits"]
+    return subprocess.run([sys.executable, *prog, *argv], capture_output=True, env=_module_env())
+
+
 def test_module_entry_point_round_trip():
     """Fresh interpreters must produce byte-identical output too.  The child
     finds the package through PYTHONPATH, so this runs from a clean checkout
     without an install."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "borbits", "poset", "--type", "B", "--rank", "2",
-           "--ideal-id", "3", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    argv = ("poset", "--type", "B", "--rank", "2", "--ideal-id", "3", "--format", "json")
+    first, second = _module_run(*argv), _module_run(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["context"]["type"] == "B"
+
+
+def test_module_entry_point_flushes_before_it_exits(capsys):
+    """The entry point ends the process with os._exit after its last flush,
+    so A9's 172 KB of rows and the help text, which argparse prints before
+    `main` returns outside its own flush, read through a pipe, must be the
+    same bytes as the in-process `main` prints, and a usage error must
+    still exit 2 with its one line on stderr."""
+    for argv in (("ideals", "--type", "A", "--rank", "9"), ("--help",)):
+        code, out, err = run(capsys, *argv)
+        proc = _module_run(*argv)
+        assert (code, err) == (0, ""), argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b""), argv
+    proc = _module_run("orbits", "--type", "A", "--rank", "2", "--ideal-id", "3", "--v", "1 1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: --v '1 1' is not a reduced word\n")
+
+
+def test_a_closed_pipe_at_the_last_flush_exits_141():
+    """argparse prints the help text without a flush and `main` returns 0,
+    so a reader that is already gone is met at `run`'s own flush: exit 141
+    and nothing on stderr, where the interpreter's flush at exit printed
+    an ignored BrokenPipeError and exited 120."""
+    cmd = [sys.executable, "-m", "borbits", "--help"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env()) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_run_skips_the_teardown_but_not_a_traceback():
+    """`run` ends the process without the interpreter's teardown, so an
+    atexit hook never runs; an exception that escapes `main` still takes
+    the normal exit, with its traceback and exit 1."""
+    proc = _module_run(code=(
+        "import atexit\n"
+        "from borbits import cli\n"
+        "atexit.register(print, 'teardown')\n"
+        "cli.run(['ideals', '--type', 'A', '--rank', '1'])\n"
+    ))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().splitlines() == [
+        "0  ideal={}  word=e  length=0  normalizer={1}",
+        "1  ideal={1}  word=s0  length=1  normalizer={}",
+    ]
+    proc = _module_run(code=(
+        "from borbits import cli\n"
+        "def broken(args):\n"
+        "    raise RuntimeError('planted')\n"
+        "cli._cmd_ideals = broken\n"
+        "cli.run(['ideals', '--type', 'A', '--rank', '1'])\n"
+    ))
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines()[-1] == "RuntimeError: planted"
+
+
+def test_console_script_and_module_share_the_entry_point():
+    """`[project.scripts]` in pyproject.toml names the function that
+    `__main__.py` calls, so `borbits` and `python -m borbits` end alike."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(
+        r'^\[project\.scripts\]\nborbits = "([\w.]+):(\w+)"$', pyproject, re.M
+    ).groups()
+    tree = ast.parse((ROOT / "src" / "borbits" / "__main__.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    called = [
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert module == "borbits.cli"
+    assert imported == {("cli", func)}
+    assert called == [func]
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 
 `import borbits` resolves its public names on first access, and the CLI
 imports the orbit layer, the suites and the type-A oracle inside the
-commands that use them.  Every check runs in a fresh interpreter, because
-this test process has long since imported every module.
+commands that use them, and `json` inside the branches that write JSON.
+Every check runs in a fresh interpreter, because this test process has
+long since imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,8 +18,8 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _child(code: str):
-    """Run code in a fresh interpreter; its last stdout line is JSON."""
+def _last_line(code: str) -> str:
+    """Run code in a fresh interpreter and return its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -25,7 +27,12 @@ def _child(code: str):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def _child(code: str):
+    """Run code in a fresh interpreter; its last stdout line is JSON."""
+    return json.loads(_last_line(code))
 
 
 def _modules_after(argv):
@@ -80,6 +87,35 @@ def test_orbit_commands_load_neither_dataclasses_nor_inspect():
         """)
         assert code == 0, argv
         assert loaded == [], argv
+
+
+def _loads_json(argv):
+    """The exit code of `cli.main(argv)` and whether it loaded `json`.  The
+    child reports through repr, since printing JSON would load json itself."""
+    return ast.literal_eval(_last_line(f"""
+        import contextlib, io, sys
+        from borbits import cli
+        before = "json" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main({argv!r})
+        print(repr((before, code, "json" in sys.modules)))
+    """))
+
+
+def test_only_json_output_loads_json():
+    """Text output never loads `json`; the commands that write JSON load it
+    in the branch that writes it."""
+    for argv, loaded in (
+        (["ideals", "--type", "A", "--rank", "3"], False),
+        (["orbits", "--type", "A", "--rank", "3", "--ideal-id", "4"], False),
+        (["poset", "--type", "B", "--rank", "3", "--ideal-id", "5", "--format", "dot"], False),
+        (["verify", "--type", "B", "--rank", "2", "--suite", "all"], False),
+        (["ideals", "--type", "A", "--rank", "3", "--json"], True),
+        (["orbits", "--type", "A", "--rank", "3", "--ideal-id", "4", "--json"], True),
+        (["poset", "--type", "B", "--rank", "3", "--ideal-id", "5", "--format", "json"], True),
+        (["oracle-typea", "--n", "3", "--ideal-id", "2", "--q", "2"], True),
+    ):
+        assert _loads_json(argv) == (False, 0, loaded), argv
 
 
 def test_building_a_group_does_not_load_fractions():

@@ -212,34 +212,41 @@ def main(argv=None) -> int:
         "oracle-typea": _cmd_oracle,
     }
     try:
-        code = handlers[args.command](args)
-        sys.stdout.flush()  # so that a closed pipe is met inside the try
-        return code
+        return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to devnull, so the
-        # flush at exit cannot fail again, and exit as SIGPIPE would (128 + 13)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler (coverage, cProfile) is hooked in; such
+    tools write their report at interpreter exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return bool(
+        sys.gettrace() or sys.getprofile()
+        or monitoring and any(monitoring.get_tool(i) for i in range(6))
+    )
 
 
 def run(argv=None):
     """Entry point of `borbits` and `python -m borbits`: run `main`, flush
     what it printed, and end the process there.  The interpreter's teardown
     (clearing every module and collecting what is still alive) is skipped,
-    since nothing is left to write.  A closed pipe at the flush exits 141
-    with nothing on stderr, as in `main`; an exception that escapes `main`
-    takes the normal exit and prints its traceback."""
-    code = main(argv)
+    since nothing is left to write, unless a tracer or profiler waits for
+    the normal exit.  A reader that is gone, met while printing or at the
+    flush, ends the run with 141 (128 + SIGPIPE) and nothing on stderr; an
+    exception that escapes `main` takes the normal exit and prints its
+    traceback."""
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        code = main(argv)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the fd closed
+                stream.flush()
     except BrokenPipeError:
         code = 141
+    if _observed():
+        sys.exit(code)
     os._exit(code)
-
 
 if __name__ == "__main__":
     run()

@@ -285,6 +285,48 @@ def test_run_skips_the_teardown_but_not_a_traceback():
     assert proc.stderr.decode().splitlines()[-1] == "RuntimeError: planted"
 
 
+def test_run_flushes_only_the_streams_that_exist():
+    """A process started with fd 2 (or fd 1) closed has sys.stderr (or
+    sys.stdout) set to None; `run` must skip that stream, not fail on it,
+    and exit 0 as a plain `sys.exit(main())` did."""
+    for argv, redirect in (
+        ("ideals --type A --rank 2", "2>&-"),
+        ("--help", ">&-"),
+        ("--help", ">&- 2>&-"),
+    ):
+        proc = subprocess.run(
+            ["sh", "-c", f'"$0" -m borbits {argv} {redirect}', sys.executable],
+            capture_output=redirect == "2>&-", env=_module_env(),
+        )
+        assert proc.returncode == 0, (argv, redirect, proc.stderr)
+
+
+def test_run_takes_the_normal_exit_under_a_profiler():
+    """A profiler or tracer writes its report at interpreter exit, so with
+    one hooked in `run` exits through the interpreter: `python -m cProfile
+    -m borbits` prints its statistics after the command's output, and a
+    usage error under a tracer still exits 2 after the atexit hooks ran."""
+    proc = _module_run(code=(
+        "import runpy, sys\n"
+        "sys.argv = ['cProfile', '-m', 'borbits', 'ideals', '--type', 'A', '--rank', '1']\n"
+        "runpy.run_module('cProfile', run_name='__main__')\n"
+    ))
+    out = proc.stdout.decode()
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.startswith("0  ideal={}  word=e  length=0  normalizer={1}\n")
+    assert "function calls" in out
+    proc = _module_run(code=(
+        "import atexit, sys\n"
+        "from borbits import cli\n"
+        "atexit.register(print, 'teardown')\n"
+        "sys.settrace(lambda *a: None)\n"
+        "cli.run(['ideals', '--type', 'A', '--rank', '0'])\n"
+    ))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"teardown\n", b"error: type A does not admit rank 0\n"
+    )
+
+
 def test_console_script_and_module_share_the_entry_point():
     """`[project.scripts]` in pyproject.toml names the function that
     `__main__.py` calls, so `borbits` and `python -m borbits` end alike."""

@@ -18,8 +18,8 @@ SUITE_NAMES = ("minuscule", "involutions", "poset", "strong-form", "phi")
 _HOMES = {
     "affine": ("AffineWeylElement", "AffineWeylGroup"),
     "involutions": (
-        "AdmissiblePair", "Report", "involution_length",
-        "make_admissible_pair", "make_orthogonal_set", "orthogonal_subsets", "reflection_product",
+        "AdmissiblePair", "involution_length", "make_admissible_pair", "make_orthogonal_set",
+        "orthogonal_subsets", "reflection_product",
     ),
     "minuscule": (
         "MinusculeElement", "enumerate_abelian_ideals", "enumerate_minuscule", "ideal_to_element",
@@ -27,6 +27,7 @@ _HOMES = {
     ),
     "orbits": ("OrbitPoset", "build_orbit_poset", "export_poset"),
     "roots": ("RootSystem", "build_root_system"),
+    "suites": ("Report",),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -14,18 +14,11 @@ The inversion gap of a pair and its support S lie in ``Phi^+ - delta``, so
 they are read as bitmasks over the positive roots (bit j for r_j - delta),
 and containment and orthogonality are bit tests against the root system's
 `orthogonal_masks`.  v(S) has roots at other levels; no mask describes it.
-
-Two consistency checks that are easy to get wrong are kept close to the
-data: every root sent to its negative by the involution of an orthogonal
-subset of an inversion set must be a half sum of two support roots, and
-within an inversion set the support is recoverable from the involution.
-Both are exposed as report-producing operations so negative examples can be
-exercised as well.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Optional
 
@@ -36,7 +29,6 @@ from .minuscule import MinusculeElement, weak_order_leq
 from .roots import RootSystem, _Value, _bits
 
 __all__ = [
-    "Report",
     "OrthogonalSet",
     "AdmissiblePair",
     "set_text",
@@ -50,22 +42,7 @@ __all__ = [
     "make_admissible_pair",
     "pair_descents",
     "descent_move",
-    "negated_root_report",
-    "support_injectivity_check",
 ]
-
-
-class Report(_Value):
-    """Outcome of a verification sweep: how many checks ran and which failed."""
-
-    __slots__ = ("name", "checks", "violations")
-
-    def __init__(self, name: str, checks: int, violations: tuple[str, ...] = ()):
-        self.name, self.checks, self.violations = name, checks, violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 # pairwise orthogonal real affine roots in `affine_key` order
@@ -363,57 +340,3 @@ def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot)
         raise AssertionError("ambiguous real finite descent replacement")
     (out,) = results
     return out
-
-
-def negated_root_report(
-    group: AffineWeylGroup,
-    s: OrthogonalSet,
-    inside: Optional[MinusculeElement] = None,
-) -> Report:
-    """Enumerate the real roots sent to their negatives by the involution of
-    S and verify each is half of (+-b) + (+-b') with b, b' in S; roots at
-    level -1 with positive finite part must use the plus-plus form, finite
-    roots the mixed form."""
-    if inside is not None:
-        support = group.shifted_mask(s)
-        if support is None or support & ~inside.mask:
-            raise ValueError("S is not inside the inversion set of the given element")
-    sigma = reflection_product(group, s)
-    # each doubled root (sb*b + sbp*b') mapped to all its sign pairs (sb, sbp)
-    halves: dict[tuple, set[tuple[int, int]]] = {}
-    for (b, n), (bp, n_p) in product(s, repeat=2):
-        for sb, sbp in product((1, -1), repeat=2):
-            fin = tuple(sb * x + sbp * y for x, y in zip(b, bp))
-            halves.setdefault((fin, sb * n + sbp * n_p), set()).add((sb, sbp))
-    checks = 0
-    violations = []
-    for a in group.negated_roots(sigma):
-        checks += 1
-        gamma, n = a
-        key = (tuple(2 * c for c in gamma), 2 * n)
-        if key not in halves:
-            violations.append(f"{affine_text(a)} is negated but is not a half sum of support roots")
-            continue
-        if n == -1 and max(gamma) > 0 and (1, 1) not in halves[key]:
-            violations.append(f"{affine_text(a)} is negated but not a plus-plus half sum")
-        if n == 0 and (1, -1) not in halves[key]:
-            violations.append(f"{affine_text(a)} is negated but not a plus-minus half sum")
-    return Report("negated-roots-halfsum", checks, tuple(violations))
-
-
-def support_injectivity_check(group: AffineWeylGroup) -> list[bool]:
-    """Within the inversion set of each minuscule element, the involution
-    determines the orthogonal subset: no other orthogonal subset of
-    Phi^+ - delta shares its involution.  One verdict per ideal id; each
-    subset of Phi^+ - delta is streamed once against the contexts."""
-    holders = _contexts(group)
-    owners: dict[AffineWeylElement, list[OrthogonalSet]] = {}
-    for s in holders:
-        owners.setdefault(reflection_product(group, s), []).append(s)
-    ok = [True] * len(group.minuscule)
-    for r, _, sigma in shifted_orthogonal_stream(group):
-        for s in owners.get(sigma, ()):
-            if s != r:
-                for k in holders[s]:
-                    ok[k] = False
-    return ok

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from operator import mul
+from operator import index, mul
 
 from .affine import AffineWeylGroup
 from .involutions import involution_length, orthogonal_subsets, rank_id_minus, reflection_product
@@ -67,8 +67,13 @@ def make_context(n: int, q: int, positions) -> MatrixIdealContext:
         raise ValueError("n must be between 2 and 4")
     if q not in ALLOWED_PRIMES:
         raise ValueError(f"q must be one of {ALLOWED_PRIMES}")
-    pos = tuple(sorted((int(i), int(j)) for i, j in positions))
+    try:
+        pos = tuple(sorted((index(i), index(j)) for i, j in positions))
+    except TypeError:
+        raise ValueError("slots must be pairs of integers") from None
     pset = set(pos)
+    if len(pset) != len(pos):
+        raise ValueError("repeated slot")
     for i, j in pos:
         if not 1 <= i < j <= n:
             raise ValueError(f"bad slot {(i, j)}")
@@ -251,9 +256,10 @@ def _e_s_vector(ctx: MatrixIdealContext, subset: tuple[Position, ...]) -> tuple[
 
 def _estimates(partitions: dict, q_list: tuple[int, ...], subsets) -> dict:
     """The log-ratio dimension estimate of every orthogonal subset,
-    round(log(size2/size1) / log(q2/q1)) over the last two primes given;
-    the largest primes are the least biased by the (q - 1) factors that
-    orbit sizes carry at small primes."""
+    round(log(size2/size1) / log(q2/q1)) over the last two primes in the
+    order given, whatever their size; larger primes are less biased by the
+    (q - 1) factors that orbit sizes carry at small primes, so list them
+    last."""
     q1, q2 = q_list[-2:]
     out = {}
     for subset, _ in subsets:

@@ -12,11 +12,9 @@ from borbits.affine import AffineWeylGroup, negate
 from borbits.involutions import (
     make_admissible_pair,
     make_orthogonal_set,
-    negated_root_report,
     orthogonal_subsets,
     pair_descents,
     reflection_product,
-    support_injectivity_check,
 )
 from borbits.minuscule import (
     enumerate_abelian_ideals,
@@ -29,14 +27,16 @@ from borbits.minuscule import (
     normalizer_simple_roots,
     weak_order_leq,
 )
-from borbits.orbits import (
-    build_orbit_poset,
+from borbits.orbits import build_orbit_poset
+from borbits.roots import build_root_system
+from borbits.suites import (
+    negated_root_report,
+    support_injectivity_check,
     verify_branch_recursion,
     verify_moves_vs_order,
     verify_phi_equivalence,
     verify_strong_form,
 )
-from borbits.roots import build_root_system
 from borbits.typea import oracle_report
 
 from conftest import get_system

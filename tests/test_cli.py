@@ -187,7 +187,7 @@ def test_walks_past_the_minuscule_cap_are_refused_at_once(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    from borbits.involutions import Report
+    from borbits.suites import Report
 
     def broken(group, name):
         return [Report(name, 1, ("planted violation",))]

@@ -17,8 +17,8 @@ import pytest
 from borbits.affine import AffineWeylGroup, affine_text, is_positive
 from borbits.involutions import make_admissible_pair, orthogonal_subsets, pair_descents
 from borbits.minuscule import weak_order_leq
-from borbits.orbits import verify_branch_recursion
 from borbits.roots import build_root_system
+from borbits.suites import verify_branch_recursion
 
 from conftest import count_inversions, get_system
 

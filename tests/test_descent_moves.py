@@ -17,12 +17,10 @@ from borbits.affine import AffineWeylGroup, affine_text, is_positive, negate
 from borbits.cli import main
 from borbits.involutions import (
     AdmissiblePair,
-    Report,
     descent_classify,
     descent_move,
     make_admissible_pair,
     make_orthogonal_set,
-    negated_root_report,
     orthogonal_subsets,
     pair_descents,
     rank_id_minus,
@@ -35,9 +33,8 @@ from borbits.minuscule import (
     minuscule_from_element,
     weak_order_leq,
 )
-from borbits.orbits import verify_branch_recursion
 from borbits.roots import build_root_system, root_text
-from borbits.suites import _admissible_sweep, run_suite
+from borbits.suites import Report, _admissible_sweep, negated_root_report, run_suite, verify_branch_recursion
 
 from conftest import get_system
 
@@ -331,9 +328,9 @@ def test_branch_recursion_builds_no_words_when_clean(monkeypatch):
 def test_branch_recursion_violation_text(monkeypatch):
     group = _fresh_group("B", 2)
     w = max(group.minuscule, key=lambda m: m.length)
-    import borbits.orbits as orbits_mod
+    import borbits.suites as suites_mod
 
-    monkeypatch.setattr(orbits_mod, "twisted_conjugate", lambda g, i, sigma: sigma)
+    monkeypatch.setattr(suites_mod, "twisted_conjugate", lambda g, i, sigma: sigma)
     rep = verify_branch_recursion(group, w)
     assert rep.violations
     w_word = " ".join(str(i) for i in group.reduced_word(w.element))

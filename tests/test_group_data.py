@@ -6,11 +6,10 @@ import sys
 import weakref
 
 from borbits.affine import AffineWeylGroup
-from borbits.involutions import support_injectivity_check
 from borbits.minuscule import enumerate_minuscule
-from borbits.orbits import build_orbit_poset, verify_strong_form
+from borbits.orbits import build_orbit_poset
 from borbits.roots import build_root_system
-from borbits.suites import SUITE_NAMES, run_suite
+from borbits.suites import SUITE_NAMES, run_suite, support_injectivity_check, verify_strong_form
 
 
 def test_group_is_freed_after_use():

@@ -214,8 +214,8 @@ def test_streamed_involutions_leave_no_entry():
     the involution table holds exactly the contexts, no table is keyed on
     elements, and the group holds no involution of a streamed subset that is
     not a context, apart from its reflections."""
-    from borbits.involutions import shifted_orthogonal_stream, support_injectivity_check
-    from borbits.orbits import verify_strong_form
+    from borbits.involutions import shifted_orthogonal_stream
+    from borbits.suites import support_injectivity_check, verify_strong_form
 
     group = _fresh_group("D", 4)
     assert verify_strong_form(group).ok

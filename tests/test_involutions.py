@@ -11,16 +11,14 @@ from borbits.involutions import (
     involution_length,
     make_admissible_pair,
     make_orthogonal_set,
-    negated_root_report,
     orthogonal_subsets,
     pair_descents,
     rank_id_minus,
     reflection_product,
-    support_injectivity_check,
     twisted_conjugate,
 )
 from borbits.minuscule import enumerate_minuscule, weak_order_leq
-from borbits.suites import _admissible_sweep
+from borbits.suites import _admissible_sweep, negated_root_report, support_injectivity_check
 
 from conftest import get_system
 from oracles import rank_id_minus_oracle

@@ -6,9 +6,8 @@ import pytest
 
 from borbits.involutions import make_admissible_pair, make_orthogonal_set, set_text
 from borbits.minuscule import enumerate_minuscule, ideal_from_mask, minuscule_from_element, weak_order_leq
-from borbits.orbits import (
-    build_orbit_poset,
-    export_poset,
+from borbits.orbits import build_orbit_poset, export_poset
+from borbits.suites import (
     phi_apply,
     phi_involution,
     verify_branch_recursion,

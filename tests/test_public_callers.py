@@ -6,16 +6,61 @@ only exceptions are the four functions that the benchmark tracer
 (``perfbench/tracer.py``) spans or counts: they keep their names for it
 alone.  The check is exact both ways, so it also fails when one of the four
 gains a caller (it is then no longer an exception) or is deleted (the tracer
-would fail to install).
+would fail to install).  The tracer also spans the four verify sweeps as
+``orbits.verify_*``; they live in `suites`, and `orbits` forwards exactly
+those names there, which is checked here too.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "borbits"
 
 TRACER_ONLY = {"inverse", "inversions_from_negative", "sigma_of_pair", "pairing_with_simple_coroot"}
+
+
+def _traced_orbits_names_not_defined() -> set[str]:
+    """The tracer's ("orbits", name) spans that orbits.py does not define:
+    the names the module forwards to `suites` for the tracer alone."""
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (spanned,) = [
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANNED"]
+    ]
+    orbits = ast.parse((SRC / "orbits.py").read_text())
+    defined = {node.name for node in orbits.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return {attr for module, attr in spanned if module == "orbits"} - defined
+
+
+def test_orbits_forwards_exactly_the_sweeps_the_tracer_names():
+    from borbits import orbits, suites
+
+    forwarded = _traced_orbits_names_not_defined()
+    assert forwarded == orbits._FORWARDED
+    for name in forwarded:
+        assert getattr(orbits, name) is getattr(suites, name)
+    for name in ("phi_apply", "phi_involution", "_UnionFind", "Report", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(orbits, name)
+
+
+def test_no_test_imports_a_forwarded_name_from_orbits():
+    """The forward serves the tracer alone: tests import the sweeps from
+    `suites`, where they live."""
+    forwarded = _traced_orbits_names_not_defined()
+    offenders = [
+        (path.name, alias.name)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "borbits.orbits"
+        for alias in node.names
+        if alias.name in forwarded
+    ]
+    assert offenders == []
 
 
 def uncalled(src: Path = SRC) -> set[str]:

@@ -26,6 +26,10 @@ def test_context_validation():
         make_context(3, 2, [(1, 2), (2, 3), (1, 3)])  # chain (1,2),(2,3)
     with pytest.raises(ValueError):
         make_context(3, 2, [(3, 1), (1, 3)])
+    with pytest.raises(ValueError):
+        make_context(3, 2, [(1, 3), (1, 3)])  # repeated slot
+    with pytest.raises(ValueError):
+        make_context(3, 2, [(1, 3.7)])  # not an integer slot
 
 
 def test_position_mapping():

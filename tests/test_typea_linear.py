@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import borbits.typea as typea
-from borbits.orbits import _UnionFind
+from borbits.suites import _UnionFind
 from borbits.typea import (
     enumerate_orbits,
     ideal_positions,

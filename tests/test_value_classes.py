@@ -20,14 +20,13 @@ import pytest
 
 from borbits.involutions import (
     AdmissiblePair,
-    Report,
     orthogonal_subsets,
     pair_descents,
 )
 from borbits.minuscule import MinusculeElement
 from borbits.orbits import build_orbit_poset
 from borbits.roots import build_root_system
-from borbits.suites import _admissible_sweep
+from borbits.suites import Report, _admissible_sweep
 from borbits.typea import enumerate_orbits, ideal_positions, make_context
 
 from conftest import get_system

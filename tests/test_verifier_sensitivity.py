@@ -8,12 +8,13 @@ vacuous.
 
 from borbits.affine import AffineWeylGroup
 from borbits.minuscule import enumerate_minuscule
-from borbits.orbits import (
+from borbits.suites import (
+    suite_involutions,
+    suite_minuscule,
     verify_branch_recursion,
     verify_moves_vs_order,
     verify_strong_form,
 )
-from borbits.suites import suite_involutions, suite_minuscule
 
 from conftest import get_system
 
@@ -53,7 +54,7 @@ def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypat
     of a context S != R, where R escapes an ideal k that holds S.  Then R is
     below S outside ideal k, and S's involution is no longer S's alone."""
     import borbits.involutions as involutions_mod
-    import borbits.orbits as orbits_mod
+    import borbits.suites as suites_mod
     from borbits.involutions import orthogonal_subsets, reflection_product, set_text
 
     group = _fresh_group("A", 3)
@@ -70,7 +71,7 @@ def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypat
             yield sub, mask, sigma_s if sub == r else sigma
 
     monkeypatch.setattr(involutions_mod, "shifted_orthogonal_stream", wrong)
-    monkeypatch.setattr(orbits_mod, "shifted_orthogonal_stream", wrong)
+    monkeypatch.setattr(suites_mod, "shifted_orthogonal_stream", wrong)
     rep = verify_strong_form(group)
     assert f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}" in rep.violations
     (rep,) = [x for x in suite_involutions(group) if x.name == "support-injectivity"]
@@ -85,10 +86,10 @@ def test_branch_recursion_detects_wrong_conjugation(monkeypatch):
     group = _fresh_group("B", 2)
     w = max(enumerate_minuscule(group), key=lambda m: m.length)
 
-    import borbits.orbits as orbits_mod
+    import borbits.suites as suites_mod
 
     monkeypatch.setattr(
-        orbits_mod, "twisted_conjugate", lambda g, i, sigma: sigma
+        suites_mod, "twisted_conjugate", lambda g, i, sigma: sigma
     )
     rep = verify_branch_recursion(group, w)
     assert not rep.ok

@@ -48,14 +48,14 @@ vertices off the tables; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from functools import cached_property
-from operator import add, itemgetter, mul, neg
+from functools import cached_property, reduce
+from operator import add, itemgetter, mul, neg, or_
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .roots import Root, RootSystem, _bits, root_text
 
 if TYPE_CHECKING:
-    from .involutions import OrthogonalSet
+    from .involutions import OrthogonalSet, _PairFacts
     from .minuscule import MinusculeElement
 
 __all__ = [
@@ -130,6 +130,8 @@ class AffineWeylElement:
         self._hash = self._length = self._word = None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, AffineWeylElement):
             return NotImplemented
         return self.perm == other.perm and self.shift == other.shift
@@ -156,8 +158,16 @@ class AffineWeylGroup:
     * the involution of each orthogonal set (``reflection_product``),
       computed and checked once;
     * ``minuscule``, the minuscule elements in canonical order (position k
-      is ideal id k), enumerated on first use, and ``minuscule_ids``, the
-      map from each of their elements to its ideal id.
+      is ideal id k), enumerated on first use, ``minuscule_ids``, the map
+      from each of their elements to its ideal id, and
+      ``minuscule_pull_backs``, each one's v^{-1}(a_i) for every simple i;
+    * the orthogonal subsets of each gap mask, walked once, each set held
+      once however many gaps hold it (``gap_subsets``);
+    * the admissible pair table: keyed on the integers (ideal id of v, mask
+      of S), what a pair (v, S, w) owes to (v, S) alone, without its
+      witness w: v(S) and its involution, the descent kind of each simple
+      index and the target of each descent move, computed once for all
+      the witnesses of (v, S) (``involutions._PairFacts``).
 
     It keeps no Bruhat answers: ``bruhat_leq`` is a walk that stores
     nothing, and the poset suite, the one caller that asks the same pairs
@@ -183,6 +193,7 @@ class AffineWeylGroup:
         # r_j - delta for each positive root r_j, shared by every inversion
         # set of a minuscule element
         self._shifted = tuple((g, -1) for g in rs.positive_roots)
+        self._shifted_bit = {a: 1 << j for j, a in enumerate(self._shifted)}
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[g], level) for g, level in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
@@ -207,8 +218,13 @@ class AffineWeylGroup:
 
         self._left_steps = tuple(map(left_step, self._simple))
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
-        # sigma by orthogonal set, filled by the involutions module
+        # filled by the involutions module: sigma by orthogonal set, the
+        # orthogonal subsets by gap mask with one copy of each subset of
+        # Phi^+ - delta, and the admissible pair table
         self._sigmas: dict[OrthogonalSet, AffineWeylElement] = {}
+        self._gaps: dict[int, list[OrthogonalSet]] = {}
+        self._sets: dict[OrthogonalSet, OrthogonalSet] = {}
+        self._pairs: dict[tuple[int, int], _PairFacts] = {}
 
     # -- root tables ---------------------------------------------------------
 
@@ -453,9 +469,10 @@ class AffineWeylGroup:
     def shifted_mask(self, roots: Iterable[AffineRoot]) -> int | None:
         """The bitmask of a set of roots r_j - delta, bit j; None if one of
         them is not in Phi^+ - delta."""
-        index = self.rs._pos_index
-        bits = [index.get(g) if level == -1 else None for g, level in roots]
-        return None if None in bits else sum(1 << j for j in set(bits))
+        try:
+            return reduce(or_, map(self._shifted_bit.__getitem__, roots), 0)
+        except KeyError:
+            return None
 
     def shifted_roots(self, mask: int) -> tuple[AffineRoot, ...]:
         """The shared roots r_j - delta of the set bits j of mask, in the
@@ -505,6 +522,14 @@ class AffineWeylGroup:
     @cached_property
     def minuscule_ids(self) -> dict[AffineWeylElement, int]:
         return {m.element: k for k, m in enumerate(self.minuscule)}
+
+    @cached_property
+    def minuscule_pull_backs(self) -> tuple[tuple[tuple[AffineRoot, int | None], ...], ...]:
+        """Per ideal id, per simple index i: beta = v^{-1}(a_i) for that
+        minuscule v, with the k of -beta = r_k - delta (None if -beta is
+        not in Phi^+ - delta)."""
+        pulled = [[self.pull_back(m.element, i) for i in self.simple_indices] for m in self.minuscule]
+        return tuple(tuple((beta, self.negated_position(beta)) for beta in betas) for betas in pulled)
 
     # -- alcove geometry --------------------------------------------------------
 

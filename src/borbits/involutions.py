@@ -34,6 +34,7 @@ __all__ = [
     "set_text",
     "make_orthogonal_set",
     "orthogonal_subsets",
+    "gap_subsets",
     "reflection_product",
     "rank_id_minus",
     "involution_length",
@@ -90,6 +91,22 @@ def orthogonal_subsets(rs: RootSystem, roots: Iterable[AffineRoot]) -> list[Orth
     return out
 
 
+def gap_subsets(group: AffineWeylGroup, gap: int) -> list[OrthogonalSet]:
+    """`orthogonal_subsets` of the roots r_j - delta of a gap mask, walked
+    once per group: the sweeps meet the same gaps under many pairs v <= w.
+    A set that several gaps hold is kept once (`_shared`)."""
+    subsets = group._gaps.get(gap)
+    if subsets is None:
+        subsets = orthogonal_subsets(group.rs, group.shifted_roots(gap))
+        subsets = group._gaps[gap] = [_shared(group, s) for s in subsets]
+    return subsets
+
+
+def _shared(group: AffineWeylGroup, s: OrthogonalSet) -> OrthogonalSet:
+    """The group's one copy of a subset of Phi^+ - delta."""
+    return group._sets.setdefault(s, s)
+
+
 def reflection_product(group: AffineWeylGroup, s: OrthogonalSet) -> AffineWeylElement:
     """The product of the reflections of an orthogonal set (the order does
     not matter; the result is checked to square to the identity).  The group
@@ -125,7 +142,7 @@ def _contexts(group: AffineWeylGroup) -> dict[OrthogonalSet, list[int]]:
     ideals that hold it, in order of first appearance."""
     holders: dict[OrthogonalSet, list[int]] = {}
     for k, m in enumerate(group.minuscule):
-        for s in orthogonal_subsets(group.rs, group.shifted_roots(m.mask)):
+        for s in gap_subsets(group, m.mask):
             holders.setdefault(s, []).append(k)
     return holders
 
@@ -157,10 +174,12 @@ def involution_length(group: AffineWeylGroup, sigma: AffineWeylElement) -> int:
 
 def twisted_conjugate(group: AffineWeylGroup, i: int, sigma: AffineWeylElement) -> AffineWeylElement:
     """s_i . sigma: s_i sigma when the two commute, s_i sigma s_i otherwise.
-    Self-inverse on involutions."""
+    Self-inverse on involutions.  They commute iff sigma s_i sigma^{-1},
+    the reflection in sigma(a_i), is s_i: iff sigma(a_i) = +-a_i."""
     s = group.simple_reflection(i)
     left = group.multiply(s, sigma)
-    if left == group.multiply(sigma, s):
+    a = group.simple_affine_root(i)
+    if group.act(sigma, a) in (a, negate(a)):
         return left
     return group.multiply(left, s)
 
@@ -180,8 +199,8 @@ def descent_classify(group: AffineWeylGroup, sigma: AffineWeylElement, i: int) -
 class AdmissiblePair(_Value):
     """A minuscule v together with an orthogonal S inside the inversion gap
     to a witness minuscule element above v.  The pair carries its involution
-    sigma, the product of the reflections in v(S), built once by
-    `make_admissible_pair`, which asserts that rank(id - sigma) is |S|;
+    sigma, the product of the reflections in v(S), which
+    `make_admissible_pair` reads from the group and ranks against |S|;
     equality and hashing stay on (v, S, witness)."""
 
     __slots__ = ("v", "s", "witness", "sigma")
@@ -194,18 +213,63 @@ class AdmissiblePair(_Value):
         return (self.v, self.s, self.witness)
 
 
+# What each simple index is for (v, S) alone, shared by every entry: not a
+# descent, a finite descent, or a descent whose locus must be affine, which
+# the witness confirms pair by pair.
+_NONE = ("none", None)
+_FINITE = {kind: (kind, "finite") for kind in ("real", "complex")}
+_OPEN = {kind: (kind, None) for kind in ("real", "complex")}
+_AFFINE = {kind: (kind, "affine") for kind in ("real", "complex")}
+
+
+class _PairFacts:
+    """The entry of the group's admissible pair table for (ideal id of v,
+    mask of S): what the pairs (v, S, w) share whatever their witness w.
+    ``vs`` is v(S) and ``sigma`` its involution.  The first classification
+    fills ``classes``, per simple index `_NONE`, a `_FINITE` or an `_OPEN`
+    class, and ``moves``, per simple index None until a move along it is
+    made and then its target: the walk's element of the new v (None for a
+    finite move, which keeps v), the group's copy of the new S, and the
+    target's involution, which matched the twisted conjugate of ``sigma``
+    when it was stored."""
+
+    __slots__ = ("vs", "sigma", "classes", "moves")
+
+    def __init__(self, vs: OrthogonalSet, sigma: AffineWeylElement):
+        self.vs, self.sigma = vs, sigma
+        self.classes: Optional[tuple] = None
+        self.moves: list[Optional[tuple[Optional[AffineWeylElement], OrthogonalSet, AffineWeylElement]]] = []
+
+
+def _pair_facts(
+    group: AffineWeylGroup, v: MinusculeElement, s: OrthogonalSet, support: int
+) -> tuple[int, _PairFacts]:
+    """The ideal id of v and the table entry of (v, S), made on first use."""
+    vid = group.minuscule_ids.get(v.element)
+    if vid is None:
+        raise ValueError("element is not minuscule")
+    facts = group._pairs.get((vid, support))
+    if facts is None:
+        vs = transform_set(group, v.element, s)
+        facts = group._pairs[vid, support] = _PairFacts(vs, reflection_product(group, vs))
+    return vid, facts
+
+
 def make_admissible_pair(
     group: AffineWeylGroup,
     v: MinusculeElement,
     s: OrthogonalSet,
     witness: MinusculeElement,
 ) -> AdmissiblePair:
+    """The pair (v, S, witness), checked: v below the witness, S inside the
+    gap, and rank(id - sigma) = |S| for the group's involution of v(S)."""
     if not weak_order_leq(v, witness):
         raise ValueError("invalid pair: v is not below the witness")
     support = group.shifted_mask(s)
     if support is None or support & (v.mask | ~witness.mask):
         raise ValueError("invalid pair: S is not inside the inversion gap")
-    sigma = reflection_product(group, transform_set(group, v.element, s))
+    _, facts = _pair_facts(group, v, s, support)
+    sigma = reflection_product(group, facts.vs)
     if rank_id_minus(group, sigma) != len(s):
         raise AssertionError("rank of id - sigma differs from the support size")
     return AdmissiblePair(v, s, witness, sigma)
@@ -237,49 +301,72 @@ def pair_descents(
     inversion set of the witness (affine locus); the direct classification is
     cross-checked against the orthogonality criterion for affine descents and
     against the descent of the bare support involution for finite ones.
+    Everything but the witness's part is classified once per (v, S).
     """
-    found = _classify_descents(group, pair, group.simple_indices)
-    return {i: cls for i, (cls, _) in found.items()}
+    support = group.shifted_mask(pair.s)
+    vid, facts = _pair_facts(group, pair.v, pair.s, support)
+    if pair.sigma != facts.sigma:
+        raise AssertionError("the pair's involution is not that of v(S)")
+    return _classify_descents(group, pair, vid, facts, support, group.simple_indices)
 
 
-def _classify_descents(
-    group: AffineWeylGroup, pair: AdmissiblePair, indices: Iterable[int]
-) -> dict[int, tuple[tuple[str, Optional[str]], AffineRoot]]:
-    """The body of `pair_descents` for the given indices; each classification
-    comes with its pulled-back root beta = v^{-1}(alpha_i).  The witness's
-    inversions and S are read as masks: -beta is in them when its bit k is."""
-    sigma = pair.sigma
-    witness, support = pair.witness.mask, group.shifted_mask(pair.s)
-    ortho = group.rs.orthogonal_masks
-    sigma_s = None
-    out: dict[int, tuple[tuple[str, Optional[str]], AffineRoot]] = {}
-    for i in indices:
+def _classes(group: AffineWeylGroup, vid: int, s: OrthogonalSet, facts: _PairFacts) -> tuple:
+    """The witness-free classes of (v, S) per simple index, with the checks
+    that need no witness: a descent pulls back to a positive root, and a
+    finite descent is one of the support involution sigma_S, real exactly
+    when sigma_S negates beta."""
+    sigma, sigma_s = facts.sigma, None
+    out = []
+    for i, (beta, _) in enumerate(group.minuscule_pull_backs[vid]):
         kind = descent_classify(group, sigma, i)
-        beta = group.pull_back(pair.v.element, i)
-        k = group.negated_position(beta)
-        affine = k is not None and witness >> k & 1
-        if affine:
-            not_orth = bool(support & ~ortho[k])
-            if (kind != "none") != not_orth:
-                raise AssertionError("affine descent criterion mismatch")
-            if (kind == "real") != bool(support >> k & 1):
-                raise AssertionError("real affine descent criterion mismatch")
         if kind == "none":
-            out[i] = (("none", None), beta)
+            out.append(_NONE)
             continue
         if not is_positive(beta):
             raise AssertionError("descent pulled back to a negative root")
         finite, level = beta
         if level == 0 and sum(finite) == 1:
             if sigma_s is None:
-                sigma_s = reflection_product(group, pair.s)
+                sigma_s = reflection_product(group, s)
             if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
                 raise AssertionError("finite descent does not descend the support involution")
             if (group.act(sigma_s, beta) == negate(beta)) != (kind == "real"):
                 raise AssertionError("real finite descent criterion mismatch")
-            out[i] = ((kind, "finite"), beta)
+            out.append(_FINITE[kind])
+        else:
+            out.append(_OPEN[kind])
+    return tuple(out)
+
+
+def _classify_descents(
+    group: AffineWeylGroup, pair: AdmissiblePair, vid: int, facts: _PairFacts, support: int,
+    indices: Iterable[int],
+) -> dict[int, tuple[str, Optional[str]]]:
+    """The body of `pair_descents` for the given indices.  The table entry
+    gives each index's class; the witness's part runs for every pair: -beta
+    is an inversion of the witness when bit k of its mask is set, and then
+    the orthogonality criteria must hold, read on the mask of S."""
+    classes = facts.classes
+    if classes is None:
+        classes = facts.classes = _classes(group, vid, pair.s, facts)
+        facts.moves = [None] * len(classes)
+    pulled = group.minuscule_pull_backs[vid]
+    witness, ortho = pair.witness.mask, group.rs.orthogonal_masks
+    out = {}
+    for i in indices:
+        cls = classes[i]
+        kind, locus = cls
+        k = pulled[i][1]
+        affine = k is not None and witness >> k & 1
+        if affine:
+            if (kind != "none") != bool(support & ~ortho[k]):
+                raise AssertionError("affine descent criterion mismatch")
+            if (kind == "real") != bool(support >> k & 1):
+                raise AssertionError("real affine descent criterion mismatch")
+        if kind == "none" or locus == "finite":
+            out[i] = cls
         elif affine:
-            out[i] = ((kind, "affine"), beta)
+            out[i] = _AFFINE[kind]
         else:
             raise AssertionError("descent is neither finite nor affine")
     return out
@@ -290,14 +377,44 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
     the real/complex and finite/affine classification of the descent.  The
     result is admissible for the same witness and its involution is the
     twisted conjugate of the input's; both facts are asserted.  An affine
-    move takes its new v from the group's minuscule elements."""
-    s_i = group.simple_reflection(i)
-    (kind, locus), beta = _classify_descents(group, pair, (i,))[i]
+    move takes its new v from the group's minuscule elements.  The target is
+    worked out once per (v, S) and descent; the result is built and checked
+    for every pair."""
+    support = group.shifted_mask(pair.s)
+    vid, facts = _pair_facts(group, pair.v, pair.s, support)
+    kind, locus = _classify_descents(group, pair, vid, facts, support, (i,))[i]
     if kind == "none":
         raise ValueError(f"index {i} is not a descent for the pair")
+    move = facts.moves[i]
+    if move is None:
+        x, new_s = _move_target(group, pair, group.minuscule_pull_backs[vid][i][0], i, kind, locus)
+        new_s = _shared(group, new_s)
+        conj = twisted_conjugate(group, i, facts.sigma)
+    else:
+        x, new_s, conj = move
+    if x is None:
+        new_v = pair.v
+    else:
+        k = group.minuscule_ids.get(x)
+        if k is None:
+            raise ValueError("element is not minuscule")
+        new_v = group.minuscule[k]
+    result = make_admissible_pair(group, new_v, new_s, pair.witness)
+    if result.sigma != conj or pair.sigma != facts.sigma:
+        raise AssertionError("descent move does not match twisted conjugation")
+    if move is None:
+        # the target's involution is the group's; the conjugate is dropped
+        facts.moves[i] = (x, new_s, result.sigma)
+    return result
+
+
+def _move_target(
+    group: AffineWeylGroup, pair: AdmissiblePair, beta: AffineRoot, i: int, kind: str, locus: str
+) -> tuple[Optional[AffineWeylElement], OrthogonalSet]:
+    """The new v's element (None when v stays) and the new S of a move."""
     rs = group.rs
     if locus == "affine":
-        k = group.minuscule_ids.get(group.multiply(s_i, pair.v.element))
+        k = group.minuscule_ids.get(group.multiply(group.simple_reflection(i), pair.v.element))
         if k is None:
             raise ValueError("element is not minuscule")
         if kind == "complex":
@@ -306,17 +423,11 @@ def descent_move(group: AffineWeylGroup, pair: AdmissiblePair, i: int) -> Admiss
             # dropping -beta from a canonical tuple keeps it canonical
             gone = negate(beta)
             new_s = tuple(a for a in pair.s if a != gone)
-        result = make_admissible_pair(group, group.minuscule[k], new_s, pair.witness)
-    else:
-        if kind == "complex":
-            gamma, _ = beta
-            new_s = make_orthogonal_set(rs, [(rs.reflect(gamma, g), level) for g, level in pair.s])
-        else:
-            new_s = _real_finite_replacement(rs, pair.s, beta)
-        result = make_admissible_pair(group, pair.v, new_s, pair.witness)
-    if result.sigma != twisted_conjugate(group, i, pair.sigma):
-        raise AssertionError("descent move does not match twisted conjugation")
-    return result
+        return group.minuscule[k].element, new_s
+    if kind == "complex":
+        gamma, _ = beta
+        return None, make_orthogonal_set(rs, [(rs.reflect(gamma, g), level) for g, level in pair.s])
+    return None, _real_finite_replacement(rs, pair.s, beta)
 
 
 def _real_finite_replacement(rs: RootSystem, s: OrthogonalSet, beta: AffineRoot) -> OrthogonalSet:

@@ -26,6 +26,7 @@ from .involutions import (
     _contexts,
     descent_classify,
     descent_move,
+    gap_subsets,
     involution_length,
     make_admissible_pair,
     make_orthogonal_set,
@@ -57,17 +58,48 @@ __all__ = [
 ]
 
 
+# violation messages a report keeps; `verify` prints the first 20 of each
+KEPT = 100
+
+
 class Report(_Value):
-    """Outcome of a verification sweep: how many checks ran and which failed."""
+    """Outcome of a verification sweep: how many checks ran, how many of
+    them failed (``failures``, by default one per message), and the
+    messages of the first `KEPT` failures."""
 
-    __slots__ = ("name", "checks", "violations")
+    __slots__ = ("name", "checks", "violations", "failures")
 
-    def __init__(self, name: str, checks: int, violations: tuple[str, ...] = ()):
-        self.name, self.checks, self.violations = name, checks, violations
+    def __init__(self, name: str, checks: int, violations: tuple[str, ...] = (),
+                 failures: Optional[int] = None):
+        self.name, self.checks, self.violations = name, checks, tuple(violations[:KEPT])
+        self.failures = len(violations) if failures is None else failures
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.failures
+
+
+class _Violations:
+    """A sweep's failures as it finds them: the exact count, and the
+    messages of the first `KEPT`, so a bad order cannot pile up strings."""
+
+    __slots__ = ("count", "kept")
+
+    def __init__(self):
+        self.count, self.kept = 0, []
+
+    def add(self, message: str, times: int = 1) -> None:
+        self.count += times
+        room = KEPT - len(self.kept)
+        if room > 0:
+            self.kept += [message] * min(times, room)
+
+    def merge(self, report: Report) -> None:
+        self.count += report.failures
+        self.kept += report.violations[: KEPT - len(self.kept)]
+
+    def report(self, name: str, checks: int) -> Report:
+        return Report(name, checks, self.kept, self.count)
 
 
 def run_suite(group: AffineWeylGroup, name: str) -> list[Report]:
@@ -91,7 +123,7 @@ def _admissible_sweep(group: AffineWeylGroup):
     for w in mins:
         for v in mins:
             if weak_order_leq(v, w):
-                for s in orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v.mask)):
+                for s in gap_subsets(group, w.mask & ~v.mask):
                     yield make_admissible_pair(group, v, s, w)
 
 
@@ -101,26 +133,26 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
     mins = group.minuscule
     ideals = enumerate_abelian_ideals(rs)
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     if len(mins) != len(ideals):
-        bad.append(f"{len(mins)} elements vs {len(ideals)} ideals")
+        bad.add(f"{len(mins)} elements vs {len(ideals)} ideals")
     for k, (ideal, m) in enumerate(zip(ideals, mins)):
         checks += 1
         if m.mask != group.shifted_mask((r, -1) for r in ideal):
-            bad.append(f"enumeration order mismatch at {k}")
+            bad.add(f"enumeration order mismatch at {k}")
         if ideal_to_element(group, ideal).element != m.element:
-            bad.append(f"round trip failed at {k}")
-    reports.append(Report("ideal-element-bijection", checks, tuple(bad)))
+            bad.add(f"round trip failed at {k}")
+    reports.append(bad.report("ideal-element-bijection", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for k1, m1 in enumerate(mins):
         for k2, m2 in enumerate(mins):
             checks += 1
             if weak_order_leq(m1, m2) != group.bruhat_leq(m1.element, m2.element):
-                bad.append(f"weak/Bruhat mismatch at ideals {k1} and {k2}")
-    reports.append(Report("weak-order-is-bruhat", checks, tuple(bad)))
+                bad.add(f"weak/Bruhat mismatch at ideals {k1} and {k2}")
+    reports.append(bad.report("weak-order-is-bruhat", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     seen = set()
     for m in mins:
         for i in group.simple_indices:
@@ -130,10 +162,10 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
                 seen.add(x)
                 checks += 1
                 if is_minuscule(group, x) != group.alcove_image_check(x):
-                    bad.append("inversion and alcove criteria disagree")
-    reports.append(Report("minuscule-criteria-agree", checks, tuple(bad)))
+                    bad.add("inversion and alcove criteria disagree")
+    reports.append(bad.report("minuscule-criteria-agree", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for m in mins:
         inv = group.shifted_roots(m.mask)
         for beta in inv:
@@ -143,14 +175,14 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
             checks += 1
             alpha = group.act(m.element, beta)
             if not group.is_simple_affine(alpha):
-                bad.append(f"minimal inversion {affine_text(beta)} maps to non-simple {affine_text(alpha)}")
+                bad.add(f"minimal inversion {affine_text(beta)} maps to non-simple {affine_text(alpha)}")
                 continue
             shorter = group.multiply(group.simple_reflection(group.simple_index(alpha)), m.element)
             if group.length(shorter) != m.length - 1:
-                bad.append(f"stripping {affine_text(beta)} did not drop the length")
-    reports.append(Report("minimal-inversions-strip", checks, tuple(bad)))
+                bad.add(f"stripping {affine_text(beta)} did not drop the length")
+    reports.append(bad.report("minimal-inversions-strip", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for m in mins:
         for a in group.shifted_roots(m.mask):
             gamma, _ = a
@@ -158,10 +190,10 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
                 if rs.dominance_leq(gamma, g):
                     checks += 1
                     if not m.mask >> j & 1:
-                        bad.append(f"{affine_text((g, -1))} above {affine_text(a)} escapes the inversion set")
-    reports.append(Report("inversion-upward-closure", checks, tuple(bad)))
+                        bad.add(f"{affine_text((g, -1))} above {affine_text(a)} escapes the inversion set")
+    reports.append(bad.report("inversion-upward-closure", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for m in mins:
         for a, b in combinations(group.shifted_roots(m.mask), 2):
             (g, _), (h, _) = a, b
@@ -169,10 +201,10 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
                 continue
             checks += 1
             if rs.is_root(tuple(map(add, g, h))) or rs.is_root(tuple(map(sub, g, h))):
-                bad.append(f"{affine_text(a)}, {affine_text(b)} orthogonal but not strongly orthogonal")
-    reports.append(Report("orthogonal-is-strongly-orthogonal", checks, tuple(bad)))
+                bad.add(f"{affine_text(a)}, {affine_text(b)} orthogonal but not strongly orthogonal")
+    reports.append(bad.report("orthogonal-is-strongly-orthogonal", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for m in mins:
         for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)):
             if len(s) < 2:
@@ -181,17 +213,17 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
                 checks += 1
                 extendable = [g for g, _ in s if rs.is_root(tuple(map(add, g, gamma)))]
                 if len(extendable) > 1:
-                    bad.append(f"{root_text(gamma)} extends two roots of {set_text(s)}")
-    reports.append(Report("one-root-extension", checks, tuple(bad)))
+                    bad.add(f"{root_text(gamma)} extends two roots of {set_text(s)}")
+    reports.append(bad.report("one-root-extension", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for k, (ideal, m) in enumerate(zip(ideals, mins)):
         checks += 1
         a = set(normalizer_simple_roots(group, m))
         b = set(normalizer_by_ideal_stability(rs, ideal))
         if a != b:
-            bad.append(f"normalizer criteria disagree on ideal {k}")
-    reports.append(Report("normalizer-criteria", checks, tuple(bad)))
+            bad.add(f"normalizer criteria disagree on ideal {k}")
+    reports.append(bad.report("normalizer-criteria", checks))
     return reports
 
 
@@ -203,12 +235,12 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
 
     # one walk of each inversion set's orthogonal subsets runs four sweeps,
     # whose reports keep their places below
-    order_checks, order_bad = 0, []
-    rank_checks, rank_bad = 0, []
-    half_checks, half_bad = 0, []
-    reflect_checks, reflect_bad = 0, []
+    order_checks, order_bad = 0, _Violations()
+    rank_checks, rank_bad = 0, _Violations()
+    half_checks, half_bad = 0, _Violations()
+    reflect_checks, reflect_bad = 0, _Violations()
     for m in mins:
-        for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)):
+        for s in gap_subsets(group, m.mask):
             sigma = reflection_product(group, s)
             order = list(s)
             for _ in range(2):
@@ -218,15 +250,15 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     el = group.multiply(el, group.reflection(a))
                 order_checks += 1
                 if el != sigma:
-                    order_bad.append(f"order dependence for {set_text(s)}")
+                    order_bad.add(f"order dependence for {set_text(s)}")
             rank_checks += 1
             if rank_id_minus(group, sigma) != len(s):
-                rank_bad.append(f"rank of id - sigma is not |S| for {set_text(s)}")
+                rank_bad.add(f"rank of id - sigma is not |S| for {set_text(s)}")
             if involution_length(group, sigma) * 2 != group.length(sigma) + len(s):
-                rank_bad.append(f"L formula fails for {set_text(s)}")
+                rank_bad.add(f"L formula fails for {set_text(s)}")
             rep = negated_root_report(group, s, m)
             half_checks += rep.checks
-            half_bad.extend(rep.violations)
+            half_bad.merge(rep)
             if not s:
                 continue
             support = group.shifted_mask(s)
@@ -238,23 +270,23 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                 beta = rs.simple_root(i)
                 moved = group.shifted_mask((rs.reflect(beta, g), level) for g, level in s)
                 if moved is None or moved & ~m.mask:
-                    reflect_bad.append(f"reflected support escapes the ideal for {set_text(s)} at {i}")
+                    reflect_bad.add(f"reflected support escapes the ideal for {set_text(s)} at {i}")
                 if (moved == support) != (kind == "real"):
-                    reflect_bad.append(f"fixed-support iff real fails for {set_text(s)} at {i}")
-    reports.append(Report("product-order-independence", order_checks, tuple(order_bad)))
-    reports.append(Report("rank-and-length", rank_checks, tuple(rank_bad)))
+                    reflect_bad.add(f"fixed-support iff real fails for {set_text(s)} at {i}")
+    reports.append(order_bad.report("product-order-independence", order_checks))
+    reports.append(rank_bad.report("rank-and-length", rank_checks))
 
     # the one sweep of the admissible pairs collects their distinct
     # involutions, in order of appearance, and runs the pair-descent-moves
     # checks, whose report keeps its place further down
     sigma_pool: dict = {}
-    moves, moves_bad = 0, []
+    moves, moves_bad = 0, _Violations()
     for pair in _admissible_sweep(group):
         sigma_pool[pair.sigma] = pair.sigma
         try:
             desc = pair_descents(group, pair)
         except AssertionError as exc:
-            moves_bad.append(f"descent classification failed: {exc}")
+            moves_bad.add(f"descent classification failed: {exc}")
             continue
         big_l = involution_length(group, pair.sigma)
         for i, (kind, _) in desc.items():
@@ -262,9 +294,9 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             if kind == "none":
                 continue
             if involution_length(group, descent_move(group, pair, i).sigma) != big_l - 1:
-                moves_bad.append(f"descent move did not drop L at index {i}")
+                moves_bad.add(f"descent move did not drop L at index {i}")
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for el in sigma_pool:
         big_l = involution_length(group, el)
         ell = group.length(el)
@@ -283,26 +315,26 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
             drop_l = involution_length(group, conj) == big_l - 1
             is_descent = kind != "none"
             if not (is_descent == drop_left == drop_right == drop_conj == drop_l):
-                bad.append(f"descent equivalences fail at index {i}")
+                bad.add(f"descent equivalences fail at index {i}")
             if is_descent and (kind == "real") != (left == right):
-                bad.append(f"real descent vs commutation fails at index {i}")
+                bad.add(f"real descent vs commutation fails at index {i}")
             back = twisted_conjugate(group, i, conj)
             if back != el:
-                bad.append(f"twisted conjugation is not self inverse at index {i}")
-    reports.append(Report("descent-equivalences", checks, tuple(bad)))
+                bad.add(f"twisted conjugation is not self inverse at index {i}")
+    reports.append(bad.report("descent-equivalences", checks))
 
-    reports.append(Report("negated-roots-halfsum", half_checks, tuple(half_bad)))
+    reports.append(half_bad.report("negated-roots-halfsum", half_checks))
 
     verdicts = support_injectivity_check(group)
     failed = [k for k, ok in enumerate(verdicts) if not ok]
     bad = tuple(f"involution does not determine the subset inside ideal {k}" for k in failed)
     reports.append(Report("support-injectivity", len(verdicts), bad))
 
-    reports.append(Report("support-reflection", reflect_checks, tuple(reflect_bad)))
-    reports.append(Report("pair-descent-moves", moves, tuple(moves_bad)))
+    reports.append(reflect_bad.report("support-reflection", reflect_checks))
+    reports.append(moves_bad.report("pair-descent-moves", moves))
 
     if (rs.type_letter, rs.rank) == ("D", 4):
-        checks, bad = 0, []
+        checks, bad = 0, _Violations()
         first = make_orthogonal_set(
             rs,
             [(rs.epsilon_to_root(t), -1) for t in ("e1+e3", "e1-e3", "e2+e4", "e2-e4")],
@@ -313,17 +345,17 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
         )
         checks += 3
         if reflection_product(group, first) != reflection_product(group, second):
-            bad.append("the two crossing quadruples should share an involution")
+            bad.add("the two crossing quadruples should share an involution")
         if negated_root_report(group, first).ok:
-            bad.append("the half-sum check should fail outside every inversion set")
+            bad.add("the half-sum check should fail outside every inversion set")
         masks = group.shifted_mask(first), group.shifted_mask(second)
         if any(not mask & ~m.mask for m in mins for mask in masks):
-            bad.append("the crossing quadruples should fit inside no inversion set")
-        reports.append(Report("counterexample-sets", checks, tuple(bad)))
+            bad.add("the crossing quadruples should fit inside no inversion set")
+        reports.append(bad.report("counterexample-sets", checks))
 
     if rs.rank <= 3:
         involutions = sorted(sigma_pool, key=group.length)
-        checks, bad = 0, []
+        checks, bad = 0, _Violations()
         for a in involutions:
             for b in involutions:
                 if a == b or not group.bruhat_leq(a, b):
@@ -335,17 +367,17 @@ def suite_involutions(group: AffineWeylGroup) -> list[Report]:
                     up_a = not group.bruhat_leq(ca, a) or ca == a
                     up_b = not group.bruhat_leq(cb, b) or cb == b
                     if ca == a or cb == b:
-                        bad.append(f"twisted conjugate fixed an involution at {i}")
+                        bad.add(f"twisted conjugate fixed an involution at {i}")
                         continue
                     if up_a and up_b and not group.bruhat_leq(ca, cb):
-                        bad.append(f"monotonicity (up, up) fails at {i}")
+                        bad.add(f"monotonicity (up, up) fails at {i}")
                     if not up_a and not up_b and not group.bruhat_leq(ca, cb):
-                        bad.append(f"monotonicity (down, down) fails at {i}")
+                        bad.add(f"monotonicity (down, down) fails at {i}")
                     if up_a and not up_b and not (
                         group.bruhat_leq(ca, b) and group.bruhat_leq(a, cb)
                     ):
-                        bad.append(f"monotonicity (up, down) fails at {i}")
-        reports.append(Report("conjugation-monotonicity", checks, tuple(bad)))
+                        bad.add(f"monotonicity (up, down) fails at {i}")
+        reports.append(bad.report("conjugation-monotonicity", checks))
     return reports
 
 
@@ -365,9 +397,9 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
 
     # each (w, v) poset is built once, here: dimension-formula reads those
     # with v the identity, and node-count-monotonicity reads their sizes
-    dim_checks, dim_bad = 0, []
+    dim_checks, dim_bad = 0, _Violations()
     sizes: list[dict] = []  # per w, the node count of each v below it
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for k, w in enumerate(mins):
         counts = {}
         sizes.append(counts)
@@ -380,10 +412,10 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
                 for node in poset.nodes:
                     dim_checks += 1
                     if node.dim != node.big_l or 2 * node.big_l != node.length + len(node.s):
-                        dim_bad.append(f"dimension formula fails at {set_text(node.s)}")
+                        dim_bad.add(f"dimension formula fails at {set_text(node.s)}")
                 dims = [node.dim for node in poset.nodes]
                 if max(dims) != w.length or min(dims) != 0:
-                    dim_bad.append(f"dimension range wrong for ideal {k}")
+                    dim_bad.add(f"dimension range wrong for ideal {k}")
             # the pairwise comparison is the oracle of the inferred order, and
             # the order checks run on it, where transitivity is not built in;
             # bit j of row i is set iff node i is below node j
@@ -391,39 +423,39 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
             rows = [sum(group.bruhat_leq(a, b) << j for j, b in enumerate(sigmas)) for a in sigmas]
             checks += 1
             if poset.leq != tuple(rows):
-                bad.append("inferred order differs from pairwise Bruhat comparison")
+                bad.add("inferred order differs from pairwise Bruhat comparison")
             supports = [group.shifted_mask(node.s) for node in poset.nodes]
             for i in range(n):
                 if not rows[i] >> i & 1:
-                    bad.append("order is not reflexive")
+                    bad.add("order is not reflexive")
                 for j in range(n):
                     if rows[i] >> j & 1:
                         # each k above j but not above i breaks transitivity
-                        bad += ["order is not transitive"] * (rows[j] & ~rows[i]).bit_count()
+                        bad.add("order is not transitive", (rows[j] & ~rows[i]).bit_count())
                         if i != j and poset.nodes[i].big_l >= poset.nodes[j].big_l:
-                            bad.append("grading is not strict")
+                            bad.add("grading is not strict")
                     if not supports[i] & ~supports[j] and not rows[i] >> j & 1:
-                        bad.append("containment does not imply closure")
+                        bad.add("containment does not imply closure")
             # a maximum is above every node, a minimum below every node
             full = (1 << n) - 1
             if reduce(and_, rows, full).bit_count() != 1 or rows.count(full) != 1:
-                bad.append("poset does not have unique extremes")
+                bad.add("poset does not have unique extremes")
             edges = [0] * n
             for i, j in poset.hasse:
                 edges[i] |= 1 << j
             for i, r in enumerate(_transitive_closure(edges)):
-                bad += ["hasse closure mismatch"] * (r ^ (rows[i] & ~(1 << i))).bit_count()
-    reports = [Report("dimension-formula", dim_checks, tuple(dim_bad))]
+                bad.add("hasse closure mismatch", (r ^ (rows[i] & ~(1 << i))).bit_count())
+    reports = [dim_bad.report("dimension-formula", dim_checks)]
 
-    branch, branch_bad = 0, []
+    branch, branch_bad = 0, _Violations()
     for w in mins:
         rep = verify_branch_recursion(group, w)
         branch += rep.checks
-        branch_bad.extend(rep.violations)
-    reports.append(Report("branch-recursion", branch, tuple(branch_bad)))
-    reports.append(Report("poset-invariants", checks, tuple(bad)))
+        branch_bad.merge(rep)
+    reports.append(branch_bad.report("branch-recursion", branch))
+    reports.append(bad.report("poset-invariants", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for counts in sizes:
         for v1 in mins:
             for v2 in mins:
@@ -434,15 +466,15 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
                 ):
                     checks += 1
                     if counts[v1.element] < counts[v2.element]:
-                        bad.append("node count is not monotone in v")
-    reports.append(Report("node-count-monotonicity", checks, tuple(bad)))
+                        bad.add("node count is not monotone in v")
+    reports.append(bad.report("node-count-monotonicity", checks))
 
-    checks, bad = 0, []
+    checks, bad = 0, _Violations()
     for w in mins:
         rep = verify_moves_vs_order(group, w)
         checks += rep.checks
-        bad.extend(rep.violations)
-    reports.append(Report("moves-vs-order", checks, tuple(bad)))
+        bad.merge(rep)
+    reports.append(bad.report("moves-vs-order", checks))
     return reports
 
 
@@ -480,19 +512,19 @@ def negated_root_report(
             fin = tuple(sb * x + sbp * y for x, y in zip(b, bp))
             halves.setdefault((fin, sb * n + sbp * n_p), set()).add((sb, sbp))
     checks = 0
-    violations = []
+    violations = _Violations()
     for a in group.negated_roots(sigma):
         checks += 1
         gamma, n = a
         key = (tuple(2 * c for c in gamma), 2 * n)
         if key not in halves:
-            violations.append(f"{affine_text(a)} is negated but is not a half sum of support roots")
+            violations.add(f"{affine_text(a)} is negated but is not a half sum of support roots")
             continue
         if n == -1 and max(gamma) > 0 and (1, 1) not in halves[key]:
-            violations.append(f"{affine_text(a)} is negated but not a plus-plus half sum")
+            violations.add(f"{affine_text(a)} is negated but not a plus-plus half sum")
         if n == 0 and (1, -1) not in halves[key]:
-            violations.append(f"{affine_text(a)} is negated but not a plus-minus half sum")
-    return Report("negated-roots-halfsum", checks, tuple(violations))
+            violations.add(f"{affine_text(a)} is negated but not a plus-minus half sum")
+    return violations.report("negated-roots-halfsum", checks)
 
 
 def support_injectivity_check(group: AffineWeylGroup) -> list[bool]:
@@ -528,7 +560,7 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
     contexts = sorted(((group.length(x), s, x) for s, x in sigmas.items()), key=itemgetter(0))
     lengths = [ell for ell, _, _ in contexts]
     checks = 0
-    violations = []
+    violations = _Violations()
     for r, r_mask, sigma_r in shifted_orthogonal_stream(group):
         for _, s, sigma_s in contexts[bisect_left(lengths, group.length(sigma_r)):]:
             checks += 1
@@ -536,8 +568,8 @@ def verify_strong_form(group: AffineWeylGroup) -> Report:
                 for k in holders[s]:
                     checks += 1
                     if r_mask & ~masks[k]:
-                        violations.append(f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}")
-    return Report("strong-form", checks, tuple(violations))
+                        violations.add(f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}")
+    return violations.report("strong-form", checks)
 
 
 # -- branch recursion along weak order covers --------------------------------
@@ -564,18 +596,18 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
     drops by a twisted conjugation, otherwise it is unchanged and the
     enlarged set accounts for the lost dimension."""
     checks = 0
-    violations = []
+    violations = _Violations()
 
     def fail(v: MinusculeElement, i: int, s: OrthogonalSet, what: str) -> None:
         # the words are computed only for a violation
-        violations.append(
+        violations.add(
             f"w={word_to_text(group.reduced_word(w.element))} "
             f"v={word_to_text(group.reduced_word(v.element))} i={i} S={set_text(s)}: {what}"
         )
 
     ortho = group.rs.orthogonal_masks
     for v, i, v2, k in _weak_covers(group, group.minuscule, w):
-        for s in orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v2.mask)):
+        for s in gap_subsets(group, w.mask & ~v2.mask):
             checks += 1
             sig_v = make_admissible_pair(group, v, s, w).sigma
             sig_v2 = make_admissible_pair(group, v2, s, w).sigma
@@ -601,7 +633,7 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
                     fail(v, i, s, "enlarged set is not the twisted conjugate")
                 if not group.bruhat_leq(sig_v, sig_big):
                     fail(v, i, s, "no Bruhat drop from the enlarged set")
-    return Report("branch-recursion", checks, tuple(violations))
+    return violations.report("branch-recursion", checks)
 
 
 # -- move-generated order vs Bruhat comparison --------------------------------
@@ -658,7 +690,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
     for m in mins:
         vid = ids[m.element]
         masks = supports[vid] = []
-        for s in orthogonal_subsets(rs, group.shifted_roots(w.mask & ~m.mask)):
+        for s in gap_subsets(group, w.mask & ~m.mask):
             mask = group.shifted_mask(s)
             node_id[(vid, mask)] = len(node_pairs)
             node_pairs.append((m, s, mask))
@@ -722,7 +754,7 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
 
     # compare at the identity level, ideal id 0
     checks = 0
-    violations = []
+    violations = _Violations()
     nodes0 = [(s, of[k]) for k, (m, s, _) in enumerate(node_pairs) if ids[m.element] == 0]
     level0 = [(s, reflection_product(group, s), k) for s, k in nodes0]
     for s1, x1, k1 in level0:
@@ -731,11 +763,11 @@ def verify_moves_vs_order(group: AffineWeylGroup, w: MinusculeElement) -> Report
             derived = bool(reach[k1] >> k2 & 1)
             expected = group.bruhat_leq(x1, x2)
             if derived != expected:
-                violations.append(
+                violations.add(
                     f"{set_text(s1)} vs {set_text(s2)}: "
                     f"moves say {derived}, involutions say {expected}"
                 )
-    return Report("moves-vs-order", checks, tuple(violations))
+    return violations.report("moves-vs-order", checks)
 
 
 # -- the diagram involution for mark-one parabolics ----------------------------
@@ -800,7 +832,7 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
         raise AssertionError("mark-one root with coefficient above one")
     subsets = orthogonal_subsets(rs, [(g, 0) for g in ideal_roots])
     checks = 0
-    violations = []
+    violations = _Violations()
     finite_sigmas = []
     affine_sigmas = []
     for s in subsets:
@@ -810,9 +842,9 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
         sig_aff = reflection_product(group, shifted)
         checks += 1
         if phi_apply(group, phi, sig_fin) != sig_aff:
-            violations.append(f"phi mismatch for S={set_text(s)}")
+            violations.add(f"phi mismatch for S={set_text(s)}")
         if group.length(sig_fin) != group.length(sig_aff):
-            violations.append(f"length mismatch for S={set_text(s)}")
+            violations.add(f"length mismatch for S={set_text(s)}")
         finite_sigmas.append(sig_fin)
         affine_sigmas.append(sig_aff)
     for a in range(len(subsets)):
@@ -821,7 +853,7 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
             if group.bruhat_leq(finite_sigmas[a], finite_sigmas[b]) != group.bruhat_leq(
                 affine_sigmas[a], affine_sigmas[b]
             ):
-                violations.append(
+                violations.add(
                     f"poset mismatch between {set_text(subsets[a])} and {set_text(subsets[b])}"
                 )
-    return Report("phi-equivalence", checks, tuple(violations))
+    return violations.report("phi-equivalence", checks)

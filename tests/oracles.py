@@ -20,14 +20,24 @@ what the package computes another way:
   ``RootSystem.epsilon_to_root``;
 * ``rank_id_minus_oracle`` eliminates the rows of id - x on the simple
   roots plus delta (``int_matrix_rank``), against the trace formula of
-  ``involutions.rank_id_minus``.
+  ``involutions.rank_id_minus``;
+* ``admissible_pair_oracle``, ``pair_descents_oracle`` and
+  ``descent_move_oracle`` rebuild every fact of an admissible pair for that
+  pair alone, as the package did before it kept them per (v, S) in the
+  group's pair table: sigma of v(S), each index's class, each move;
+  ``twisted_conjugate_oracle`` tests commutation on the two products,
+  against the root test of ``involutions.twisted_conjugate``.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from borbits.affine import affine_key
-from borbits.minuscule import ideal_from_mask
+from borbits.affine import affine_key, is_positive, negate
+from borbits.involutions import (
+    AdmissiblePair, _product, _real_finite_replacement, descent_classify, make_orthogonal_set, rank_id_minus,
+    transform_set,
+)
+from borbits.minuscule import ideal_from_mask, weak_order_leq
 from borbits.roots import root_text
 
 
@@ -170,3 +180,83 @@ def rank_id_minus_oracle(group, x):
         g, level = group.act(x, group.simple_affine_root(j + 1))
         rows.append([(1 if i == j else 0) - g[i] for i in range(group.rank)] + [-level])
     return int_matrix_rank(rows)
+
+
+def admissible_pair_oracle(group, v, s, witness):
+    """The pair with its sigma built from v(S) for this pair alone."""
+    if not weak_order_leq(v, witness):
+        raise ValueError("invalid pair: v is not below the witness")
+    support = group.shifted_mask(s)
+    if support is None or support & (v.mask | ~witness.mask):
+        raise ValueError("invalid pair: S is not inside the inversion gap")
+    sigma = _product(group, transform_set(group, v.element, s))
+    if rank_id_minus(group, sigma) != len(s):
+        raise AssertionError("rank of id - sigma differs from the support size")
+    return AdmissiblePair(v, s, witness, sigma)
+
+
+def _classified(group, pair, i):
+    """(kind, locus) of index i against the pair's own sigma, with beta."""
+    witness, support = pair.witness.mask, group.shifted_mask(pair.s)
+    ortho = group.rs.orthogonal_masks
+    kind = descent_classify(group, pair.sigma, i)
+    beta = group.pull_back(pair.v.element, i)
+    k = group.negated_position(beta)
+    affine = k is not None and witness >> k & 1
+    if affine:
+        if (kind != "none") != bool(support & ~ortho[k]):
+            raise AssertionError("affine descent criterion mismatch")
+        if (kind == "real") != bool(support >> k & 1):
+            raise AssertionError("real affine descent criterion mismatch")
+    if kind == "none":
+        return ("none", None), beta
+    if not is_positive(beta):
+        raise AssertionError("descent pulled back to a negative root")
+    finite, level = beta
+    if level == 0 and sum(finite) == 1:
+        sigma_s = _product(group, pair.s)
+        if descent_classify(group, sigma_s, group.simple_index(beta)) == "none":
+            raise AssertionError("finite descent does not descend the support involution")
+        if (group.act(sigma_s, beta) == negate(beta)) != (kind == "real"):
+            raise AssertionError("real finite descent criterion mismatch")
+        return (kind, "finite"), beta
+    if affine:
+        return (kind, "affine"), beta
+    raise AssertionError("descent is neither finite nor affine")
+
+
+def pair_descents_oracle(group, pair):
+    """Every index classified against the pair's own sigma and witness."""
+    return {i: _classified(group, pair, i)[0] for i in group.simple_indices}
+
+
+def descent_move_oracle(group, pair, i):
+    """The move of the pair along descent i, its target built from scratch."""
+    (kind, locus), beta = _classified(group, pair, i)
+    if kind == "none":
+        raise ValueError(f"index {i} is not a descent for the pair")
+    rs = group.rs
+    if locus == "affine":
+        k = group.minuscule_ids.get(group.multiply(group.simple_reflection(i), pair.v.element))
+        if k is None:
+            raise ValueError("element is not minuscule")
+        new_s = pair.s if kind == "complex" else tuple(a for a in pair.s if a != negate(beta))
+        result = admissible_pair_oracle(group, group.minuscule[k], new_s, pair.witness)
+    else:
+        if kind == "complex":
+            gamma, _ = beta
+            new_s = make_orthogonal_set(rs, [(rs.reflect(gamma, g), level) for g, level in pair.s])
+        else:
+            new_s = _real_finite_replacement(rs, pair.s, beta)
+        result = admissible_pair_oracle(group, pair.v, new_s, pair.witness)
+    if result.sigma != twisted_conjugate_oracle(group, i, pair.sigma):
+        raise AssertionError("descent move does not match twisted conjugation")
+    return result
+
+
+def twisted_conjugate_oracle(group, i, sigma):
+    """s_i sigma if it equals sigma s_i, else s_i sigma s_i: the commutation
+    tested on the products, against the root test of `twisted_conjugate`."""
+    s = group.simple_reflection(i)
+    left = group.multiply(s, sigma)
+    return left if left == group.multiply(sigma, s) else group.multiply(left, s)

@@ -220,12 +220,13 @@ def test_stored_sigma_agrees_with_the_product(letter, rank):
 
 def test_suites_build_sigma_once_per_pair(monkeypatch):
     """On a fresh group, the involutions and poset suites move a support by v
-    exactly once per admissible pair they build."""
-    made = moved = 0
+    exactly once per distinct (v, S) among the admissible pairs they build,
+    however many witnesses share it: once per entry of the pair table."""
+    made = []
+    moved = 0
 
     def counted_pair(group, v, s, witness):
-        nonlocal made
-        made += 1
+        made.append((v, frozenset(s)))
         return make_admissible_pair(group, v, s, witness)
 
     def counted_transform(group, x, s):
@@ -238,8 +239,8 @@ def test_suites_build_sigma_once_per_pair(monkeypatch):
     group = _fresh_group("B", 3)
     for name in ("involutions", "poset"):
         assert all(r.ok for r in run_suite(group, name))
-    assert made > 0
-    assert moved == made
+    assert len(made) > len(set(made)) > 0
+    assert moved == len(set(made)) == len(group._pairs)
 
 
 def test_a_foreign_sigma_is_caught():

@@ -76,8 +76,8 @@ def test_values_match_their_dataclass_references(letter, rank):
 
 
 def test_reports_and_typea_values_match_their_dataclass_references():
-    _check(Report("poset", 3, ("a", "b")), ["name", "checks", "violations"])
-    _check(Report("phi", 0), ["name", "checks", "violations"])
+    _check(Report("poset", 3, ("a", "b")), ["name", "checks", "violations", "failures"])
+    _check(Report("phi", 0), ["name", "checks", "violations", "failures"])
     for q in (2, 3):
         ctx = make_context(4, q, ideal_positions(4, 5))
         _check(ctx, ["n", "q", "positions"])

@@ -53,7 +53,6 @@ def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypat
     """The stream yields, for one subset R of Phi^+ - delta, the involution
     of a context S != R, where R escapes an ideal k that holds S.  Then R is
     below S outside ideal k, and S's involution is no longer S's alone."""
-    import borbits.involutions as involutions_mod
     import borbits.suites as suites_mod
     from borbits.involutions import orthogonal_subsets, reflection_product, set_text
 
@@ -64,13 +63,12 @@ def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypat
     j = next(j for j in range(len(group.rs.positive_roots)) if not inside >> j & 1)
     r = group.shifted_roots(1 << j)
     sigma_s = reflection_product(group, s)
-    real = involutions_mod.shifted_orthogonal_stream
+    real = suites_mod.shifted_orthogonal_stream
 
     def wrong(g):
         for sub, mask, sigma in real(g):
             yield sub, mask, sigma_s if sub == r else sigma
 
-    monkeypatch.setattr(involutions_mod, "shifted_orthogonal_stream", wrong)
     monkeypatch.setattr(suites_mod, "shifted_orthogonal_stream", wrong)
     rep = verify_strong_form(group)
     assert f"{set_text(r)} is below {set_text(s)} but escapes ideal {k}" in rep.violations
@@ -80,6 +78,30 @@ def test_a_wrong_streamed_involution_fails_strong_form_and_injectivity(monkeypat
     assert rep.violations == tuple(
         f"involution does not determine the subset inside ideal {h}" for h in holders
     )
+
+
+def test_a_flipped_order_is_counted_exactly_and_sampled(monkeypatch):
+    """A flipped Bruhat order breaks D5's poset invariants tens of thousands
+    of times.  The report counts every failure but keeps only the first
+    `KEPT` messages: the ones a report with no bound lists first."""
+    import borbits.suites as suites_mod
+
+    real = AffineWeylGroup.bruhat_leq
+    monkeypatch.setattr(AffineWeylGroup, "bruhat_leq", lambda self, u, x: not real(self, u, x))
+
+    def invariants():
+        reports = suites_mod.run_suite(_fresh_group("D", 5), "poset")
+        (rep,) = [r for r in reports if r.name == "poset-invariants"]
+        return rep
+
+    kept = suites_mod.KEPT
+    bounded = invariants()
+    monkeypatch.setattr(suites_mod, "KEPT", 10**9)
+    full = invariants()
+    assert not bounded.ok and len(bounded.violations) == kept >= 20
+    assert bounded.failures == full.failures == len(full.violations) > kept
+    assert bounded.violations == full.violations[:kept]
+    assert bounded.checks == full.checks
 
 
 def test_branch_recursion_detects_wrong_conjugation(monkeypatch):

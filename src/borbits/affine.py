@@ -197,9 +197,11 @@ class AffineWeylGroup:
         # (root index, level) of the affine simple roots a_0 = delta - theta, a_i = alpha_i
         self._simple_at = tuple((self._index[g], level) for g, level in self._affine_simple)
         self._simple_index = {at: i for i, at in enumerate(self._simple_at)}
-        # (j, root index of alpha_j): roots[perm[g]][j] is the alpha_j
-        # coefficient of w(alpha_j), a diagonal entry of w on the simple roots
-        self._diagonal_at = tuple(enumerate(g for g, _ in self._simple_at[1:]))
+        # the root index g_j of each alpha_j, and per j the alpha_j coefficient
+        # of every root: _coefficients[j][perm[g_j]] is the alpha_j coefficient
+        # of w(alpha_j), a diagonal entry of w on the simple roots
+        self._simple_roots_at = tuple(g for g, _ in self._simple_at[1:])
+        self._coefficients = tuple(tuple(g[j] for g in rs.roots) for j in range(self.rank))
         # (root index, level) of the walls alpha_1..alpha_r and 2*delta - theta
         # of the doubled alcove, for alcove_image_check
         self._walls = self._simple_at[1:] + ((self._simple_at[0][0], 2),)

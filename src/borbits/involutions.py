@@ -14,12 +14,23 @@ The inversion gap of a pair and its support S lie in ``Phi^+ - delta``, so
 they are read as bitmasks over the positive roots (bit j for r_j - delta),
 and containment and orthogonality are bit tests against the root system's
 `orthogonal_masks`.  v(S) has roots at other levels; no mask describes it.
+
+An admissible pair (v, S, w) owes its involution, the class of each simple
+index and the target of each descent move to (v, S) alone: the witness w
+only certifies that S lies in the gap inv(w) - inv(v).  Those facts are
+worked out once per (ideal id of v, mask of S) and kept in the group's
+admissible pair table (`_PairFacts`).  What depends on w still runs for
+every pair: v <= w, S inside the gap, and the affine locus test (-beta an
+inversion of w) with its two orthogonality criteria; so does the rank check
+of sigma against |S|.  `gap_subsets` walks the orthogonal subsets of each
+gap mask once per group.  The test suite keeps the path that rebuilds every
+fact pair by pair as its oracle.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add, neg, sub
+from operator import add, getitem, neg, sub
 from typing import Iterable, Iterator, Optional
 
 from .affine import (
@@ -155,8 +166,8 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     so its trace on that basis is tr w + 1; as x^2 = id it is diagonalizable
     with eigenvalues +-1, so that trace is also r + 1 - 2 rank(id - x).  An
     odd r - tr w shows that x is not an involution, and is refused."""
-    roots, perm = group._roots, x.perm
-    twice = group.rank - sum([roots[perm[g]][j] for j, g in group._diagonal_at])
+    images = map(x.perm.__getitem__, group._simple_roots_at)
+    twice = group.rank - sum(map(getitem, group._coefficients, images))
     if twice % 2:
         raise AssertionError("r - tr w is odd: not an involution")
     return twice // 2

@@ -431,7 +431,8 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
                 for j in range(n):
                     if rows[i] >> j & 1:
                         # each k above j but not above i breaks transitivity
-                        bad.add("order is not transitive", (rows[j] & ~rows[i]).bit_count())
+                        if escaped := rows[j] & ~rows[i]:
+                            bad.add("order is not transitive", escaped.bit_count())
                         if i != j and poset.nodes[i].big_l >= poset.nodes[j].big_l:
                             bad.add("grading is not strict")
                     if not supports[i] & ~supports[j] and not rows[i] >> j & 1:
@@ -444,7 +445,8 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
             for i, j in poset.hasse:
                 edges[i] |= 1 << j
             for i, r in enumerate(_transitive_closure(edges)):
-                bad.add("hasse closure mismatch", (r ^ (rows[i] & ~(1 << i))).bit_count())
+                if wrong := r ^ (rows[i] & ~(1 << i)):
+                    bad.add("hasse closure mismatch", wrong.bit_count())
     reports = [dim_bad.report("dimension-formula", dim_checks)]
 
     branch, branch_bad = 0, _Violations()

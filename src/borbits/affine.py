@@ -206,7 +206,11 @@ class AffineWeylGroup:
         # of the doubled alcove, for alcove_image_check
         self._walls = self._simple_at[1:] + ((self._simple_at[0][0], 2),)
         n = len(rs.roots)
-        self.identity = AffineWeylElement(tuple(range(n)), (0,) * n)
+        # the shift table of every finite element the group builds (the
+        # identity and each reflection at level 0), shared so that `multiply`
+        # sees by identity that such a factor adds nothing to the shifts
+        self._zero = (0,) * n
+        self.identity = AffineWeylElement(tuple(range(n)), self._zero)
         self._simple = [self._reflection_at(g, level) for g, level in self._simple_at]
         # For the tables of _left_table: per simple index, (root index, twice
         # the level) of a_i, and the step from the table of x to that of s_i x,
@@ -254,7 +258,7 @@ class AffineWeylGroup:
             p = sum(map(mul, beta, pair))
             perm.append(index[tuple([b - p * c for b, c in zip(beta, gamma)])])
             shift.append(level * p)
-        return AffineWeylElement(tuple(perm), tuple(shift))
+        return AffineWeylElement(tuple(perm), tuple(shift) if level else self._zero)
 
     def _left_table(self, x: AffineWeylElement) -> list[int]:
         """d[g] = 2*shift'[g] + [perm'[g] < 0] on the tables (perm', shift')
@@ -366,9 +370,16 @@ class AffineWeylGroup:
         ]
 
     def multiply(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-        """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta)."""
+        """xy(gamma_i + n*delta) = x(gamma_{py[i]} + (n - sy[i])*delta).  The
+        shifts add up unless a factor is one of the group's finite elements."""
         take = itemgetter(*y.perm)
-        return AffineWeylElement(take(x.perm), tuple(map(add, y.shift, take(x.shift))))
+        if x.shift is self._zero:
+            shift = y.shift
+        elif y.shift is self._zero:
+            shift = take(x.shift)
+        else:
+            shift = tuple(map(add, y.shift, take(x.shift)))
+        return AffineWeylElement(take(x.perm), shift)
 
     def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
         """x^{-1} maps gamma_{perm[i]} + n*delta to gamma_i + (n + shift[i])*delta.

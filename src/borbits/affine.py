@@ -39,9 +39,10 @@ comparison u <= w is one pass down w's greedy word, the lifting recursion
 without its branches, carrying only that table of u.  Lengths and
 comparisons have independent brute-force counterparts, which live in the
 tests as oracles: a scan over a window of levels acting root by root, and
-subword search.  An element keeps its length and reduced word once they
-are asked for; the words of minuscule elements come from the minuscule
-walk, which sets them, and the others are stripped on demand.
+subword search.  An element keeps its length, reduced word and support
+mask once they are asked for; the words of minuscule elements come from
+the minuscule walk, which sets them, and the others are stripped on
+demand.
 The alcove containment test reads integer wall values at the alcove
 vertices off the tables; there are no tolerances anywhere.
 """
@@ -119,15 +120,16 @@ class AffineWeylElement:
     ``perm[i]`` is the index of ``w(gamma_i)`` and ``shift[i]`` is
     ``<w(gamma_i), lambda>`` (see the module docstring).  Elements are
     immutable values, equal exactly when their tables are.  The hash, the
-    length and the reduced word are cached on the element the first time
-    they are asked for; they stay out of equality, hashing and repr."""
+    length, the reduced word and the support (the letters of that word, as
+    a bitmask) are cached on the element the first time they are asked
+    for; they stay out of equality, hashing and repr."""
 
-    __slots__ = ("perm", "shift", "_hash", "_length", "_word")
+    __slots__ = ("perm", "shift", "_hash", "_length", "_word", "_support")
 
     def __init__(self, perm: tuple[int, ...], shift: tuple[int, ...]):
         self.perm = perm
         self.shift = shift
-        self._hash = self._length = self._word = None
+        self._hash = self._length = self._word = self._support = None
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -169,11 +171,13 @@ class AffineWeylGroup:
       index and the target of each descent move, computed once for all
       the witnesses of (v, S) (``involutions._PairFacts``).
 
-    It keeps no Bruhat answers: ``bruhat_leq`` is a walk that stores
-    nothing, and the poset suite, the one caller that asks the same pairs
-    again, memoizes it for its own run.  It keeps no per-element results
-    either: each element caches its own length and reduced word, so they go
-    with the element.
+    It keeps no Bruhat answers: ``bruhat_leq`` is a walk, and the poset
+    suite, the one caller that asks the same pairs again, memoizes it for
+    its own run.  The walk keeps one thing between calls, the left table of
+    the last u it was given (``_last_left``), since callers compare one u
+    with a whole row.  It keeps no per-element results either: each
+    element caches its own length, reduced word and support mask, so they
+    go with the element.
     """
 
     def __init__(self, rs: RootSystem):
@@ -223,6 +227,8 @@ class AffineWeylGroup:
             return (lambda d: tuple(map(add, take(d), drops))) if any(drops) else take
 
         self._left_steps = tuple(map(left_step, self._simple))
+        # (u, u's left table) of the last bruhat_leq call, see _left_of
+        self._last_left: tuple[AffineWeylElement | None, list[int] | None] = (None, None)
         self._reflections: dict[AffineRoot, AffineWeylElement] = {}
         # filled by the involutions module: sigma by orthogonal set, the
         # orthogonal subsets by gap mask with one copy of each subset of
@@ -274,6 +280,17 @@ class AffineWeylGroup:
         d = [0] * len(perm)
         for j, g in enumerate(perm):
             d[g] = negative[j] - 2 * shift[j]
+        return d
+
+    def _left_of(self, u: AffineWeylElement) -> list[int]:
+        """`_left_table` of u, kept for the last u asked for: a caller that
+        compares one u with a whole row builds it once.  The entry is keyed
+        on the object u, whose tables never change, and nothing modifies the
+        table: each step of a walk makes a new one."""
+        last, d = self._last_left
+        if last is not u:
+            d = self._left_table(u)
+            self._last_left = (u, d)
         return d
 
     def _table_descents(self, d) -> Iterator[int]:
@@ -451,6 +468,14 @@ class AffineWeylGroup:
     # instance or wrapping it on the class reaches only outside callers
     reduced_word = _word
 
+    def _support(self, x: AffineWeylElement) -> int:
+        """The letters of x's reduced word as a bitmask, bit i for s_i, kept
+        on x.  Every reduced word of x uses the same letters."""
+        support = x._support
+        if support is None:
+            support = x._support = reduce(or_, [1 << i for i in self._word(x)], 0)
+        return support
+
     def inversions_from_negative(self, x: AffineWeylElement) -> list[AffineRoot]:
         """{a < 0 : x(a) > 0}, in root order and then by level.  x sends
         gamma_g + n*delta to gamma_{perm[g]} + (n - shift[g])*delta, so for
@@ -501,17 +526,19 @@ class AffineWeylGroup:
         is one pass over that word carrying u's left table: u steps to s_i u
         where i is a left descent of u.  The answer is True once u is the
         identity and False once u is longer than what is left of the word;
-        u == w is True without a walk.  u <= w also needs every letter of
-        u's word in w's (the support)."""
-        if u == self.identity or u == w:
+        a descent step shortens both, so only the other steps can make it
+        so.  Before any word is read, u == w is True and any other u at
+        least as long as w is False (the lengths are the closed counts).
+        u <= w also needs every letter of u's word in w's (the support
+        masks)."""
+        left, rest = self.length(u), self.length(w)
+        if not left or u == w:
             return True
-        word, u_word = self._word(w), self._word(u)
-        left, rest = len(u_word), len(word)
-        if left > rest or not set(u_word) <= set(word):
+        if left >= rest or self._support(u) & ~self._support(w):
             return False
-        d = self._left_table(u)
+        d = self._left_of(u)
         at, steps = self._descent_at, self._left_steps
-        for i in word:
+        for i in self._word(w):
             rest -= 1
             g, two_level = at[i]
             if d[g] > two_level:
@@ -519,7 +546,7 @@ class AffineWeylGroup:
                 if not left:
                     return True
                 d = steps[i](d)
-            if left > rest:
+            elif left > rest:
                 return False
         return False
 

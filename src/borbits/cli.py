@@ -168,12 +168,13 @@ def _cmd_poset(args) -> int:
 def _cmd_verify(args) -> int:
     from .suites import run_suite
 
-    rs = build_root_system(args.type_letter, args.rank)
+    group = AffineWeylGroup(build_root_system(args.type_letter, args.rank))
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        # a group per suite, so one suite's caches are freed before the next
-        reports = run_suite(AffineWeylGroup(rs), name)
+        # every suite runs on the one group, so the minuscule walk, the gap,
+        # sigma and pair tables built by one suite serve the next
+        reports = run_suite(group, name)
         checks = sum(r.checks for r in reports)
         ok = all(r.ok for r in reports)
         failed = failed or not ok

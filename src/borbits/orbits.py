@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .affine import AffineWeylElement, AffineWeylGroup, ReducedWord, affine_text, word_to_text
-from .involutions import OrthogonalSet, involution_length, make_admissible_pair, orthogonal_subsets, set_text
+from .involutions import OrthogonalSet, gap_subsets, involution_length, make_admissible_pair, set_text
 from .minuscule import MinusculeElement, weak_order_leq
 from .roots import _Value, _bits
 
@@ -80,10 +80,9 @@ def build_orbit_poset(
     transitivity (the poset suite compares it with every pair)."""
     if not weak_order_leq(v, w):
         raise ValueError("v is not below w")
-    subsets = orthogonal_subsets(group.rs, group.shifted_roots(w.mask & ~v.mask))
     ell_v = v.length
     nodes = []
-    for s in subsets:
+    for s in gap_subsets(group, w.mask & ~v.mask):
         sigma = make_admissible_pair(group, v, s, w).sigma
         ell = group.length(sigma)
         big_l = involution_length(group, sigma)

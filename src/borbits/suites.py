@@ -206,7 +206,7 @@ def suite_minuscule(group: AffineWeylGroup) -> list[Report]:
 
     checks, bad = 0, _Violations()
     for m in mins:
-        for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)):
+        for s in gap_subsets(group, m.mask):
             if len(s) < 2:
                 continue
             for gamma in rs.positive_roots:
@@ -449,9 +449,9 @@ def _poset_reports(group: AffineWeylGroup) -> list[Report]:
                     bad.add("hasse closure mismatch", wrong.bit_count())
     reports = [dim_bad.report("dimension-formula", dim_checks)]
 
-    branch, branch_bad = 0, _Violations()
+    branch, branch_bad, verdicts = 0, _Violations(), {}
     for w in mins:
-        rep = verify_branch_recursion(group, w)
+        rep = verify_branch_recursion(group, w, verdicts)
         branch += rep.checks
         branch_bad.merge(rep)
     reports.append(branch_bad.report("branch-recursion", branch))
@@ -592,13 +592,23 @@ def _weak_covers(group: AffineWeylGroup, mins, w: MinusculeElement):
             yield m, i, group.minuscule[ids[nxt]], k
 
 
-def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Report:
+def verify_branch_recursion(
+    group: AffineWeylGroup, w: MinusculeElement, verdicts: Optional[dict] = None
+) -> Report:
     """One-step consistency along each weak-order cover v < s_i v below w:
     when the new inversion is not orthogonal to S the involution of the pair
     drops by a twisted conjugation, otherwise it is unchanged and the
-    enlarged set accounts for the lost dimension."""
+    enlarged set accounts for the lost dimension.
+
+    Those comparisons depend on (v, i, S) alone, not on w; `verdicts`, keyed
+    on (ideal id of v, i, mask of S), keeps what failed, so that a caller
+    sweeping every w makes each comparison once.  The pairs themselves, with
+    their witness tests, are made for every w, and every w gets its own
+    check and its own messages."""
     checks = 0
     violations = _Violations()
+    if verdicts is None:
+        verdicts = {}
 
     def fail(v: MinusculeElement, i: int, s: OrthogonalSet, what: str) -> None:
         # the words are computed only for a violation
@@ -607,35 +617,54 @@ def verify_branch_recursion(group: AffineWeylGroup, w: MinusculeElement) -> Repo
             f"v={word_to_text(group.reduced_word(v.element))} i={i} S={set_text(s)}: {what}"
         )
 
-    ortho = group.rs.orthogonal_masks
+    ortho, ids = group.rs.orthogonal_masks, group.minuscule_ids
     for v, i, v2, k in _weak_covers(group, group.minuscule, w):
+        vid = ids[v.element]
         for s in gap_subsets(group, w.mask & ~v2.mask):
             checks += 1
             sig_v = make_admissible_pair(group, v, s, w).sigma
             sig_v2 = make_admissible_pair(group, v2, s, w).sigma
-            l_v = involution_length(group, sig_v)
-            l_v2 = involution_length(group, sig_v2)
-            support = group.shifted_mask(s)
-            if support & ~ortho[k]:
-                if sig_v2 != twisted_conjugate(group, i, sig_v):
-                    fail(v, i, s, "twisted conjugate mismatch")
-                if l_v2 != l_v - 1:
-                    fail(v, i, s, "L did not drop by one")
-                if not group.bruhat_leq(sig_v2, sig_v):
-                    fail(v, i, s, "no Bruhat drop")
-            else:
-                big = group.shifted_roots(support | 1 << k)
-                sig_big = make_admissible_pair(group, v, big, w).sigma
-                l_big = involution_length(group, sig_big)
-                if sig_v2 != sig_v:
-                    fail(v, i, s, "involutions differ in the split case")
-                if not (l_v2 == l_v == l_big - 1):
-                    fail(v, i, s, "L bookkeeping failed in the split case")
-                if sig_v != twisted_conjugate(group, i, sig_big):
-                    fail(v, i, s, "enlarged set is not the twisted conjugate")
-                if not group.bruhat_leq(sig_v, sig_big):
-                    fail(v, i, s, "no Bruhat drop from the enlarged set")
+            support, sig_big = group.shifted_mask(s), None
+            if not support & ~ortho[k]:
+                sig_big = make_admissible_pair(group, v, group.shifted_roots(support | 1 << k), w).sigma
+            key = (vid, i, support)
+            failed = verdicts.get(key)
+            if failed is None:
+                failed = verdicts[key] = _branch_verdict(group, i, sig_v, sig_v2, sig_big)
+            for what in failed:
+                fail(v, i, s, what)
     return violations.report("branch-recursion", checks)
+
+
+def _branch_verdict(
+    group: AffineWeylGroup, i: int, sig_v: AffineWeylElement, sig_v2: AffineWeylElement,
+    sig_big: Optional[AffineWeylElement],
+) -> tuple[str, ...]:
+    """What fails along a cover v < s_i v for one S: sig_v and sig_v2 are
+    the involutions of (v, S) and (s_i v, S), and sig_big that of (v, S plus
+    the new inversion) when the new inversion is orthogonal to S (the split
+    case), None otherwise."""
+    failed = []
+    l_v = involution_length(group, sig_v)
+    l_v2 = involution_length(group, sig_v2)
+    if sig_big is None:
+        if sig_v2 != twisted_conjugate(group, i, sig_v):
+            failed.append("twisted conjugate mismatch")
+        if l_v2 != l_v - 1:
+            failed.append("L did not drop by one")
+        if not group.bruhat_leq(sig_v2, sig_v):
+            failed.append("no Bruhat drop")
+    else:
+        l_big = involution_length(group, sig_big)
+        if sig_v2 != sig_v:
+            failed.append("involutions differ in the split case")
+        if not (l_v2 == l_v == l_big - 1):
+            failed.append("L bookkeeping failed in the split case")
+        if sig_v != twisted_conjugate(group, i, sig_big):
+            failed.append("enlarged set is not the twisted conjugate")
+        if not group.bruhat_leq(sig_v, sig_big):
+            failed.append("no Bruhat drop from the enlarged set")
+    return tuple(failed)
 
 
 # -- move-generated order vs Bruhat comparison --------------------------------
@@ -849,12 +878,14 @@ def verify_phi_equivalence(group: AffineWeylGroup, p_index: int) -> Report:
             violations.add(f"length mismatch for S={set_text(s)}")
         finite_sigmas.append(sig_fin)
         affine_sigmas.append(sig_aff)
-    for a in range(len(subsets)):
-        for b in range(len(subsets)):
+    # a row at a time, finite then affine, so that `bruhat_leq` keeps its
+    # walk's table of u along each row
+    for a, (fin, aff) in enumerate(zip(finite_sigmas, affine_sigmas)):
+        fin_row = [group.bruhat_leq(fin, x) for x in finite_sigmas]
+        aff_row = [group.bruhat_leq(aff, x) for x in affine_sigmas]
+        for b, (f, g) in enumerate(zip(fin_row, aff_row)):
             checks += 1
-            if group.bruhat_leq(finite_sigmas[a], finite_sigmas[b]) != group.bruhat_leq(
-                affine_sigmas[a], affine_sigmas[b]
-            ):
+            if f != g:
                 violations.add(
                     f"poset mismatch between {set_text(subsets[a])} and {set_text(subsets[b])}"
                 )

@@ -26,19 +26,24 @@ what the package computes another way:
   pair alone, as the package did before it kept them per (v, S) in the
   group's pair table: sigma of v(S), each index's class, each move;
   ``twisted_conjugate_oracle`` tests commutation on the two products,
-  against the root test of ``involutions.twisted_conjugate``.
+  against the root test of ``involutions.twisted_conjugate``;
+* ``verify_fresh_groups_oracle`` runs each suite of ``verify`` on a fresh
+  group, as the command did before it ran them all on one, against
+  ``cli.main``.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from borbits.affine import affine_key, is_positive, negate
+from borbits import SUITE_NAMES
+from borbits.affine import AffineWeylGroup, affine_key, is_positive, negate
 from borbits.involutions import (
     AdmissiblePair, _product, _real_finite_replacement, descent_classify, make_orthogonal_set, rank_id_minus,
     transform_set,
 )
 from borbits.minuscule import ideal_from_mask, weak_order_leq
-from borbits.roots import root_text
+from borbits.roots import build_root_system, root_text
+from borbits.suites import run_suite
 
 
 def bruhat_lower_interval_oracle(group, w):
@@ -260,3 +265,18 @@ def twisted_conjugate_oracle(group, i, sigma):
     s = group.simple_reflection(i)
     left = group.multiply(s, sigma)
     return left if left == group.multiply(sigma, s) else group.multiply(left, s)
+
+
+def verify_fresh_groups_oracle(letter, rank, suite):
+    """What `verify --type letter --rank rank --suite suite` prints and
+    returns, with every suite run on a fresh group, so that nothing one
+    suite stored reaches the next: (stdout, exit code)."""
+    rs = build_root_system(letter, rank)
+    lines, failed = [], False
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        reports = run_suite(AffineWeylGroup(rs), name)
+        ok = all(r.ok for r in reports)
+        failed = failed or not ok
+        lines += [f"  {r.name}: {v}" for r in reports for v in r.violations[:20]]
+        lines.append(f"SUITE {name}: {'pass' if ok else 'FAIL'} ({sum(r.checks for r in reports)} checks)")
+    return "".join(line + "\n" for line in lines), int(failed)

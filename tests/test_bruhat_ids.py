@@ -6,11 +6,16 @@ agreement sweep compares every entry of every orbit poset (v = identity) of
 A3, B3, C3 and G2 with ``bruhat_leq_oracle``, which searches the subwords of
 a reduced word and never reads those tables.  The sabotage tests corrupt one
 element's cached word or one left step and check that the sweep notices,
-and that greedy stripping on a corrupted step stops with an error.  Two
-more tests check that a comparison multiplies nothing out and leaves
-nothing on the group, and that the poset suite, which memoizes its
+and that greedy stripping on a corrupted step stops with an error.  The
+group keeps the left table of the last u compared (``_left_of``): the
+sweep runs again with rows interleaved and with u handed in as equal
+copies, and a memo that answers for a stale u fails it.  Two more tests
+check that a comparison multiplies nothing out and leaves nothing on the
+group but that memo, and that the poset suite, which memoizes its
 comparisons while it runs, walks each distinct pair once.
 """
+
+import random
 
 import pytest
 
@@ -91,6 +96,49 @@ def test_answers_do_not_depend_on_what_is_cached(sweep):
     assert ahead == behind == [u in intervals[w] for u, w in pairs]
 
 
+def test_interleaved_rows_and_equal_copies_agree_with_the_oracle(sweep):
+    """The pairs in a shuffled order, so that u changes from one call to the
+    next, and again row by row with u handed in as itself, as an equal copy
+    with nothing cached and as an equal copy with its word cached: every
+    answer is the oracle's, and the row-by-row run reuses u's table."""
+    system, entries, intervals = sweep
+    pairs = [(u, w) for u, w, _ in entries]
+    group = _fresh_group(*system)
+    shuffled = pairs[:]
+    random.Random(31).shuffle(shuffled)
+    assert [group.bruhat_leq(u, w) for u, w in shuffled] == [u in intervals[w] for u, w in shuffled]
+    cached = {u: type(u)(u.perm, u.shift) for u, _ in pairs}
+    for x in cached.values():
+        group.reduced_word(x)
+    built = []
+    real = group._left_table
+    group._left_table = lambda u: built.append(u) or real(u)
+    for k, (u, w) in enumerate(pairs):
+        x = (u, type(u)(u.perm, u.shift), cached[u])[k % 3 if k % 7 else 0]
+        assert x == u
+        assert group.bruhat_leq(x, w) == (u in intervals[w]), (k, x is u)
+    assert 0 < len(built) < len(pairs)
+
+
+@pytest.mark.parametrize("stale", ["any u", "u of the same length"])
+def test_sweep_detects_a_stale_left_table(stale):
+    """A memo that hands out the last table for another u fails the sweep."""
+
+    def corrupt(group, pairs):
+        def left_of(u):
+            last, d = group._last_left
+            if last is None or not (stale == "any u" or group.length(last) == group.length(u)):
+                d = group._left_table(u)
+                group._last_left = (u, d)
+            return d
+
+        group._left_of = left_of
+
+    clean, sabotaged = _sabotaged_sweep(corrupt)
+    assert clean == []
+    assert sabotaged != []
+
+
 def _sabotaged_sweep(corrupt):
     """Run the B3 sweep pairs on a fresh group, corrupt one of its tables or
     one compared element's cache and run them again; returns both mismatch
@@ -129,9 +177,11 @@ def test_sweep_detects_a_corrupted_left_step():
 
 def test_comparisons_register_nothing(monkeypatch):
     """All pairs of one D4 orbit poset's involutions, compared on a fresh
-    group, call ``multiply`` never and leave the group as it was: no
-    attribute is added and no table grows.  The words they walk are kept on
-    the compared elements."""
+    group, call ``multiply`` never and leave the group as it was but for
+    the left table of the last u: no attribute is added and no table grows.
+    The words they walk, and their support masks, are kept on the compared
+    elements; the identity is below every element without a walk, so it
+    gets neither."""
     group = _fresh_group("D", 4)
     poset = build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
     # copies with nothing cached, so that the comparisons strip their words
@@ -152,7 +202,11 @@ def test_comparisons_register_nothing(monkeypatch):
     assert answers.count(True) > len(els) and not all(answers)
     assert set(vars(fresh)) == attributes
     assert {name: len(vars(fresh)[name]) for name in sizes} == sizes
-    assert all(x._word == group.reduced_word(node.sigma) for x, node in zip(els, poset.nodes))
+    walked = [(x, node) for x, node in zip(els, poset.nodes) if x != fresh.identity]
+    assert len(walked) == len(els) - 1
+    assert all(x._word == group.reduced_word(node.sigma) for x, node in walked)
+    assert all(x._support == sum({1 << i for i in x._word}) for x, _ in walked)
+    assert fresh._last_left[0] is els[-1]
 
 
 def test_the_poset_suite_walks_each_pair_once(monkeypatch):

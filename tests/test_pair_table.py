@@ -112,9 +112,9 @@ def test_a_witness_without_the_affine_root_is_refused():
 
 @pytest.mark.parametrize("suite", ["involutions", "poset", "strong-form"])
 def test_each_gap_is_walked_once_per_suite_run(monkeypatch, suite):
-    """Every sweep reads a gap's orthogonal subsets through `gap_subsets`,
-    which walks each gap once per group; `build_orbit_poset`, which walks
-    its own gap by name, is left out of the count."""
+    """Every sweep, and `build_orbit_poset` in the poset suite, reads a
+    gap's orthogonal subsets through `gap_subsets`, which walks each gap
+    once per group."""
     from borbits import involutions
 
     walked = []
@@ -129,3 +129,61 @@ def test_each_gap_is_walked_once_per_suite_run(monkeypatch, suite):
     group = _fresh_group("B", 3)
     assert all(r.ok for r in run_suite(group, suite))
     assert walked and len(walked) == len(set(walked))
+
+
+def test_each_gap_is_walked_once_per_verify_command(monkeypatch, capsys):
+    """`verify --suite all` runs every suite on one group, so a gap that one
+    suite walked is read from the group's table by the next.  Only the
+    stream of all of Phi^+ - delta, which keeps nothing, is walked once by
+    each sweep that streams it: support injectivity and strong-form."""
+    from borbits import cli, involutions
+
+    walked = []
+    real = involutions.orthogonal_subsets
+
+    def counted(rs, roots):
+        roots = tuple(roots)
+        walked.append(frozenset(roots))
+        return real(rs, roots)
+
+    monkeypatch.setattr(involutions, "orthogonal_subsets", counted)
+    assert cli.main(["verify", "--type", "B", "--rank", "3", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.count(": pass (") == 5
+    everything = len(build_root_system("B", 3).positive_roots)
+    streamed = [roots for roots in walked if len(roots) == everything]
+    gaps = [roots for roots in walked if len(roots) < everything]
+    assert len(streamed) == 2
+    assert gaps and len(gaps) == len(set(gaps))
+
+
+def test_branch_verdicts_are_shared_by_the_witnesses(monkeypatch):
+    """`verify_branch_recursion` compares the involutions of a cover
+    (v, i, S) once for all the w above it when the caller passes one
+    `verdicts` table, as the poset suite does.  With a wrong twisted
+    conjugate every w still gets its own checks and its own messages, the
+    same as when each w is swept alone, and every w still makes its pairs,
+    with their witness tests."""
+    from borbits import suites
+
+    made, conjugated = [], []
+    real_pair = suites.make_admissible_pair
+
+    def counted_pair(group, v, s, w):
+        made.append((v, s, w))
+        return real_pair(group, v, s, w)
+
+    def wrong(group, i, sigma):
+        conjugated.append((i, sigma))
+        return sigma
+
+    monkeypatch.setattr(suites, "make_admissible_pair", counted_pair)
+    monkeypatch.setattr(suites, "twisted_conjugate", wrong)
+    group = _fresh_group("B", 3)
+    alone = [suites.verify_branch_recursion(group, w) for w in group.minuscule]
+    made_alone, made[:], conjugated_alone, conjugated[:] = made[:], [], len(conjugated), []
+    verdicts = {}
+    shared = [suites.verify_branch_recursion(group, w, verdicts) for w in group.minuscule]
+    assert shared == alone
+    assert sum(r.failures for r in shared) > 0 and all(r.checks for r in shared[1:])
+    assert made == made_alone
+    assert len(conjugated) == len(verdicts) < conjugated_alone

@@ -84,13 +84,13 @@ def test_inference_compares_few_pairs(monkeypatch):
 
 def test_a_repeated_involution_is_not_antisymmetric(monkeypatch):
     _, group = get_system("B", 2)
-    real = orbits.orthogonal_subsets
+    real = orbits.gap_subsets
 
-    def repeated(rs, roots):
-        subsets = real(rs, roots)
+    def repeated(group, gap):
+        subsets = real(group, gap)
         return subsets + subsets[-1:]
 
-    monkeypatch.setattr(orbits, "orthogonal_subsets", repeated)
+    monkeypatch.setattr(orbits, "gap_subsets", repeated)
     with pytest.raises(AssertionError, match="closure order is not antisymmetric"):
         build_orbit_poset(group, group.minuscule[-1], group.minuscule[0])
 

@@ -113,14 +113,15 @@ def test_caches_stay_out_of_the_value():
     # by hand from them is the walk's element
     fresh = MinusculeElement(m.element, m.mask)
     assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
-    # the only caches left on a value are an affine element's hash, length
-    # and reduced word: a copy of the walk's element with none of them taken
-    # equals it, hashes like it and prints like it
+    # the only caches left on a value are an affine element's hash, length,
+    # reduced word and support mask: a copy of the walk's element with none
+    # of them taken equals it, hashes like it and prints like it
     hash(m.element)
     group.length(m.element)
     group.reduced_word(m.element)
+    group.bruhat_leq(group.simple_reflection(0), m.element)
     element = type(m.element)(m.element.perm, m.element.shift)
-    cached = ("_hash", "_length", "_word")
+    cached = ("_hash", "_length", "_word", "_support")
     assert all(getattr(m.element, name) is not None for name in cached)
     assert all(getattr(element, name) is None for name in cached)
     assert element == m.element and hash(element) == hash(m.element) and repr(element) == repr(m.element)

@@ -120,16 +120,17 @@ class AffineWeylElement:
     ``perm[i]`` is the index of ``w(gamma_i)`` and ``shift[i]`` is
     ``<w(gamma_i), lambda>`` (see the module docstring).  Elements are
     immutable values, equal exactly when their tables are.  The hash, the
-    length, the reduced word and the support (the letters of that word, as
-    a bitmask) are cached on the element the first time they are asked
-    for; they stay out of equality, hashing and repr."""
+    length, the reduced word, the support (the letters of that word, as a
+    bitmask) and, on an involution, the rank of id - x
+    (``involutions.rank_id_minus``) are cached on the element the first
+    time they are asked for; they stay out of equality, hashing and repr."""
 
-    __slots__ = ("perm", "shift", "_hash", "_length", "_word", "_support")
+    __slots__ = ("perm", "shift", "_hash", "_length", "_word", "_support", "_rank")
 
     def __init__(self, perm: tuple[int, ...], shift: tuple[int, ...]):
         self.perm = perm
         self.shift = shift
-        self._hash = self._length = self._word = self._support = None
+        self._hash = self._length = self._word = self._support = self._rank = None
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -1,9 +1,14 @@
 """Command line front end: enumeration, orbit tables, poset export,
-verification suites, and the finite-field oracle."""
+verification suites, and the finite-field oracle.
+
+The options of every command come from one table, `COMMANDS`, which both
+the parser and the help text read.  Parsing imports nothing: `--opt value`
+and `--opt=value` are accepted in any order, the last of a repeated option
+wins, and a refused command line prints a usage line and an error line on
+stderr and exits 2.  Options are never abbreviated."""
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -18,6 +23,143 @@ from .roots import build_root_system, root_text
 
 __all__ = ["main", "run"]
 
+_REQUIRED = None  # the default of an option that must be given
+
+# An option is (flag, destination, converter, default, help).  The
+# converter is int or str, a tuple of choices (the value is converted by
+# the type of the choices and must be one of them), or None for a flag that
+# takes no value and is True when given.
+_SYSTEM = (
+    ("--type", "type_letter", tuple("ABCDEFG"), _REQUIRED, "type of the root system"),
+    ("--rank", "rank", int, _REQUIRED, "rank of the root system"),
+)
+_IDEAL_ID = ("--ideal-id", "ideal_id", int, _REQUIRED, "ideal id, as `ideals` numbers them")
+_V = ("--v", "v", str, "", "reduced word of v, e.g. '1 0' (default: the identity)")
+_JSON = ("--json", "json", None, False, "write JSON instead of text")
+
+# command -> (one-line help, options)
+COMMANDS = {
+    "ideals": ("list abelian ideals", (*_SYSTEM, _JSON)),
+    "orbits": ("orbit table of one ideal", (*_SYSTEM, _IDEAL_ID, _V, _JSON)),
+    "poset": (
+        "emit the closure order",
+        (*_SYSTEM, _IDEAL_ID, _V, ("--format", "format", ("dot", "json"), _REQUIRED, "output format")),
+    ),
+    "verify": (
+        "run a verification suite",
+        (*_SYSTEM, ("--suite", "suite", (*SUITE_NAMES, "all"), _REQUIRED, "suite to run, or all of them in turn")),
+    ),
+    "oracle-typea": (
+        "finite field oracle for type A",
+        (
+            ("--n", "n", (2, 3, 4), _REQUIRED, "size of the matrices, type A_{n-1}"),
+            _IDEAL_ID,
+            ("--q", "q", str, _REQUIRED, "comma separated primes, e.g. 2,3"),
+        ),
+    ),
+}
+_HELP = ("-h", "--help")
+
+
+class _UsageError(Exception):
+    """A command line the table refuses, with the command whose usage line
+    goes with the message (None: the top level)."""
+
+    def __init__(self, command, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+def _metavar(dest: str, kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(map(str, kind)) + "}"
+    return dest.upper()
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: borbits [-h] {" + ",".join(COMMANDS) + "} ..."
+    parts = ["[-h]"]
+    for flag, dest, kind, default, _ in COMMANDS[command][1]:
+        part = flag if kind is None else f"{flag} {_metavar(dest, kind)}"
+        parts.append(part if default is _REQUIRED else f"[{part}]")
+    return f"usage: borbits {command} " + " ".join(parts)
+
+
+def _help(command) -> str:
+    if command is None:
+        intro = "Borel orbit combinatorics of abelian ideals"
+        heading, rows = "commands:", [(name, text) for name, (text, _) in COMMANDS.items()]
+        outro = ["", "Run `borbits COMMAND --help` for the options of a command."]
+    else:
+        intro, options = COMMANDS[command]
+        heading, outro = "options:", []
+        rows = [
+            (flag if kind is None else f"{flag} {_metavar(dest, kind)}", text)
+            for flag, dest, kind, _, text in options
+        ]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = [_usage(command), "", intro, "", heading]
+    lines += [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines + outro)
+
+
+def _convert(command: str, flag: str, kind, value: str):
+    choices = kind if isinstance(kind, tuple) else None
+    if choices:
+        kind = type(choices[0])
+    try:
+        value = kind(value)
+    except ValueError:
+        raise _UsageError(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+    if choices and value not in choices:
+        listed = ", ".join(map(str, choices))
+        raise _UsageError(command, f"argument {flag}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _parse(argv):
+    """(command, options by destination) from the table; options None when
+    help was asked for, and command None for the top level's help."""
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        return None, None
+    if command not in COMMANDS:
+        raise _UsageError(None, f"invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
+    table = {option[0]: option for option in COMMANDS[command][1]}
+    args = {dest: default for _, dest, _, default, _ in table.values()}
+    unknown = []  # refused after the help and the required options, as argparse does
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        flag, eq, value = token.partition("=")
+        if flag not in table:
+            unknown.append(token)
+            continue
+        _, dest, kind, _, _ = table[flag]
+        if kind is None:
+            if eq:
+                raise _UsageError(command, f"argument {flag}: ignored explicit argument {value!r}")
+            args[dest] = True
+            continue
+        if not eq:
+            # a token that starts with '-' is the next option, unless it is
+            # a negative number such as the -1 of `--ideal-id -1`
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not value[1:].isdecimal():
+                raise _UsageError(command, f"argument {flag}: expected one argument")
+        args[dest] = _convert(command, flag, kind, value)
+    missing = [flag for flag, dest, _, _, _ in table.values() if args[dest] is _REQUIRED]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, args
+
 
 def _styled_word(word) -> str:
     if not word:
@@ -25,51 +167,12 @@ def _styled_word(word) -> str:
     return " ".join(f"s{i}" for i in word)
 
 
-def _add_system_args(sub) -> None:
-    sub.add_argument("--type", required=True, choices=list("ABCDEFG"), dest="type_letter")
-    sub.add_argument("--rank", required=True, type=int)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borbits",
-        description="Borel orbit combinatorics of abelian ideals",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("ideals", help="list abelian ideals")
-    _add_system_args(p)
-    p.add_argument("--json", action="store_true")
-
-    p = subs.add_parser("orbits", help="orbit table of one ideal")
-    _add_system_args(p)
-    p.add_argument("--ideal-id", required=True, type=int)
-    p.add_argument("--v", default="", help="reduced word of v, e.g. '1 0'")
-    p.add_argument("--json", action="store_true")
-
-    p = subs.add_parser("poset", help="emit the closure order")
-    _add_system_args(p)
-    p.add_argument("--ideal-id", required=True, type=int)
-    p.add_argument("--v", default="", help="reduced word of v, e.g. '1 0'")
-    p.add_argument("--format", required=True, choices=["dot", "json"])
-
-    p = subs.add_parser("verify", help="run a verification suite")
-    _add_system_args(p)
-    p.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
-
-    p = subs.add_parser("oracle-typea", help="finite field oracle for type A")
-    p.add_argument("--n", required=True, type=int, choices=[2, 3, 4])
-    p.add_argument("--ideal-id", required=True, type=int)
-    p.add_argument("--q", required=True, help="comma separated primes, e.g. 2,3")
-    return parser
-
-
 def _resolve_context(args):
     # ideals, orbits and poset walk the minuscule elements, so a walk past the
     # cap is refused before the build, which is slow at high rank; verify
     # leaves it to the walk, since the phi suite does not walk
-    _check_cap(args.rank)
-    rs = build_root_system(args.type_letter, args.rank)
+    _check_cap(args["rank"])
+    rs = build_root_system(args["type_letter"], args["rank"])
     return rs, AffineWeylGroup(rs)
 
 
@@ -119,7 +222,7 @@ def _cmd_ideals(args) -> int:
                 "normalizer": [number[r] for r in normalizer_simple_roots(group, m)],
             }
         )
-    if args.json:
+    if args["json"]:
         import json
 
         print(json.dumps(rows, indent=2))
@@ -139,10 +242,10 @@ def _cmd_orbits(args) -> int:
     from .orbits import build_orbit_poset, node_row
 
     rs, group = _resolve_context(args)
-    w = _resolve_minuscule(group, args.ideal_id)
-    v = _resolve_v(group, args.v, w)
+    w = _resolve_minuscule(group, args["ideal_id"])
+    v = _resolve_v(group, args["v"], w)
     poset = build_orbit_poset(group, w, v)
-    if args.json:
+    if args["json"]:
         import json
 
         print(json.dumps([node_row(node) for node in poset.nodes], indent=2))
@@ -159,17 +262,17 @@ def _cmd_poset(args) -> int:
     from .orbits import build_orbit_poset, export_poset
 
     rs, group = _resolve_context(args)
-    w = _resolve_minuscule(group, args.ideal_id)
-    v = _resolve_v(group, args.v, w)
-    sys.stdout.write(export_poset(build_orbit_poset(group, w, v), args.format))
+    w = _resolve_minuscule(group, args["ideal_id"])
+    v = _resolve_v(group, args["v"], w)
+    sys.stdout.write(export_poset(build_orbit_poset(group, w, v), args["format"]))
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .suites import run_suite
 
-    group = AffineWeylGroup(build_root_system(args.type_letter, args.rank))
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    group = AffineWeylGroup(build_root_system(args["type_letter"], args["rank"]))
+    names = list(SUITE_NAMES) if args["suite"] == "all" else [args["suite"]]
     failed = False
     for name in names:
         # every suite runs on the one group, so the minuscule walk, the gap,
@@ -190,21 +293,26 @@ def _cmd_oracle(args) -> int:
 
     from .typea import oracle_report
 
+    text = args["q"]
     try:
-        q_list = tuple(int(p) for p in args.q.split(","))
+        q_list = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"--q takes comma separated primes, not {args.q!r}") from None
-    reports = oracle_report(args.n, args.ideal_id, q_list)
+        raise ValueError(f"--q takes comma separated primes, not {text!r}") from None
+    reports = oracle_report(args["n"], args["ideal_id"], q_list)
     print(json.dumps(reports, indent=2))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(_usage(exc.command), file=sys.stderr)
+        print(f"borbits: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_help(command))
+        return 0
     handlers = {
         "ideals": _cmd_ideals,
         "orbits": _cmd_orbits,
@@ -213,7 +321,7 @@ def main(argv=None) -> int:
         "oracle-typea": _cmd_oracle,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -165,12 +165,16 @@ def rank_id_minus(group: AffineWeylGroup, x: AffineWeylElement) -> int:
     fixes delta and sends alpha_j to w(alpha_j) minus a multiple of delta,
     so its trace on that basis is tr w + 1; as x^2 = id it is diagonalizable
     with eigenvalues +-1, so that trace is also r + 1 - 2 rank(id - x).  An
-    odd r - tr w shows that x is not an involution, and is refused."""
-    images = map(x.perm.__getitem__, group._simple_roots_at)
-    twice = group.rank - sum(map(getitem, group._coefficients, images))
-    if twice % 2:
-        raise AssertionError("r - tr w is odd: not an involution")
-    return twice // 2
+    odd r - tr w shows that x is not an involution, and is refused.  The
+    rank is kept on x, like its length, so the trace is taken once."""
+    rank = x._rank
+    if rank is None:
+        images = map(x.perm.__getitem__, group._simple_roots_at)
+        twice = group.rank - sum(map(getitem, group._coefficients, images))
+        if twice % 2:
+            raise AssertionError("r - tr w is odd: not an involution")
+        rank = x._rank = twice // 2
+    return rank
 
 
 def involution_length(group: AffineWeylGroup, sigma: AffineWeylElement) -> int:

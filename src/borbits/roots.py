@@ -43,6 +43,19 @@ def _bits(mask: int) -> list[int]:
     return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
+def _symmetric_masks(items, related) -> tuple[int, ...]:
+    """Bit j of row i is set iff related(items[i], items[j]), for a
+    symmetric relation: each unordered pair is tested once and its bit set
+    in both rows."""
+    masks = [0] * len(items)
+    for i, a in enumerate(items):
+        for j in range(i, len(items)):
+            if related(a, items[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
+
+
 def _check_type(type_letter: str, rank: int) -> None:
     if type_letter not in _RANK_BOUNDS:
         raise ValueError(f"unknown type letter {type_letter!r}")
@@ -281,7 +294,7 @@ class RootSystem:
         pos = self.positive_roots
         roots = self._coeff_set
         above = tuple(sum(1 << j for j, q in enumerate(pos) if all(map(le, r, q))) for r in pos)
-        partners = tuple(sum(1 << j for j, q in enumerate(pos) if tuple(map(add, r, q)) in roots) for r in pos)
+        partners = _symmetric_masks(pos, lambda r, q: tuple(map(add, r, q)) in roots)
         return above, partners
 
     @cached_property
@@ -290,9 +303,8 @@ class RootSystem:
         indices.  Orthogonality ignores signs and levels, so the rows serve
         every real affine root through the positive root of its finite
         part.  Built on first use, like `ideal_masks`."""
-        pos = self.positive_roots
         form = self._form_vec
-        return tuple(sum(1 << j for j, q in enumerate(pos) if not sum(map(mul, r, form[q]))) for r in pos)
+        return _symmetric_masks(self.positive_roots, lambda r, q: not sum(map(mul, r, form[q])))
 
     # -- epsilon coordinates ---------------------------------------------
 

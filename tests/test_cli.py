@@ -141,6 +141,120 @@ def test_usage_errors(capsys):
         assert run(capsys, *argv) == (2, "", f"error: --v {word!r} is not a reduced word\n")
 
 
+# a full command line of each command, as (flag, value) pairs; value None
+# marks a flag that takes none
+COMPLETE = {
+    "ideals": (("--type", "A"), ("--rank", "2"), ("--json", None)),
+    "orbits": (("--type", "A"), ("--rank", "2"), ("--ideal-id", "2"), ("--v", "0"), ("--json", None)),
+    "poset": (("--type", "A"), ("--rank", "2"), ("--ideal-id", "3"), ("--v", "0"), ("--format", "json")),
+    "verify": (("--type", "A"), ("--rank", "1"), ("--suite", "phi")),
+    "oracle-typea": (("--n", "3"), ("--ideal-id", "2"), ("--q", "2")),
+}
+REQUIRED = {
+    "ideals": ("--type", "--rank"),
+    "orbits": ("--type", "--rank", "--ideal-id"),
+    "poset": ("--type", "--rank", "--ideal-id", "--format"),
+    "verify": ("--type", "--rank", "--suite"),
+    "oracle-typea": ("--n", "--ideal-id", "--q"),
+}
+
+
+def _argv(command, pairs, joined=False):
+    out = [command]
+    for flag, value in pairs:
+        if value is None:
+            out.append(flag)
+        elif joined:
+            out.append(f"{flag}={value}")
+        else:
+            out += [flag, value]
+    return out
+
+
+def _refused(capsys, argv):
+    """A usage error: exit 2, nothing on stdout, and on stderr a usage line
+    and an error line."""
+    code, out, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 2), argv
+    assert lines[0].startswith("usage: borbits"), argv
+    assert lines[1].startswith("borbits: error: "), argv
+    return lines[1]
+
+
+def test_missing_and_unknown_options_are_usage_errors(capsys):
+    """Every command line the old parser refused still exits 2, with nothing
+    on stdout and a usage line and an error line on stderr: each required
+    option left out, an unknown or abbreviated option (abbreviations are not
+    expanded), a bad choice, a value that is not an integer, an option with
+    no value, a value on the JSON flag, and no command or an unknown one."""
+    for command, pairs in COMPLETE.items():
+        for flag in REQUIRED[command]:
+            kept = [(f, v) for f, v in pairs if f != flag]
+            assert flag in _refused(capsys, _argv(command, kept)), (command, flag)
+        assert "--bogus" in _refused(capsys, _argv(command, pairs) + ["--bogus"])
+        assert "stray" in _refused(capsys, _argv(command, pairs) + ["stray"])
+        assert "expected one argument" in _refused(capsys, _argv(command, pairs) + [pairs[1][0]])
+    for argv in (
+        ["ideals", "--type", "H", "--rank", "2"],
+        ["ideals", "--type", "a", "--rank", "2"],
+        ["ideals", "--type", "A", "--ran", "2"],
+        ["ideals", "--type", "A", "--rank", "x"],
+        ["ideals", "--type", "A", "--rank=2.0"],
+        ["ideals", "--type", "A", "--rank", "--json"],
+        ["ideals", "--type", "A", "--rank", "2", "--json=yes"],
+        ["poset", "--type", "A", "--rank", "2", "--ideal-id", "0", "--format", "pdf"],
+        ["verify", "--type", "B", "--rank", "2", "--suite", "every"],
+        ["verify", "--type", "B"],
+        ["oracle-typea", "--n", "5", "--ideal-id", "0", "--q", "2"],
+        ["oracle-typea", "--n", "three", "--ideal-id", "0", "--q", "2"],
+        ["nonsense"],
+        ["--type", "A"],
+        [],
+    ):
+        _refused(capsys, argv)
+
+
+def test_joined_reordered_and_repeated_options_give_the_same_bytes(capsys):
+    """`--opt=value` is `--opt value`, options come in any order, and the
+    last of a repeated option wins."""
+    for command, pairs in COMPLETE.items():
+        expected = run(capsys, *_argv(command, pairs))
+        assert expected[0] == 0 and expected[1], command
+        assert run(capsys, *_argv(command, pairs, joined=True)) == expected, command
+        assert run(capsys, *_argv(command, pairs[::-1])) == expected, command
+        first = pairs[0][0]
+        repeated = _argv(command, [(first, "2" if first == "--n" else "B"), *pairs])
+        assert run(capsys, *repeated) == expected, command
+
+
+def test_a_negative_ideal_id_reaches_the_range_check(capsys):
+    """A negative number after an option is its value, not an option, so
+    `--ideal-id -1` is refused by the range check, as argparse let it."""
+    for argv in (
+        ["orbits", "--type", "A", "--rank", "2", "--ideal-id", "-1"],
+        ["poset", "--type", "A", "--rank", "2", "--ideal-id", "-1", "--format", "dot"],
+        ["poset", "--type", "A", "--rank", "2", "--ideal-id=-1", "--format", "dot"],
+    ):
+        assert run(capsys, *argv) == (2, "", "error: ideal id -1 out of range (0..3)\n")
+
+
+def test_help_names_every_command_and_option(capsys):
+    """`--help` at the top level names every command, and after a command
+    every option of that command's table entry; it goes to stdout and
+    exits 0, wherever it stands on the command line."""
+    from borbits.cli import COMMANDS
+
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: borbits")
+    assert all(command in out for command in COMMANDS)
+    for command, (_, options) in COMMANDS.items():
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "") and out.startswith(f"usage: borbits {command} "), command
+        assert all(flag in out for flag, *_ in options), command
+        assert run(capsys, *_argv(command, COMPLETE[command]), "-h") == (0, out, ""), command
+
+
 def test_oracle_typea_refuses_repeated_primes(capsys):
     """Equal primes would feed the log fit sizes from one field; the oracle
     exits 2 with one line and prints no report."""
@@ -234,8 +348,8 @@ def test_module_entry_point_round_trip():
 
 def test_module_entry_point_flushes_before_it_exits(capsys):
     """The entry point ends the process with os._exit after its last flush,
-    so A9's 172 KB of rows and the help text, which argparse prints before
-    `main` returns outside its own flush, read through a pipe, must be the
+    so A9's 172 KB of rows and the help text, which `main` prints without
+    a flush of its own, read through a pipe, must be the
     same bytes as the in-process `main` prints, and a usage error must
     still exit 2 with its one line on stderr."""
     for argv in (("ideals", "--type", "A", "--rank", "9"), ("--help",)):
@@ -248,7 +362,7 @@ def test_module_entry_point_flushes_before_it_exits(capsys):
 
 
 def test_a_closed_pipe_at_the_last_flush_exits_141():
-    """argparse prints the help text without a flush and `main` returns 0,
+    """`main` prints the help text without a flush and returns 0,
     so a reader that is already gone is met at `run`'s own flush: exit 141
     and nothing on stderr, where the interpreter's flush at exit printed
     an ignored BrokenPipeError and exited 120."""

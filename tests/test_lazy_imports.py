@@ -2,7 +2,8 @@
 
 `import borbits` resolves its public names on first access, and the CLI
 imports the orbit layer, the suites and the type-A oracle inside the
-commands that use them, and `json` inside the branches that write JSON.
+commands that use them, and `json` inside the branches that write JSON; it
+reads the command line from its own table, without `argparse`.
 Every check runs in a fresh interpreter, because this test process has
 long since imported every module.
 """
@@ -84,6 +85,31 @@ def test_orbit_commands_load_neither_dataclasses_nor_inspect():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main({argv!r})
             print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+        """)
+        assert code == 0, argv
+        assert loaded == [], argv
+
+
+def test_no_command_loads_a_parser_library():
+    """The command line is read from the CLI's own option table, so no
+    command, and not the help, loads `argparse` or the `gettext` and
+    `locale` modules it imports."""
+    for argv in (
+        ["ideals", "--type", "A", "--rank", "2"],
+        ["orbits", "--type", "A", "--rank", "2", "--ideal-id", "2"],
+        ["poset", "--type", "A", "--rank", "2", "--ideal-id", "2", "--format", "dot"],
+        ["verify", "--type", "A", "--rank", "1", "--suite", "all"],
+        ["oracle-typea", "--n", "3", "--ideal-id", "2", "--q", "2"],
+        ["--help"],
+        ["verify", "--help"],
+    ):
+        code, loaded = _child(f"""
+            import contextlib, io, json, sys
+            before = set(sys.modules)
+            from borbits import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main({argv!r})
+            print(json.dumps([code, [m for m in ("argparse", "gettext", "locale") if m in set(sys.modules) - before]]))
         """)
         assert code == 0, argv
         assert loaded == [], argv

@@ -22,6 +22,8 @@ from borbits.involutions import (
     AdmissiblePair,
     orthogonal_subsets,
     pair_descents,
+    rank_id_minus,
+    reflection_product,
 )
 from borbits.minuscule import MinusculeElement
 from borbits.orbits import build_orbit_poset
@@ -126,6 +128,13 @@ def test_caches_stay_out_of_the_value():
     assert all(getattr(element, name) is None for name in cached)
     assert element == m.element and hash(element) == hash(m.element) and repr(element) == repr(m.element)
     assert MinusculeElement(element, m.mask) == m
+    # an involution also keeps the rank of id - sigma once it is asked for
+    s = next(s for s in orthogonal_subsets(rs, group.shifted_roots(m.mask)) if s)
+    sigma = reflection_product(group, s)
+    rank = rank_id_minus(group, sigma)
+    copy = type(sigma)(sigma.perm, sigma.shift)
+    assert sigma._rank == rank == len(s) and copy._rank is None
+    assert copy == sigma and hash(copy) == hash(sigma) and repr(copy) == repr(sigma)
 
 
 def test_cartan_datum_still_validates():
